@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -223,7 +222,6 @@ def cmd_evolve(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     lo, hi = (0.0, L0) if sector == "single_wall" else (-L0 / 2, L0 / 2)
     x = _grid_from(cfg, lo, hi)
 
-    # resolve everything the jobs need before fanning out over times
     if route == "sum":
         expansion = expansion_coefficients(
             gauss, traj, constants, sector=sector,
@@ -244,8 +242,7 @@ def cmd_evolve(cfg: ScenarioConfig, out: Path, seed: int) -> int:
             gauss, traj, constants, t, x, route=cycle_route
         )
 
-    with ThreadPoolExecutor(max_workers=min(4, len(times))) as pool:
-        results = list(pool.map(job, times))
+    results = [job(t) for t in times]
     for i, (t, psi) in enumerate(zip(times, results)):
         path = out / f"evolve_{i:03d}.csv"
         _write_csv(

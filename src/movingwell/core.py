@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_TRAPZ = getattr(np, "trapezoid", None) or np.trapz
-
 
 class DomainError(ValueError):
     """An input lies outside the physically meaningful domain of an operation."""
@@ -348,7 +346,7 @@ class WaveFunctionGrid:
         val.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", val)
-        n = math.sqrt(float(_TRAPZ(np.abs(val) ** 2, pos)))
+        n = math.sqrt(float(np.trapezoid(np.abs(val) ** 2, pos)))
         object.__setattr__(self, "norm", n)
 
     @property

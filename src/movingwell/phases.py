@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basis import BasisIndex, _solution_and_second_derivative
 from .core import (
@@ -206,6 +205,9 @@ def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
                 math.pi * q**2 * w * L0**2 * (1.0 + q) / (2.0 * (1.0 - q**2) ** 1.5)
             )
             return round(cycles) * per_cycle
+    # imported here so that the closed forms above never load scipy
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda s: traj.velocity(s) ** 2 - traj.length(s) * traj.acceleration(s),
         0.0,

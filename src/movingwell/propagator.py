@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .basis import BasisIndex, basis_solution
 from .core import (
@@ -117,9 +116,12 @@ def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
 def _tail_mass(gauss: GaussianParams, L0: float, sector: str) -> float:
     root2d = math.sqrt(2.0) * gauss.d
     if sector == "single_wall":
-        return 0.5 * (erfc(gauss.x0 / root2d) + erfc((L0 - gauss.x0) / root2d))
+        return 0.5 * (
+            math.erfc(gauss.x0 / root2d) + math.erfc((L0 - gauss.x0) / root2d)
+        )
     return 0.5 * (
-        erfc((L0 / 2 - gauss.x0) / root2d) + erfc((L0 / 2 + gauss.x0) / root2d)
+        math.erfc((L0 / 2 - gauss.x0) / root2d)
+        + math.erfc((L0 / 2 + gauss.x0) / root2d)
     )
 
 

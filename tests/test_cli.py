@@ -251,3 +251,17 @@ class TestSampleConfigs:
         assert len(files) >= 10
         for f in files:
             parse_config(str(f))
+
+
+def test_import_path_leaves_scipy_unloaded():
+    # only the CN oracles and the quadrature fallback of
+    # wall_action_integral need scipy; every other command runs on numpy
+    probe = (
+        "import sys, movingwell, movingwell.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from movingwell import oracle
 from movingwell.basis import BasisIndex, basis_solution, transformed_basis_solution
 from movingwell.core import (
     ConvergenceError,
@@ -226,3 +227,117 @@ def test_unconfined_validation():
     with pytest.raises(DomainError):  # Gaussian already touches the box
         spec = SolverSpec(n_points=1024, dt=1e-3, x_min=-6.0, x_max=6.0)
         unconfined_tdlo_propagate(gauss, traj, spec, 1.0, C)
+
+
+def capture_cn_calls(monkeypatch):
+    """Record the arguments of every _cn_run call, then run it as usual."""
+    calls = []
+    real = oracle._cn_run
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_cn_run", spy)
+    return calls
+
+
+def solve_banded_reference(psi, dt, n_steps, hbar, tridiag_at):
+    """The Crank-Nicolson loop written with scipy's solve_banded."""
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, psi.size), dtype=complex)
+    half = 0.5j * dt / hbar
+    for k in range(n_steps):
+        diag, up, lo = tridiag_at((k + 0.5) * dt)
+        rhs = psi - half * diag * psi
+        rhs[:-1] -= half * up * psi[1:]
+        rhs[1:] -= half * lo * psi[:-1]
+        ab[0, 1:] = half * up
+        ab[1, :] = 1.0 + half * diag
+        ab[2, :-1] = half * lo
+        psi = solve_banded((1, 1), ab, rhs)
+    return psi
+
+
+def test_cn_step_is_bit_identical_to_solve_banded(monkeypatch):
+    # breathing wall: a time-dependent diagonal (tdlo potential) and complex
+    # off-diagonals that differ above and below (the dilation term)
+    calls = capture_cn_calls(monkeypatch)
+    traj = SmoothPeriodicWall(L0=10.0, q=0.2, omega=1.3)
+    N = 64
+    y = np.linspace(-5.0, 5.0, N + 1)
+    g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(GaussianParams(d=0.5), C, y), time=0.0)
+    out = evolve_fixed_frame(g0, FrameMap(traj=traj), SolverSpec(n_points=N, dt=2e-3), 0.6, C)
+    (psi0, dt, n_steps, hbar, tridiag_at, _), _ = calls[0]
+    assert n_steps == 300
+    ref = solve_banded_reference(psi0, dt, n_steps, hbar, tridiag_at)
+    assert np.array_equal(out.values[1:-1], ref)
+
+
+def small_system(n=16):
+    """A static free-particle system on n interior points."""
+    diag = np.full(n, 2.0, dtype=complex)
+    off = np.full(n - 1, -1.0, dtype=complex)
+    psi = np.exp(-((np.arange(n) - n / 2) ** 2) / 4.0).astype(complex)
+
+    def norm_of(v):
+        return math.sqrt(float(np.sum(np.abs(v) ** 2)))
+
+    return psi, diag, off, norm_of
+
+
+@pytest.mark.parametrize("band", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cn_non_finite_band_raises(band, bad):
+    psi, diag, off, norm_of = small_system()
+
+    def tridiag_at(t_mid):
+        bands = [diag, off, off]
+        if t_mid > 0.02:  # from the third step on
+            bands[band] = bands[band].copy()
+            bands[band][3] = bad
+        return tuple(bands)
+
+    with pytest.raises(ConvergenceError, match="non-finite .* at step 3"), \
+            np.errstate(invalid="ignore"):
+        oracle._cn_run(psi, 0.01, 10, 1.0, tridiag_at, norm_of)
+
+
+def test_cn_non_finite_state_raises():
+    psi, diag, off, norm_of = small_system()
+    psi[5] = math.nan
+    with pytest.raises(ConvergenceError, match="at step 1"), np.errstate(invalid="ignore"):
+        oracle._cn_run(psi, 0.01, 10, 1.0, lambda t: (diag, off, off), norm_of)
+
+
+def test_cn_singular_system_raises():
+    # with dt = hbar = 1 the diagonal 2i makes 1 + (i/2) diag vanish
+    psi, _, off, norm_of = small_system()
+    diag = np.full(psi.size, 2.0j)
+    zero = np.zeros_like(off)
+    with pytest.raises(ConvergenceError, match="singular .* at step 1"):
+        oracle._cn_run(psi, 1.0, 3, 1.0, lambda t: (diag, zero, zero), norm_of)
+
+
+def test_cn_norm_gate_fails_on_nan_drift():
+    # finite amplitudes whose squares overflow: both norms are inf and the
+    # drift inf - inf is NaN, which must not pass the gate
+    psi, diag, off, norm_of = small_system()
+    psi *= 1e160
+    with pytest.raises(ConvergenceError, match="norm drifted by nan"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        oracle._cn_run(psi, 0.01, 4, 1.0, lambda t: (diag, off, off), norm_of)
+
+
+def test_unconfined_edge_gate_fails_on_nan(monkeypatch):
+    calls = capture_cn_calls(monkeypatch)
+    spec = SolverSpec(n_points=256, dt=1e-2, x_min=-12.0, x_max=12.0)
+    unconfined_tdlo_propagate(GaussianParams(d=1.0), LinearWall(L0=100.0, q=0.0), spec, 0.1, C)
+    edge_check = calls[0][1]["edge_check"]
+    state = np.zeros(255, dtype=complex)
+    state[100] = 1.0
+    edge_check(state, 0.1)  # a clean state passes
+    state[-1] = math.nan
+    with pytest.raises(ConvergenceError, match="artificial box edge"):
+        edge_check(state, 0.1)
