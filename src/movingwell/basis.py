@@ -75,10 +75,27 @@ class BasisIndex:
         return self.sector != "even"
 
 
-def _domain_mask(idx: BasisIndex, L: float, x: np.ndarray) -> np.ndarray:
-    if idx.sector == "single_wall":
+def _in_box(x: np.ndarray, L: float, sector: str) -> np.ndarray:
+    """Which points of x lie in a box of size L: [0, L] for the
+    ``single_wall`` sector, [-L/2, L/2] for every symmetric-box sector
+    ("symmetric", "even", "odd").  NaN counts as outside."""
+    if sector == "single_wall":
         return (x >= 0.0) & (x <= L)
     return np.abs(x) <= L / 2
+
+
+def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: float, tau: float, x):
+    """Pieces of mode ``idx`` in a box of size L whose wall moves at speed v.
+
+    Returns the chirp rate m v / (2 hbar L), the clock phase
+    hbar pi^2 nu^2 tau / (2 m), the wavenumber k = pi nu / L and the trig
+    factor sin(k x) or cos(k x).
+    """
+    hbar, m = constants.hbar, constants.mass
+    k = math.pi * idx.nu / L
+    trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
+    rate = m * v / (2.0 * hbar * L)
+    return rate, hbar * math.pi**2 * idx.nu**2 * tau / (2.0 * m), k, trig
 
 
 def _as_array(x):
@@ -94,7 +111,7 @@ def instantaneous_eigenstate(idx: BasisIndex, L: float, x):
     k = math.pi * idx.nu / L
     trig = np.sin(k * xa) if idx.is_sine else np.cos(k * xa)
     out = math.sqrt(2.0 / L) * trig
-    out = np.where(_domain_mask(idx, L, xa), out, 0.0)
+    out = np.where(_in_box(xa, L, idx.sector), out, 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -122,19 +139,12 @@ def basis_solution(
 ):
     """Exact chirped mode solution at time t; zero outside the box."""
     xa, scalar = _as_array(x)
-    hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
-    Lp = traj.velocity(t)
-    k = math.pi * idx.nu / L
-    phase_t = hbar * math.pi**2 * idx.nu**2 * _tau_eff(traj, t) / (2.0 * m)
-    chirp = m * Lp / (2.0 * hbar * L)
-    trig = np.sin(k * xa) if idx.is_sine else np.cos(k * xa)
-    out = (
-        math.sqrt(2.0 / L)
-        * np.exp(1j * (chirp * xa**2 - phase_t))
-        * trig
+    rate, phase_t, _, trig = _mode_parts(
+        idx, constants, L, traj.velocity(t), _tau_eff(traj, t), xa
     )
-    out = np.where(_domain_mask(idx, L, xa), out, 0.0)
+    out = math.sqrt(2.0 / L) * np.exp(1j * (rate * xa**2 - phase_t)) * trig
+    out = np.where(_in_box(xa, L, idx.sector), out, 0.0)
     return complex(out[0]) if scalar else out
 
 
@@ -152,38 +162,27 @@ def transformed_basis_solution(
     the chirp rate picks up a factor L L'/L0^2.
     """
     ya, scalar = _as_array(y)
-    hbar, m = constants.hbar, constants.mass
     L0 = traj.length(0.0)
-    L = traj.length(t)
-    Lp = traj.velocity(t)
-    k0 = math.pi * idx.nu / L0
-    phase_t = hbar * math.pi**2 * idx.nu**2 * _tau_eff(traj, t) / (2.0 * m)
-    chirp = m * L * Lp / (2.0 * hbar * L0**2)
-    trig = np.sin(k0 * ya) if idx.is_sine else np.cos(k0 * ya)
-    out = (
-        math.sqrt(2.0 / L0)
-        * np.exp(1j * (chirp * ya**2 - phase_t))
-        * trig
+    # a box of size L0 whose wall speed is L L'/L0 has the right chirp rate
+    rate, phase_t, _, trig = _mode_parts(
+        idx, constants, L0, traj.length(t) * traj.velocity(t) / L0, _tau_eff(traj, t), ya
     )
-    out = np.where(_domain_mask(idx, L0, ya), out, 0.0)
+    out = math.sqrt(2.0 / L0) * np.exp(1j * (rate * ya**2 - phase_t)) * trig
+    out = np.where(_in_box(ya, L0, idx.sector), out, 0.0)
     return complex(out[0]) if scalar else out
 
 
 def _solution_and_second_derivative(idx, traj, constants, t, xa):
     """psi and its analytic d^2/dx^2 on the open interior (no domain mask)."""
-    hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
-    Lp = traj.velocity(t)
-    k = math.pi * idx.nu / L
-    phase_t = hbar * math.pi**2 * idx.nu**2 * _tau_eff(traj, t) / (2.0 * m)
-    alpha = m * Lp / (2.0 * hbar * L)
+    alpha, phase_t, k, trig = _mode_parts(
+        idx, constants, L, traj.velocity(t), _tau_eff(traj, t), xa
+    )
     pre = math.sqrt(2.0 / L) * np.exp(1j * (alpha * xa**2 - phase_t))
     if idx.is_sine:
-        trig, cotrig = np.sin(k * xa), np.cos(k * xa)
-        cross = +4j * alpha * k * xa * cotrig
+        cross = +4j * alpha * k * xa * np.cos(k * xa)
     else:
-        trig, cotrig = np.cos(k * xa), np.sin(k * xa)
-        cross = -4j * alpha * k * xa * cotrig
+        cross = -4j * alpha * k * xa * np.sin(k * xa)
     psi = pre * trig
     psi_xx = pre * ((2j * alpha - 4.0 * alpha**2 * xa**2 - k**2) * trig + cross)
     return psi, psi_xx
@@ -260,18 +259,14 @@ def reversal_mismatch_ratio(
     if not isinstance(traj, ReversingLinearWall):
         raise DomainError("reversal_mismatch_ratio needs a ReversingLinearWall")
     xa, scalar = _as_array(x)
-    hbar, m = constants.hbar, constants.mass
     L_h = traj.half_length
-    if np.any(np.abs(xa) > L_h / 2) and idx.sector != "single_wall":
+    if not np.all(_in_box(xa, L_h, idx.sector)):
         raise DomainError("x outside the box at the turning point")
-    if idx.sector == "single_wall" and np.any((xa < 0) | (xa > L_h)):
-        raise DomainError("x outside the box at the turning point")
-    k = math.pi * idx.nu / L_h
-    trig = np.sin(k * xa) if idx.is_sine else np.cos(k * xa)
+    rate, phase_h, _, trig = _mode_parts(
+        idx, constants, L_h, traj.q, traj.tau(traj.T / 2), xa
+    )
     if np.any(np.abs(trig) < 1e-9):
         raise DomainError("mode has a node at a requested x; the ratio is 0/0 there")
-    phase = m * traj.q * xa**2 / (hbar * L_h) - (
-        hbar * math.pi**2 * idx.nu**2 * traj.tau(traj.T / 2) / (2.0 * m)
-    )
-    out = np.exp(1j * phase)
+    # the contraction family's chirp is the conjugate of the expansion one's
+    out = np.exp(1j * (2.0 * rate * xa**2 - phase_h))
     return complex(out[0]) if scalar else out

@@ -42,6 +42,7 @@ from .oracle import (
     unconfined_tdlo_propagate,
 )
 from .phases import (
+    _level_index,
     dynamical_phase,
     fig_mode_phases,
     geometric_phase,
@@ -350,7 +351,7 @@ def cmd_phase(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     worst = 0.0
     for n in range(n_max + 1):
         nu = n + 1
-        idx = BasisIndex("even", (nu - 1) // 2) if nu % 2 else BasisIndex("odd", nu // 2)
+        idx = _level_index(nu)
         mu = total_phase(idx, traj, constants, T)
         delta = dynamical_phase(
             idx, traj, constants, T, time_nodes=time_nodes, space_nodes=space_nodes
@@ -471,10 +472,7 @@ def cmd_fig2(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     )
     unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
     x = unconf.positions
-    if gauss.x0 == 0.0 and gauss.p0 == 0.0:
-        conf = evolve_theta_centered(gauss, traj, constants, T, x)
-    else:
-        conf = evolve_theta_general(gauss, traj, constants, T, x)
+    conf = evolve_theta_general(gauss, traj, constants, T, x)
     num = math.sqrt(float(np.trapezoid(np.abs(unconf.values - conf) ** 2, x)))
     den = math.sqrt(float(np.trapezoid(np.abs(conf) ** 2, x)))
     rel = num / den

@@ -12,8 +12,18 @@ nome parameter
     kappa(t) = i pi / (a L0^2) - 2 pi hbar tau(t) / m,
     a = 1/(4 d^2) + i m L'(0) / (2 hbar L0),
 
-whose imaginary part is positive for every trajectory and time.  Both
-routes (truncated mode sum, theta closed form) are provided and should
+whose imaginary part is positive for every trajectory and time.  With
+z = pi x / L and the packet offset C = pi beta / (2 a L0), both sectors
+resum to one bracket at the quartered parameter,
+
+    (1/2) [ theta_3((z-C)/2, kappa/4) - theta_s((z+C)/2, kappa/4) ],
+
+s = 4 for the symmetric box and s = 3 for the single wall; a centred
+packet in the symmetric box collapses it to theta_2(z, kappa).  Every
+closed form (centred, general, wall-free, post-turn cycle) builds one
+record of its packet in a mode family and hands it to one evaluator.
+
+Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
 each validates the other.
 
@@ -31,19 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisIndex, basis_solution
+from .basis import BasisIndex, _in_box, _mode_parts, basis_solution
 from .core import (
     ConvergenceError,
     DomainError,
     GaussianParams,
-    LinearWall,
     LocalizationWarning,
     PhysicalConstants,
     ReversingLinearWall,
     ScaledWall,
     TruncationWarning,
     WallTrajectory,
-    WaveFunctionGrid,
     ComparisonReport,
     localization_diagnostic,
 )
@@ -84,19 +92,13 @@ class SpectralExpansion:
     def modes(self):
         """Yield (BasisIndex, coefficient) for every retained mode."""
         if self.sector == "symmetric":
-            for n in range(self.n_max + 1):
-                c = self.even_coeffs[n]
-                if c != 0.0:
-                    yield BasisIndex("even", n), c
-            for n in range(1, self.n_max + 1):
-                c = self.odd_coeffs[n]
-                if c != 0.0:
-                    yield BasisIndex("odd", n), c
+            families = (("even", self.even_coeffs, 0), ("odd", self.odd_coeffs, 1))
         else:
-            for n in range(1, self.n_max + 1):
-                c = self.odd_coeffs[n]
-                if c != 0.0:
-                    yield BasisIndex("single_wall", n), c
+            families = (("single_wall", self.odd_coeffs, 1),)
+        for sector, coeffs, start in families:
+            for n in range(start, self.n_max + 1):
+                if coeffs[n] != 0.0:
+                    yield BasisIndex(sector, n), coeffs[n]
 
 
 def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
@@ -143,8 +145,28 @@ def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _PacketState:
+    """A Gaussian resolved in one mode family: what the theta kernel needs.
+
+    ``norm`` is the packet's norm prefactor, (2 pi)^{-1/4} d^{-1/2}
+    sqrt(pi/a) for the initial family, ``a`` the coefficient of x^2 in its
+    exponent, ``offset`` C = pi beta / (2 a L_ref), ``e_pre`` the merged
+    offset exponent, ``L_ref`` the box size at which the family was
+    projected and ``tau0`` the phase clock tau at that instant.
+    """
+
+    norm: complex
+    a: complex
+    offset: complex
+    e_pre: complex
+    L_ref: float
+    tau0: float
+
+
 def _gaussian_machinery(gauss, traj, constants):
-    """Shared quantities of every coefficient formula."""
+    """The packet in the initial family, plus beta and the prefactor w0
+    shared by every coefficient formula."""
     hbar, m = constants.hbar, constants.mass
     L0 = traj.length(0.0)
     v0 = traj.velocity(0.0)
@@ -157,14 +179,91 @@ def _gaussian_machinery(gauss, traj, constants):
     a_i = a.imag
     p_h = gauss.p0 / hbar
     e_pre = (4j * a_r * gauss.x0 * (p_h - a_i * gauss.x0) - p_h**2) / (4.0 * a)
-    w0 = (
-        math.sqrt(2.0 / L0)
-        * (2.0 * math.pi) ** -0.25
-        * gauss.d**-0.5
-        * 0.5
-        * cmath.sqrt(math.pi / a)
+    root_a = cmath.sqrt(math.pi / a)
+    w0 = math.sqrt(2.0 / L0) * (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * 0.5 * root_a
+    norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * root_a
+    offset = math.pi * beta / (2.0 * a * L0)
+    return _PacketState(norm, a, offset, e_pre, L_ref=L0, tau0=0.0), beta, w0
+
+
+def _post_turn_state(gauss, traj, constants) -> _PacketState:
+    """The packet at the turn of a reversing wall, in the contraction family.
+
+    It is taken as the freely spread Gaussian, exact up to the same
+    exponentially small wall tails as the unconfined form: width factor
+    s_h = 1 + i hbar (T/2) / (2 m d^2), and the free-spread exponent
+    1/(4 d^2 s_h) less the contraction family's chirp i m q / (2 hbar L_h).
+    """
+    hbar, m = constants.hbar, constants.mass
+    L_h = traj.half_length
+    t_half = traj.T / 2
+    s_h = 1.0 + 1j * hbar * t_half / (2.0 * m * gauss.d**2)
+    n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
+    a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
+    a_tot = a_f - 1j * m * traj.q / (2.0 * hbar * L_h)
+    norm = n_f * cmath.sqrt(math.pi / a_tot)
+    return _PacketState(norm, a_tot, 0.0, 0.0, L_ref=L_h, tau0=traj.tau(t_half))
+
+
+def _nome(state: _PacketState, traj, constants, t: float) -> complex:
+    return 1j * math.pi / (state.a * state.L_ref**2) - (
+        2.0 * math.pi * constants.hbar * (traj.tau(t) - state.tau0) / constants.mass
     )
-    return L0, a, beta, e_pre, w0
+
+
+def _theta_bracket(z, c, kappa: complex, sector: str, tol: float):
+    """The theta combination of a packet with offset C at nome parameter kappa.
+
+    Resumming both parity families of the symmetric box gives
+    (1/2)[theta_2(z+C) + theta_2(z-C) + theta_3(z-C) - theta_3(z+C)] at
+    kappa.  Since theta_2(w, kappa) +- theta_3(w, kappa) equals
+    theta_3(w/2, kappa/4) or -theta_4(w/2, kappa/4), this is
+
+        (1/2) [ theta_3((z-C)/2, kappa/4) - theta_s((z+C)/2, kappa/4) ]
+
+    with s = 4; the single-wall sector resums to the same form with s = 3.
+    For a centred packet in the symmetric box (C = 0) it collapses to
+    theta_2(z, kappa), one call.
+    """
+    if sector == "symmetric" and c == 0:
+        return theta(2, z, kappa, tol=tol)
+    s = 4 if sector == "symmetric" else 3
+    return 0.5 * (
+        theta(3, (z - c) / 2.0, kappa / 4.0, tol=tol)
+        - theta(s, (z + c) / 2.0, kappa / 4.0, tol=tol)
+    )
+
+
+def _evaluate(
+    state: _PacketState,
+    traj: WallTrajectory,
+    constants: PhysicalConstants,
+    t: float,
+    x,
+    sector: str = "symmetric",
+    tol: float = 1e-15,
+    wall_free: bool = False,
+):
+    """psi(x, t) = norm / sqrt(L_ref L) e^{i m x^2 L'/(2 hbar L) + E} B, zero
+    outside the box, with B the theta bracket at z = pi x / L and kappa(t).
+
+    ``wall_free`` swaps theta_2 for its modular leading term
+    (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} and keeps the values beyond the
+    walls: the form has no walls left.
+    """
+    hbar, m = constants.hbar, constants.mass
+    L = traj.length(t)
+    kappa = _nome(state, traj, constants, t)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    z = math.pi * xa / L
+    chirp = np.exp(1j * m * traj.velocity(t) * xa**2 / (2.0 * hbar * L) + state.e_pre)
+    pre = state.norm / math.sqrt(state.L_ref * L)
+    if wall_free:
+        out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * z**2 / (math.pi * kappa)))
+    else:
+        bracket = _theta_bracket(z, state.offset, kappa, sector, tol)
+        out = np.where(_in_box(xa, L, sector), pre * chirp * bracket, 0.0)
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def theta_nome(
@@ -178,10 +277,45 @@ def theta_nome(
     Im kappa > 0 for all t: the packet's finite width keeps the series
     convergent, though Im kappa shrinks as tau grows.
     """
-    L0, a, _, _, _ = _gaussian_machinery(gauss, traj, constants)
-    return 1j * math.pi / (a * L0**2) - (
-        2.0 * math.pi * constants.hbar * traj.tau(t) / constants.mass
-    )
+    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    return _nome(state, traj, constants, t)
+
+
+def _truncated_families(families, n_limit: int, what: str):
+    """Grow every coefficient family until it produces three consecutive
+    terms below 1e-13 of the largest one.
+
+    ``families`` holds (name, coefficient function of n, first n).
+    Returns the coefficient lists, padded with zeros to a common length,
+    and the largest retained n.
+    """
+    coeffs = {name: [] for name, _, _ in families}
+    biggest = 0.0
+    runs = {name: 0 for name, _, _ in families}
+    done = {name: False for name, _, _ in families}
+    n = 0
+    while not all(done.values()):
+        if n > n_limit:
+            raise ConvergenceError(f"{what} did not truncate within {n_limit} modes")
+        for name, func, start in families:
+            if done[name]:
+                continue
+            c = func(n) if n >= start else 0.0
+            coeffs[name].append(c)
+            mag = abs(c)
+            biggest = max(biggest, mag)
+            if n >= start and mag < _COEFF_FLOOR * max(biggest, 1e-300):
+                runs[name] += 1
+                if runs[name] >= _COEFF_RUN and n >= start + _COEFF_RUN:
+                    done[name] = True
+            else:
+                runs[name] = 0
+        n += 1
+
+    n_max = max(len(v) for v in coeffs.values()) - 1
+    for name in coeffs:
+        coeffs[name] += [0.0] * (n_max + 1 - len(coeffs[name]))
+    return coeffs, n_max
 
 
 def expansion_coefficients(
@@ -202,68 +336,31 @@ def expansion_coefficients(
     1 - tail_tol of the packet's norm.
     """
     _initial_gate(gauss, traj.length(0.0), sector)
-    L0, a, beta, e_pre, w0 = _gaussian_machinery(gauss, traj, constants)
+    state, beta, w0 = _gaussian_machinery(gauss, traj, constants)
+    L0, a, e_pre = state.L_ref, state.a, state.e_pre
 
-    def even_c(n: int) -> complex:
-        k = math.pi * (2 * n + 1) / L0
-        g = 1j * beta * k / (2.0 * a)
-        decay = -(k**2) / (4.0 * a)
-        return w0 * (cmath.exp(e_pre + g + decay) + cmath.exp(e_pre - g + decay))
+    def family(step: int, shift: int, sine: bool):
+        # mode n has nu = step n + shift; its overlap with trig(k x),
+        # k = pi nu / L0, is two Gaussian integrals
+        def coeff(n: int) -> complex:
+            k = math.pi * (step * n + shift) / L0
+            g = 1j * beta * k / (2.0 * a)
+            decay = -(k**2) / (4.0 * a)
+            plus = cmath.exp(e_pre + g + decay)
+            minus = cmath.exp(e_pre - g + decay)
+            return (w0 / 1j) * (plus - minus) if sine else w0 * (plus + minus)
 
-    def odd_c(n: int) -> complex:
-        k = 2.0 * math.pi * n / L0
-        g = 1j * beta * k / (2.0 * a)
-        decay = -(k**2) / (4.0 * a)
-        return (w0 / 1j) * (cmath.exp(e_pre + g + decay) - cmath.exp(e_pre - g + decay))
-
-    def single_c(n: int) -> complex:
-        k = math.pi * n / L0
-        g = 1j * beta * k / (2.0 * a)
-        decay = -(k**2) / (4.0 * a)
-        return (w0 / 1j) * (cmath.exp(e_pre + g + decay) - cmath.exp(e_pre - g + decay))
+        return coeff
 
     if sector == "symmetric":
-        families = [("even", even_c, 0), ("odd", odd_c, 1)]
+        families = [("even", family(2, 1, False), 0), ("odd", family(2, 0, True), 1)]
     else:
-        families = [("single", single_c, 1)]
-
-    coeffs = {name: [] for name, _, _ in families}
-    biggest = 0.0
-    runs = {name: 0 for name, _, _ in families}
-    done = {name: False for name, _, _ in families}
-    n = 0
-    while not all(done.values()):
-        if n > n_limit:
-            raise ConvergenceError(
-                f"mode expansion did not truncate within {n_limit} modes"
-            )
-        for name, func, start in families:
-            if done[name]:
-                continue
-            c = func(n) if n >= start else 0.0
-            coeffs[name].append(c)
-            mag = abs(c)
-            biggest = max(biggest, mag)
-            if n >= start and mag < _COEFF_FLOOR * max(biggest, 1e-300):
-                runs[name] += 1
-                if runs[name] >= _COEFF_RUN and n >= start + _COEFF_RUN:
-                    done[name] = True
-            else:
-                runs[name] = 0
-        n += 1
-
-    n_max = max(len(v) for v in coeffs.values()) - 1
-    for name in coeffs:
-        coeffs[name] += [0.0] * (n_max + 1 - len(coeffs[name]))
-
-    if sector == "symmetric":
-        even = np.asarray(coeffs["even"], dtype=complex)
-        odd = np.asarray(coeffs["odd"], dtype=complex)
-        captured = float(np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2))
-    else:
-        even = None
-        odd = np.asarray(coeffs["single"], dtype=complex)
-        captured = float(np.sum(np.abs(odd) ** 2))
+        # the single wall's sine modes live in odd_coeffs
+        families = [("odd", family(1, 0, True), 1)]
+    coeffs, n_max = _truncated_families(families, n_limit, "mode expansion")
+    arrays = {name: np.asarray(v, dtype=complex) for name, v in coeffs.items()}
+    even, odd = arrays.get("even"), arrays["odd"]
+    captured = float(sum(np.sum(np.abs(c) ** 2) for c in arrays.values()))
 
     if 1.0 - captured > tail_tol:
         warnings.warn(
@@ -318,12 +415,6 @@ def evolve_sum(
     return _sum_modes(expansion, traj, constants, t, x)
 
 
-def _box_mask(xa: np.ndarray, L: float, sector: str) -> np.ndarray:
-    if sector == "single_wall":
-        return (xa >= 0.0) & (xa <= L)
-    return np.abs(xa) <= L / 2
-
-
 def _forbid_post_turn(traj: WallTrajectory, t: float) -> None:
     if isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
         raise DomainError(
@@ -349,22 +440,8 @@ def evolve_theta_centered(
         raise DomainError("evolve_theta_centered needs x0 = p0 = 0")
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), "symmetric")
-    hbar, m = constants.hbar, constants.mass
-    L0, a, _, _, _ = _gaussian_machinery(gauss, traj, constants)
-    L = traj.length(t)
-    Lp = traj.velocity(t)
-    kappa = theta_nome(gauss, traj, constants, t)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    chirp = np.exp(1j * m * Lp * xa**2 / (2.0 * hbar * L))
-    th = theta(2, math.pi * xa / L, kappa, tol=tol)
-    pre = (
-        (2.0 * math.pi) ** -0.25
-        * gauss.d**-0.5
-        * cmath.sqrt(math.pi / a)
-        / math.sqrt(L0 * L)
-    )
-    out = np.where(_box_mask(xa, L, "symmetric"), pre * chirp * th, 0.0)
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    return _evaluate(state, traj, constants, t, x, tol=tol)
 
 
 def evolve_theta_general(
@@ -378,45 +455,23 @@ def evolve_theta_general(
 ):
     """Closed form for an arbitrarily placed and boosted packet.
 
-    Resumming both parity families gives, with z = pi x / L and
+    Resumming the mode series gives, with z = pi x / L and
     C = pi beta / (2 a L0),
 
-      psi = W sqrt(2/L) e^{i m x^2 L'/(2 hbar L)} e^{E}
-            (1/2) [ theta_2(z+C) + theta_2(z-C) + theta_3(z-C) - theta_3(z+C) ]
+      psi = (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) / sqrt(L0 L)
+            e^{i m x^2 L'/(2 hbar L)} e^{E}
+            (1/2) [ theta_3((z-C)/2, kappa/4) - theta_s((z+C)/2, kappa/4) ],
 
-    (all at nome parameter kappa(t)), where E merges the packet-offset
-    exponents beta^2/(4a) - x0^2/(4 d^2) that would otherwise overflow
-    separately.  The single-wall sector resums to
-
-      psi = W sqrt(2/L) e^{chirp} e^{E}
-            (1/2) [ theta_3((z-C)/2, kappa/4) - theta_3((z+C)/2, kappa/4) ].
+    with s = 4 in the symmetric box and s = 3 for the single wall, where E
+    merges the packet-offset exponents beta^2/(4a) - x0^2/(4 d^2) that
+    would otherwise overflow separately.  For a centred packet in the
+    symmetric box the bracket collapses to theta_2(z, kappa), and the
+    result equals ``evolve_theta_centered`` bit for bit.
     """
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), sector)
-    hbar, m = constants.hbar, constants.mass
-    L0, a, beta, e_pre, w0 = _gaussian_machinery(gauss, traj, constants)
-    L = traj.length(t)
-    Lp = traj.velocity(t)
-    kappa = theta_nome(gauss, traj, constants, t)
-    c_off = math.pi * beta / (2.0 * a * L0)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    z = math.pi * xa / L
-    chirp = np.exp(1j * m * Lp * xa**2 / (2.0 * hbar * L) + e_pre)
-    if sector == "symmetric":
-        combo = 0.5 * (
-            theta(2, z + c_off, kappa, tol=tol)
-            + theta(2, z - c_off, kappa, tol=tol)
-            + theta(3, z - c_off, kappa, tol=tol)
-            - theta(3, z + c_off, kappa, tol=tol)
-        )
-    else:
-        combo = 0.5 * (
-            theta(3, (z - c_off) / 2.0, kappa / 4.0, tol=tol)
-            - theta(3, (z + c_off) / 2.0, kappa / 4.0, tol=tol)
-        )
-    out = w0 * math.sqrt(2.0 / L) * chirp * combo
-    out = np.where(_box_mask(xa, L, sector), out, 0.0)
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
 
 
 def evolve_unconfined_approx(
@@ -453,23 +508,8 @@ def evolve_unconfined_approx(
             LocalizationWarning,
             stacklevel=2,
         )
-    hbar, m = constants.hbar, constants.mass
-    _, a, _, _, _ = _gaussian_machinery(gauss, traj, constants)
-    L = traj.length(t)
-    Lp = traj.velocity(t)
-    kappa = theta_nome(gauss, traj, constants, t)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    z = math.pi * xa / L
-    chirp = np.exp(1j * m * Lp * xa**2 / (2.0 * hbar * L))
-    tail = (-1j * kappa) ** -0.5 * np.exp(-1j * z**2 / (math.pi * kappa))
-    pre = (
-        (2.0 * math.pi) ** -0.25
-        * gauss.d**-0.5
-        * cmath.sqrt(math.pi / a)
-        / math.sqrt(L0 * L)
-    )
-    out = pre * chirp * tail
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    return _evaluate(state, traj, constants, t, x, wall_free=True)
 
 
 def contraction_coefficients(
@@ -495,80 +535,55 @@ def contraction_coefficients(
         raise DomainError("contraction_coefficients needs a ReversingLinearWall")
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-    hbar, m = constants.hbar, constants.mass
     L_h = traj.half_length
-    t_half = traj.T / 2
 
     if route == "closed":
         if gauss.x0 != 0.0 or gauss.p0 != 0.0:
             raise DomainError("the closed contraction route needs x0 = p0 = 0")
         _initial_gate(gauss, traj.L0, "symmetric")
-        s_h = 1.0 + 1j * hbar * t_half / (2.0 * m * gauss.d**2)
-        n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
-        a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
-        a_tot = a_f - 1j * m * traj.q / (2.0 * hbar * L_h)
-        front = math.sqrt(2.0 / L_h) * n_f * cmath.sqrt(math.pi / a_tot)
+        state = _post_turn_state(gauss, traj, constants)
+        front = math.sqrt(2.0 / L_h) * state.norm
 
-        even = []
-        biggest, run, n = 0.0, 0, 0
-        while True:
-            if n > n_limit:
-                raise ConvergenceError(
-                    f"contraction expansion did not truncate within {n_limit} modes"
-                )
+        def even_c(n: int) -> complex:
             k = math.pi * (2 * n + 1) / L_h
-            c = front * cmath.exp(-(k**2) / (4.0 * a_tot))
-            even.append(c)
-            biggest = max(biggest, abs(c))
-            if abs(c) < _COEFF_FLOOR * max(biggest, 1e-300):
-                run += 1
-                if run >= _COEFF_RUN and n >= _COEFF_RUN:
-                    break
-            else:
-                run = 0
-            n += 1
-        even = np.asarray(even, dtype=complex)
+            return front * cmath.exp(-(k**2) / (4.0 * state.a))
+
+        coeffs, n_max = _truncated_families(
+            [("even", even_c, 0)], n_limit, "contraction expansion"
+        )
+        even = np.asarray(coeffs["even"], dtype=complex)
         odd = np.zeros_like(even)
-        n_max = len(even) - 1
     else:
         start = expansion_coefficients(
             gauss, traj, constants, sector="symmetric", tail_tol=tail_tol
         )
         xg = np.linspace(-L_h / 2, L_h / 2, grid_points + 1)
         # the initial family evaluated AT the turn: basis_solution has
-        # already switched there, so assemble the pre-turn form explicitly
-        psi_turn = np.zeros(xg.shape, dtype=complex)
-        chirp = np.exp(1j * m * traj.q * xg**2 / (2.0 * hbar * L_h))
-        tau_h = traj.tau(t_half)
-        root = math.sqrt(2.0 / L_h)
+        # already switched there, so assemble the pre-turn form explicitly.
+        # Each pre-turn mode is sqrt(2/L_h) e^{i (rate x^2 - phase)} trig;
+        # the contraction modes it is projected on carry the conjugate
+        # chirp, so the projection weight is (2/L_h) e^{2 i rate x^2} times
+        # the sum of c e^{-i phase} trig, the common chirp applied once
+        tau_h = traj.tau(traj.T / 2)
+        rate, total = 0.0, np.zeros(xg.shape, dtype=complex)
         for idx, c in start.modes():
-            phase = hbar * math.pi**2 * idx.nu**2 * tau_h / (2.0 * m)
-            kx = math.pi * idx.nu * xg / L_h
-            trig = np.sin(kx) if idx.is_sine else np.cos(kx)
-            psi_turn += c * root * cmath.exp(-1j * phase) * chirp * trig
-        # project on the contraction family at the same instant
-        anti_chirp = np.exp(1j * m * traj.q * xg**2 / (2.0 * hbar * L_h))
+            rate, phase, _, trig = _mode_parts(idx, constants, L_h, traj.q, tau_h, xg)
+            total += c * cmath.exp(-1j * phase) * trig
+        weighted = (2.0 / L_h) * np.exp(2j * rate * xg**2) * total
         n_fit = max(2 * start.n_max + 8, 16)
         even = np.zeros(n_fit + 1, dtype=complex)
         odd = np.zeros(n_fit + 1, dtype=complex)
         for n in range(n_fit + 1):
             ke = math.pi * (2 * n + 1) * xg / L_h
-            even[n] = np.trapezoid(psi_turn * anti_chirp * root * np.cos(ke), xg)
+            even[n] = np.trapezoid(weighted * np.cos(ke), xg)
             if n >= 1:
                 ko = 2.0 * math.pi * n * xg / L_h
-                odd[n] = np.trapezoid(psi_turn * anti_chirp * root * np.sin(ko), xg)
+                odd[n] = np.trapezoid(weighted * np.sin(ko), xg)
         # trim with the usual floor
         biggest = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))), 1e-300)
-        keep = max(
-            [0]
-            + [
-                n
-                for n in range(n_fit + 1)
-                if abs(even[n]) >= _COEFF_FLOOR * biggest
-                or abs(odd[n]) >= _COEFF_FLOOR * biggest
-            ]
-        )
-        n_max = keep
+        floor = _COEFF_FLOOR * biggest
+        kept = np.flatnonzero((np.abs(even) >= floor) | (np.abs(odd) >= floor))
+        n_max = int(kept[-1]) if kept.size else 0
         even, odd = even[: n_max + 1], odd[: n_max + 1]
 
     captured = float(np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2))
@@ -612,9 +627,7 @@ def evolve_cycle_reversing(
         raise DomainError("evolve_cycle_reversing needs a ReversingLinearWall")
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-    hbar, m = constants.hbar, constants.mass
-    t_half = traj.T / 2
-    if t < t_half:
+    if t < traj.T / 2:
         if route == "closed":
             return evolve_theta_centered(gauss, traj, constants, t, x, tol=tol)
         expansion = expansion_coefficients(gauss, traj, constants)
@@ -627,20 +640,8 @@ def evolve_cycle_reversing(
     if gauss.x0 != 0.0 or gauss.p0 != 0.0:
         raise DomainError("the closed cycle route needs x0 = p0 = 0")
     _initial_gate(gauss, traj.L0, "symmetric")
-    L_h = traj.half_length
-    L = traj.length(t)
-    s_h = 1.0 + 1j * hbar * t_half / (2.0 * m * gauss.d**2)
-    n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
-    a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
-    a_tot = a_f - 1j * m * traj.q / (2.0 * hbar * L_h)
-    tau_c = traj.tau(t) - traj.tau(t_half)
-    kappa_c = 1j * math.pi / (a_tot * L_h**2) - 2.0 * math.pi * hbar * tau_c / m
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    chirp = np.exp(-1j * m * traj.q * xa**2 / (2.0 * hbar * L))
-    th = theta(2, math.pi * xa / L, kappa_c, tol=tol)
-    pre = n_f * cmath.sqrt(math.pi / a_tot) / math.sqrt(L * L_h)
-    out = np.where(_box_mask(xa, L, "symmetric"), pre * chirp * th, 0.0)
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    state = _post_turn_state(gauss, traj, constants)
+    return _evaluate(state, traj, constants, t, x, tol=tol)
 
 
 def locality_compare(
@@ -684,9 +685,8 @@ def locality_compare(
             "trajectories start from different boxes; only a scaled pair may do that"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    for traj, L in ((traj_a, traj_a.length(t)), (traj_b, traj_b.length(t))):
-        outside = (xa < 0) | (xa > L) if sector == "single_wall" else np.abs(xa) > L / 2
-        if np.any(outside):
+    for traj in (traj_a, traj_b):
+        if not np.all(_in_box(xa, traj.length(t), sector)):
             raise DomainError("comparison grid leaves the box of one trajectory")
     psi_a = evolve_theta_general(gauss, traj_a, constants, t, xa, sector=sector)
     psi_b = evolve_theta_general(gauss, traj_b, constants, t, xa, sector=sector)

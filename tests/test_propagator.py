@@ -1,9 +1,11 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from movingwell import propagator
 from movingwell.basis import BasisIndex, basis_solution
 from movingwell.core import (
     DomainError,
@@ -25,9 +27,11 @@ from movingwell.propagator import (
     evolve_unconfined_approx,
     expansion_coefficients,
     initial_gaussian,
+    _theta_bracket,
     locality_compare,
     theta_nome,
 )
+from movingwell.theta import theta
 
 C = PhysicalConstants()
 G1 = GaussianParams(d=1.0)
@@ -324,3 +328,99 @@ def test_locality_validation():
             G1, C, LinearWall(L0=100.0, q=2.0), SMOOTH, 1.0,
             np.linspace(-60.0, 60.0, 11),
         )
+
+
+def _four_call_bracket(z, c, kappa, sector):
+    # the resummed mode series before the kappa/4 identity: both parity
+    # families of the symmetric box, or the single wall's sine family
+    th = lambda kind, w: theta(kind, w, kappa)
+    if sector == "symmetric":
+        return 0.5 * (th(2, z + c) + th(2, z - c) + th(3, z - c) - th(3, z + c))
+    return 0.5 * (th(2, z - c) + th(3, z - c) - th(2, z + c) - th(3, z + c))
+
+
+@pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
+@pytest.mark.parametrize(
+    "im_range",
+    [(0.25, 3.0), (0.06, 0.19), (1e-3, 0.03)],
+    ids=["direct", "direct_then_transformed", "transformed"],
+)
+def test_kappa_quarter_bracket_matches_four_call_combination(sector, im_range):
+    # Im kappa >= 0.2 keeps both kappa and kappa/4 on direct summation;
+    # the middle band sends only kappa/4 to the modular transform; the
+    # last sends both there
+    rng = np.random.default_rng(7 + int(1e3 * im_range[0]) + len(sector))
+    lo, hi = (-math.pi / 2, math.pi / 2) if sector == "symmetric" else (0.0, math.pi)
+    for _ in range(25):
+        kappa = complex(rng.uniform(-0.8, 0.8), rng.uniform(*im_range))
+        c = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
+        z = rng.uniform(lo, hi, 41)
+        ours = _theta_bracket(z, c, kappa, sector, 1e-15)
+        ref = _four_call_bracket(z, c, kappa, sector)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * scale
+
+
+def _mp_four_call(z, c, kappa, sector, dps=40):
+    with mp.workdps(dps):
+        kap = mp.mpc(kappa)
+        q = mp.exp(1j * mp.pi * kap)
+
+        def th(kind, w):
+            v = mp.jtheta(kind, mp.mpc(w), q)
+            if kind == 2:
+                # series convention e^{i pi kappa/4}, not mpmath's principal q^{1/4}
+                v = v / q ** mp.mpf(0.25) * mp.exp(1j * mp.pi * kap / 4)
+            return v
+
+        if sector == "symmetric":
+            v = th(2, z + c) + th(2, z - c) + th(3, z - c) - th(3, z + c)
+        else:
+            v = th(2, z - c) + th(3, z - c) - th(2, z + c) - th(3, z + c)
+        return complex(v / 2)
+
+
+@pytest.mark.parametrize(
+    "z, c, kappa, sector",
+    [
+        (0.3, 0.4 + 0.1j, 0.7 + 0.9j, "symmetric"),
+        (-1.1, -0.25 - 0.05j, -1.3 + 0.12j, "symmetric"),
+        (0.9, 0.6 + 0.2j, 0.2 + 0.4j, "single_wall"),
+        (2.5, 0.1 - 0.1j, -0.4 + 1.5j, "single_wall"),
+    ],
+)
+def test_kappa_quarter_bracket_against_mpmath(z, c, kappa, sector):
+    ours = _theta_bracket(np.array([z]), c, kappa, sector, 1e-15)[0]
+    ref = _mp_four_call(z, c, kappa, sector)
+    assert ours == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("traj", [SMOOTH, LinearWall(L0=100.0, q=2.0)], ids=["smooth", "linear"])
+def test_general_form_of_centred_packet_is_the_centred_form(traj):
+    x = np.linspace(-12.0, 12.0, 241)
+    for t in [0.0, 1.0, 6.5]:
+        general = evolve_theta_general(G1, traj, C, t, x)
+        centred = evolve_theta_centered(G1, traj, C, t, x)
+        assert np.array_equal(general, centred)
+
+
+def test_general_form_theta_calls(monkeypatch):
+    calls = []
+
+    def counting(kind, z, kappa, tol=1e-15, cap=10**6):
+        calls.append(kind)
+        return theta(kind, z, kappa, tol=tol, cap=cap)
+
+    monkeypatch.setattr(propagator, "theta", counting)
+    x = np.linspace(-8.0, 8.0, 17)
+    evolve_theta_general(G1, SMOOTH, C, 2.0, x)
+    assert calls == [2]
+    calls.clear()
+    evolve_theta_general(GaussianParams(d=1.0, x0=5.0, p0=0.5), SMOOTH, C, 2.0, x)
+    assert calls == [3, 4]
+    calls.clear()
+    evolve_theta_general(
+        GaussianParams(d=1.0, x0=50.0, p0=0.5), LinearWall(L0=100.0, q=1.0), C, 2.0,
+        x + 50.0, sector="single_wall",
+    )
+    assert calls == [3, 3]

@@ -1,0 +1,72 @@
+"""Package surface and output reproducibility.
+
+The CSV guard runs the light shipped configs through ``cli.main`` at a
+fixed seed and compares the SHA-256 of every CSV with
+``fixtures/csv_sha256.json``.
+"""
+
+import ast
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import movingwell
+from movingwell import cli
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "csv_sha256.json"
+
+#: the shipped configs that run in seconds: config name -> CLI command
+#: (fig2 and oracle-compare run long Crank-Nicolson solves)
+LIGHT = {
+    "theta": "theta-check",
+    "basis": "basis-check",
+    "evolve": "evolve",
+    "locality": "locality",
+    "locality_scaled": "locality",
+    "cycle": "cycle",
+    "phase": "phase",
+    "fig1": "fig1",
+}
+
+
+def test_all_lists_every_public_import():
+    tree = ast.parse(Path(movingwell.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert len(movingwell.__all__) == len(set(movingwell.__all__))
+    assert set(movingwell.__all__) == imported
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT))
+def test_light_config_csvs_are_byte_identical(name, tmp_path):
+    """Every CSV of a light config hashes to its recorded digest at --seed 1.
+
+    A numeric change that is intended (a different evaluation order, a
+    new theta route) changes these digests: refresh the fixture from a
+    run of the new code and record in CHANGES.md which files moved, by
+    how much and why.
+    """
+    recorded = json.loads(FIXTURE.read_text())
+    assert recorded["seed"] == 1
+    out = tmp_path / name
+    argv = [LIGHT[name], "--config", str(CONFIGS / f"{name}.cfg"),
+            "--out", str(out), "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    produced = {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("*.csv"))
+    }
+    expected = {k: v for k, v in recorded["files"].items() if k.split("/")[0] == name}
+    assert produced == expected
