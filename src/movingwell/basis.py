@@ -27,7 +27,9 @@ the families at the turn.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,17 @@ from .core import (
     WallTrajectory,
 )
 
-_SECTORS = ("even", "odd", "single_wall")
+#: a family of modes: labels n >= first, nu = step n + shift, sin or cos
+_Family = namedtuple("_Family", "sector first step shift sine")
+#: box sector -> the mode families it carries
+_FAMILIES = {
+    "symmetric": (_Family("even", 0, 2, 1, False), _Family("odd", 1, 2, 0, True)),
+    "single_wall": (_Family("single_wall", 1, 1, 0, True),),
+}
+_BOX_SECTORS = tuple(_FAMILIES)
+#: mode sector -> (its box sector, its family)
+_MODE_FAMILY = {f.sector: (box, f) for box, fams in _FAMILIES.items() for f in fams}
+_SECTORS = tuple(_MODE_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -54,34 +66,37 @@ class BasisIndex:
     n: int
 
     def __post_init__(self) -> None:
-        if self.sector not in _SECTORS:
+        if self.sector not in _MODE_FAMILY:
             raise DomainError(f"sector must be one of {_SECTORS}, got {self.sector!r}")
-        if self.sector == "even":
-            if self.n < 0:
-                raise DomainError("even sector needs n >= 0")
-        elif self.n < 1:
-            raise DomainError(f"{self.sector} sector needs n >= 1")
+        first = _MODE_FAMILY[self.sector][1].first
+        if self.n < first:
+            raise DomainError(f"{self.sector} sector needs n >= {first}")
 
     @property
     def nu(self) -> int:
-        if self.sector == "even":
-            return 2 * self.n + 1
-        if self.sector == "odd":
-            return 2 * self.n
-        return self.n
+        family = _MODE_FAMILY[self.sector][1]
+        return family.step * self.n + family.shift
 
     @property
     def is_sine(self) -> bool:
-        return self.sector != "even"
+        return _MODE_FAMILY[self.sector][1].sine
+
+
+def _box_interval(L: float, sector: str) -> tuple[float, float]:
+    """Edges of a box of size L: [0, L] (single wall) or [-L/2, L/2]."""
+    if sector not in _FAMILIES:
+        raise DomainError(f"sector must be one of {_BOX_SECTORS}, got {sector!r}")
+    return (0.0, L) if sector == "single_wall" else (-L / 2, L / 2)
 
 
 def _in_box(x: np.ndarray, L: float, sector: str) -> np.ndarray:
-    """Which points of x lie in a box of size L: [0, L] for the
-    ``single_wall`` sector, [-L/2, L/2] for every symmetric-box sector
-    ("symmetric", "even", "odd").  NaN counts as outside."""
-    if sector == "single_wall":
-        return (x >= 0.0) & (x <= L)
-    return np.abs(x) <= L / 2
+    """Which points of x lie in the box; NaN counts as outside."""
+    lo, hi = _box_interval(L, sector)
+    return (x >= lo) & (x <= hi)
+
+
+def _box_of(idx: BasisIndex) -> str:
+    return _MODE_FAMILY[idx.sector][0]
 
 
 def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: float, tau: float, x):
@@ -91,11 +106,28 @@ def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: floa
     hbar pi^2 nu^2 tau / (2 m), the wavenumber k = pi nu / L and the trig
     factor sin(k x) or cos(k x).
     """
-    hbar, m = constants.hbar, constants.mass
     k = math.pi * idx.nu / L
     trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
-    rate = m * v / (2.0 * hbar * L)
-    return rate, hbar * math.pi**2 * idx.nu**2 * tau / (2.0 * m), k, trig
+    rate = constants.mass * v / (2.0 * constants.hbar * L)
+    return rate, _clock_phase(idx, constants, tau), k, trig
+
+
+def _clock_phase(idx: BasisIndex, constants: PhysicalConstants, tau: float) -> float:
+    """hbar pi^2 nu^2 tau / (2 m), the phase mode idx carries at clock tau."""
+    return constants.hbar * math.pi**2 * idx.nu**2 * tau / (2.0 * constants.mass)
+
+
+def _mode_sum(terms, constants: PhysicalConstants, L: float, v: float, tau: float, x, sector: str):
+    """sum c psi_idx over (BasisIndex, c) pairs on one leg of the wall (box
+    size L, wall speed v, phase clock tau); sqrt(2/L), the chirp and the box
+    mask are shared by all modes and applied once to sum c e^{-i phase} trig.
+    """
+    rate, total = 0.0, np.zeros(x.shape, dtype=complex)
+    for idx, c in terms:
+        rate, phase, _, trig = _mode_parts(idx, constants, L, v, tau, x)
+        total += c * cmath.exp(-1j * phase) * trig
+    out = math.sqrt(2.0 / L) * np.exp(1j * rate * x**2) * total
+    return np.where(_in_box(x, L, sector), out, 0.0)
 
 
 def _as_array(x):
@@ -103,16 +135,22 @@ def _as_array(x):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _single_mode(idx: BasisIndex, constants: PhysicalConstants, L: float, v: float, tau: float, x):
+    """Mode ``idx`` on one leg of the wall (box size L, wall speed v, phase
+    clock tau); zero outside the box."""
+    xa, scalar = _as_array(x)
+    rate, phase, _, trig = _mode_parts(idx, constants, L, v, tau, xa)
+    out = math.sqrt(2.0 / L) * np.exp(1j * (rate * xa**2 - phase)) * trig
+    out = np.where(_in_box(xa, L, _box_of(idx)), out, 0.0)
+    return complex(out[0]) if scalar else out
+
+
 def instantaneous_eigenstate(idx: BasisIndex, L: float, x):
     """Stationary-box eigenfunction at box size L; zero outside the box."""
     if L <= 0:
         raise DomainError("L must be positive")
-    xa, scalar = _as_array(x)
-    k = math.pi * idx.nu / L
-    trig = np.sin(k * xa) if idx.is_sine else np.cos(k * xa)
-    out = math.sqrt(2.0 / L) * trig
-    out = np.where(_in_box(xa, L, idx.sector), out, 0.0)
-    return float(out[0]) if scalar else out
+    # a static box (no chirp) with its clock at zero
+    return _single_mode(idx, PhysicalConstants(), L, 0.0, 0.0, x).real
 
 
 def instantaneous_energy(idx: BasisIndex, L: float, constants: PhysicalConstants) -> float:
@@ -122,12 +160,13 @@ def instantaneous_energy(idx: BasisIndex, L: float, constants: PhysicalConstants
     return (math.pi * idx.nu * constants.hbar) ** 2 / (2.0 * constants.mass * L**2)
 
 
-def _tau_eff(traj: WallTrajectory, t: float) -> float:
-    # the contraction leg of a reversing wall carries its own phase clock,
-    # zeroed at the turning point
+def _leg(traj: WallTrajectory, t: float) -> tuple[float, float, float]:
+    """Box size, wall speed and phase clock of the family that holds t; a
+    reversing wall's contraction leg zeroes its clock at the turn."""
+    tau = traj.tau(t)
     if isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
-        return traj.tau(t) - traj.tau(traj.T / 2)
-    return traj.tau(t)
+        tau = tau - traj.tau(traj.T / 2)
+    return traj.length(t), traj.velocity(t), tau
 
 
 def basis_solution(
@@ -138,14 +177,7 @@ def basis_solution(
     x,
 ):
     """Exact chirped mode solution at time t; zero outside the box."""
-    xa, scalar = _as_array(x)
-    L = traj.length(t)
-    rate, phase_t, _, trig = _mode_parts(
-        idx, constants, L, traj.velocity(t), _tau_eff(traj, t), xa
-    )
-    out = math.sqrt(2.0 / L) * np.exp(1j * (rate * xa**2 - phase_t)) * trig
-    out = np.where(_in_box(xa, L, idx.sector), out, 0.0)
-    return complex(out[0]) if scalar else out
+    return _single_mode(idx, constants, *_leg(traj, t), x)
 
 
 def transformed_basis_solution(
@@ -161,23 +193,16 @@ def transformed_basis_solution(
     y = +-L0/2 (or y in [0, L0] for the single-wall sector) for all t, and
     the chirp rate picks up a factor L L'/L0^2.
     """
-    ya, scalar = _as_array(y)
     L0 = traj.length(0.0)
+    L, v, tau = _leg(traj, t)
     # a box of size L0 whose wall speed is L L'/L0 has the right chirp rate
-    rate, phase_t, _, trig = _mode_parts(
-        idx, constants, L0, traj.length(t) * traj.velocity(t) / L0, _tau_eff(traj, t), ya
-    )
-    out = math.sqrt(2.0 / L0) * np.exp(1j * (rate * ya**2 - phase_t)) * trig
-    out = np.where(_in_box(ya, L0, idx.sector), out, 0.0)
-    return complex(out[0]) if scalar else out
+    return _single_mode(idx, constants, L0, L * v / L0, tau, y)
 
 
 def _solution_and_second_derivative(idx, traj, constants, t, xa):
     """psi and its analytic d^2/dx^2 on the open interior (no domain mask)."""
-    L = traj.length(t)
-    alpha, phase_t, k, trig = _mode_parts(
-        idx, constants, L, traj.velocity(t), _tau_eff(traj, t), xa
-    )
+    L, v, tau = _leg(traj, t)
+    alpha, phase_t, k, trig = _mode_parts(idx, constants, L, v, tau, xa)
     pre = math.sqrt(2.0 / L) * np.exp(1j * (alpha * xa**2 - phase_t))
     if idx.is_sine:
         cross = +4j * alpha * k * xa * np.cos(k * xa)
@@ -216,10 +241,7 @@ def schrodinger_residual(
         )
     hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
-    if idx.sector == "single_wall":
-        grid = np.linspace(0.0, L, n_points + 1)
-    else:
-        grid = np.linspace(-L / 2, L / 2, n_points + 1)
+    grid = np.linspace(*_box_interval(L, _box_of(idx)), n_points + 1)
     xa = grid[4:-4]
     # the wall must not cross the retained points within the stencil window
     margin = 4 * (grid[1] - grid[0])
@@ -260,7 +282,7 @@ def reversal_mismatch_ratio(
         raise DomainError("reversal_mismatch_ratio needs a ReversingLinearWall")
     xa, scalar = _as_array(x)
     L_h = traj.half_length
-    if not np.all(_in_box(xa, L_h, idx.sector)):
+    if not np.all(_in_box(xa, L_h, _box_of(idx))):
         raise DomainError("x outside the box at the turning point")
     rate, phase_h, _, trig = _mode_parts(
         idx, constants, L_h, traj.q, traj.tau(traj.T / 2), xa

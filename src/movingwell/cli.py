@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisIndex, basis_solution, schrodinger_residual
+from .basis import (
+    _BOX_SECTORS,
+    _FAMILIES,
+    BasisIndex,
+    _box_interval,
+    basis_solution,
+    schrodinger_residual,
+)
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -96,6 +103,21 @@ def _resolve_times(cfg: ScenarioConfig) -> list[float]:
     return [cfg.get_float("time.t")]
 
 
+def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
+    n = cfg.get_int(key, default)
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}")
+    return n
+
+
+def _time_or_period(cfg: ScenarioConfig, key: str, traj) -> float:
+    if cfg.has(key):
+        return cfg.get_float(key)
+    if traj.period is None:
+        raise ConfigError(f"trajectory has no period; set {key}")
+    return traj.period
+
+
 def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     lo = cfg.get_float("grid.x_min", x_min)
     hi = cfg.get_float("grid.x_max", x_max)
@@ -117,7 +139,7 @@ def _wavefunction_rows(x, psi):
 
 def cmd_theta_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     """Random sweep of the modular-transformation identity."""
-    n = cfg.get_int("theta.samples", 100)
+    n = _get_count(cfg, "theta.samples", 100, 1)
     tol = cfg.get_float("tolerances.theta_tol", 1e-12)
     rng = np.random.default_rng(seed)
     rows = []
@@ -146,17 +168,17 @@ def cmd_basis_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     t = cfg.get_float("basis.t", 1.0)
-    n_max = cfg.get_int("basis.n_max", 20)
+    n_max = _get_count(cfg, "basis.n_max", 20, 1)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
-    x = np.linspace(-L / 2, L / 2, 16385)
+    x = np.linspace(*_box_interval(L, "symmetric"), 16385)
     w = np.full(x.size, x[1] - x[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     rows = []
     worst_gram = 0.0
-    for code, (sector, lo) in enumerate((("even", 0), ("odd", 1))):
-        idxs = [BasisIndex(sector, n) for n in range(lo, n_max + 1)]
+    for code, family in enumerate(_FAMILIES["symmetric"]):
+        idxs = [BasisIndex(family.sector, n) for n in range(family.first, n_max + 1)]
         states = np.array([basis_solution(i, traj, constants, t, x) for i in idxs])
         gram = (states.conj() * w) @ states.T
         dev = float(np.max(np.abs(gram - np.eye(len(idxs)))))
@@ -215,13 +237,9 @@ def cmd_evolve(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
-    sector = cfg.get_str(
-        "evolve.sector", "symmetric", choices=("symmetric", "single_wall")
-    )
+    sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
     times = _resolve_times(cfg)
-    L0 = traj.length(0.0)
-    lo, hi = (0.0, L0) if sector == "single_wall" else (-L0 / 2, L0 / 2)
-    x = _grid_from(cfg, lo, hi)
+    x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
 
     if route == "sum":
         expansion = expansion_coefficients(
@@ -268,7 +286,7 @@ def cmd_locality(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
-    sector = cfg.get_str("scenario.sector", "symmetric", choices=("symmetric", "single_wall"))
+    sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
     tol = cfg.get_float("tolerances.locality_tol", 1e-10)
     warn_ratio = cfg.get_float("tolerances.localization_warn", 0.1)
     if isinstance(traj, ScaledWall):
@@ -337,16 +355,11 @@ def cmd_phase(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     """Clock / dynamical / geometric split for the lowest box levels."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    n_max = cfg.get_int("phase.n_max", 10)
+    n_max = _get_count(cfg, "phase.n_max", 10, 0)
     tol = cfg.get_float("tolerances.phase_tol", 1e-6)
-    time_nodes = cfg.get_int("phase.time_nodes", 256)
-    space_nodes = cfg.get_int("phase.space_nodes", 512)
-    if cfg.has("time.T"):
-        T = cfg.get_float("time.T")
-    else:
-        T = traj.period
-        if T is None:
-            raise ConfigError("trajectory has no period; set time.T")
+    time_nodes = _get_count(cfg, "phase.time_nodes", 256, 2)
+    space_nodes = _get_count(cfg, "phase.space_nodes", 512, 2)
+    T = _time_or_period(cfg, "time.T", traj)
     rows = []
     worst = 0.0
     for n in range(n_max + 1):
@@ -399,7 +412,7 @@ def cmd_fig1(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     """Phase-versus-mode dataset for the family of breathing boxes."""
     constants = build_constants(cfg)
     sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
-    n_max = cfg.get_int("fig1.n_max", 30)
+    n_max = _get_count(cfg, "fig1.n_max", 30, 0)
     q = cfg.get_float("fig1.q", 0.1)
     omega = cfg.get_float("fig1.omega", 1.0)
     tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
@@ -457,13 +470,8 @@ def cmd_fig2(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
-    if cfg.has("time.t"):
-        T = cfg.get_float("time.t")
-    else:
-        T = traj.period
-        if T is None:
-            raise ConfigError("trajectory has no period; set time.t")
-    n_steps = cfg.get_int("solver.n_steps", 62832)
+    T = _time_or_period(cfg, "time.t", traj)
+    n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
     spec = SolverSpec(
         n_points=cfg.get_int("solver.n_points", 4096),
         dt=T / n_steps,
@@ -495,7 +503,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     t = cfg.get_float("time.t", 2.0)
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
     n_points = cfg.get_int("solver.n_points", 4096)
-    n_steps = cfg.get_int("solver.n_steps", 8000)
+    n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
     fmap = FrameMap(traj=traj)
     L0 = fmap.L0
     y = np.linspace(-L0 / 2, L0 / 2, n_points + 1)

@@ -8,6 +8,7 @@ outputs with the exact configuration that produced them.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .core import (
@@ -80,6 +81,8 @@ class ScenarioConfig:
             out = float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}={val!r} is not a number") from None
+        if not math.isfinite(out):
+            raise ConfigError(f"{key}={val!r} is not a finite number")
         self._resolved[key] = repr(out)
         return out
 
@@ -104,6 +107,8 @@ class ScenarioConfig:
                 items = [float(p) for p in parts]
             except ValueError:
                 raise ConfigError(f"{key}={val!r} is not a list of numbers") from None
+        if not all(math.isfinite(v) for v in items):
+            raise ConfigError(f"{key}={val!r} holds a non-finite number")
         self._resolved[key] = ",".join(repr(v) for v in items)
         return items
 

@@ -35,6 +35,12 @@ class TruncationWarning(UserWarning):
     """A truncated mode sum left more norm in the tail than requested."""
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Unit system for a computation.  Defaults give hbar = m = 1."""
@@ -43,8 +49,9 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0 or self.mass <= 0:
+        if not (self.hbar > 0 and self.mass > 0):
             raise DomainError("hbar and mass must be positive")
+        _require_finite(hbar=self.hbar, mass=self.mass)
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,9 @@ class GaussianParams:
     p0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.d <= 0:
+        if not self.d > 0:
             raise DomainError("Gaussian width d must be positive")
+        _require_finite(d=self.d, x0=self.x0, p0=self.p0)
 
 
 class WallTrajectory:
@@ -127,8 +135,9 @@ class LinearWall(WallTrajectory):
     q: float
 
     def __post_init__(self) -> None:
-        if self.L0 <= 0:
+        if not self.L0 > 0:
             raise DomainError("L0 must be positive")
+        _require_finite(L0=self.L0, q=self.q)
         if self.q < 0:
             object.__setattr__(self, "t_max", 0.99 * self.L0 / abs(self.q))
 
@@ -171,10 +180,11 @@ class ReversingLinearWall(WallTrajectory):
     T: float
 
     def __post_init__(self) -> None:
-        if self.L0 <= 0:
+        if not self.L0 > 0:
             raise DomainError("L0 must be positive")
-        if self.T <= 0:
+        if not self.T > 0:
             raise DomainError("T must be positive")
+        _require_finite(L0=self.L0, q=self.q, T=self.T)
         if self.L0 + self.q * self.T / 2 <= 0:
             raise DomainError("wall collapses before the turning point")
         object.__setattr__(self, "t_max", self.T)
@@ -229,12 +239,13 @@ class SmoothPeriodicWall(WallTrajectory):
     omega: float
 
     def __post_init__(self) -> None:
-        if self.L0 <= 0:
+        if not self.L0 > 0:
             raise DomainError("L0 must be positive")
         if not abs(self.q) < 1:
             raise DomainError("|q| must be < 1 to keep the wall finite")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise DomainError("omega must be positive")
+        _require_finite(L0=self.L0, omega=self.omega)
 
     def _u(self, t: float) -> float:
         return 1.0 + self.q * math.cos(self.omega * t)
@@ -295,8 +306,9 @@ class ScaledWall(WallTrajectory):
     k: float
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
+        if not self.k > 0:
             raise DomainError("scale factor k must be positive")
+        _require_finite(k=self.k)
         object.__setattr__(self, "t_max", self.inner.t_max)
 
     @property

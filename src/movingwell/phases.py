@@ -32,7 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisIndex, _solution_and_second_derivative
+from .basis import (
+    BasisIndex,
+    _box_interval,
+    _box_of,
+    _clock_phase,
+    _solution_and_second_derivative,
+    instantaneous_energy,
+)
 from .core import (
     ConvergenceError,
     DomainError,
@@ -63,6 +70,18 @@ def _gl_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _cycle_time(traj: WallTrajectory, T: float | None, what: str = "") -> float:
+    """T, or the trajectory's period when T is None.  A quantity named by
+    ``what`` is defined only when the wall closes a cycle over [0, T]."""
+    if T is None:
+        T = traj.period
+        if T is None:
+            raise DomainError("trajectory has no period; pass T explicitly")
+    if what and not traj.is_cyclic(T):
+        raise DomainError(f"trajectory is not cyclic over [0, {T}]; {what} undefined")
+    return T
+
+
 def total_phase(
     idx: BasisIndex,
     traj: WallTrajectory,
@@ -73,13 +92,7 @@ def total_phase(
 
     The mode's explicit time dependence is the factor exp(-i mu(t)).
     """
-    return (
-        constants.hbar
-        * math.pi**2
-        * idx.nu**2
-        * traj.tau(T)
-        / (2.0 * constants.mass)
-    )
+    return _clock_phase(idx, constants, traj.tau(T))
 
 
 def energy_expectation(
@@ -96,13 +109,12 @@ def energy_expectation(
     The L'^2 piece is kinetic energy carried by the chirp; the L L'' piece
     is the expectation of the compensating quadratic potential.
     """
-    hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
     Lp = traj.velocity(t)
     Lpp = traj.acceleration(t)
-    level = (math.pi * idx.nu * hbar) ** 2 / (2.0 * m * L**2)
+    level = instantaneous_energy(idx, L, constants)
     shape = 1.0 - 6.0 / (math.pi**2 * idx.nu**2)
-    return level + (m / 24.0) * shape * (Lp**2 - L * Lpp)
+    return level + (constants.mass / 24.0) * shape * (Lp**2 - L * Lpp)
 
 
 def _h_expectation_quadrature(idx, traj, constants, t, space_nodes):
@@ -111,17 +123,13 @@ def _h_expectation_quadrature(idx, traj, constants, t, space_nodes):
     hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
     base, w = _gl_nodes(space_nodes)
-    if idx.sector == "single_wall":
-        x = 0.5 * L * (base + 1.0)
-        scale = 0.5 * L
-    else:
-        x = 0.5 * L * base
-        scale = 0.5 * L
+    lo, hi = _box_interval(L, _box_of(idx))
+    scale = 0.5 * (hi - lo)
+    x = scale * base + 0.5 * (hi + lo)
     psi, psi_xx = _solution_and_second_derivative(idx, traj, constants, t, x)
     v = 0.5 * m * traj.omega_squared(t) * x**2
     integrand = np.conj(psi) * (-(hbar**2) / (2.0 * m) * psi_xx + v * psi)
-    val = scale * float(np.sum(w * integrand.real))
-    return val
+    return scale * float(np.sum(w * integrand.real))
 
 
 def dynamical_phase(
@@ -141,10 +149,7 @@ def dynamical_phase(
     impulsive velocity reversal (kink in L') contributes only through the
     smooth pieces on either side.
     """
-    if T is None:
-        T = traj.period
-        if T is None:
-            raise DomainError("trajectory has no period; pass T explicitly")
+    T = _cycle_time(traj, T)
     if T <= 0:
         raise DomainError("T must be positive")
     if time_nodes < 2 or space_nodes < 2:
@@ -181,10 +186,7 @@ def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
     impulsive term 2 q L(T/2) on top of q^2 T.  Anything else goes to
     adaptive quadrature.
     """
-    if T is None:
-        T = traj.period
-        if T is None:
-            raise DomainError("trajectory has no period; pass T explicitly")
+    T = _cycle_time(traj, T)
     if T <= 0:
         raise DomainError("T must be positive")
     traj._check(T)
@@ -231,14 +233,7 @@ def geometric_phase(
     restored), otherwise the split of the total phase into dynamical and
     geometric parts is not meaningful and DomainError is raised.
     """
-    if T is None:
-        T = traj.period
-        if T is None:
-            raise DomainError("trajectory has no period; pass T explicitly")
-    if not traj.is_cyclic(T):
-        raise DomainError(
-            f"trajectory is not cyclic over [0, {T}]; geometric phase undefined"
-        )
+    T = _cycle_time(traj, T, "geometric phase")
     shape = 1.0 - 6.0 / (math.pi**2 * idx.nu**2)
     return (
         constants.mass
@@ -264,14 +259,7 @@ def phase_decomposition(
     ``geometric_phase`` to quadrature accuracy; the redundancy is the
     point, as the two routes share no code.
     """
-    if T is None:
-        T = traj.period
-        if T is None:
-            raise DomainError("trajectory has no period; pass T explicitly")
-    if not traj.is_cyclic(T):
-        raise DomainError(
-            f"trajectory is not cyclic over [0, {T}]; decomposition undefined"
-        )
+    T = _cycle_time(traj, T, "decomposition")
     mu = total_phase(idx, traj, constants, T)
     delta = dynamical_phase(
         idx, traj, constants, T, time_nodes=time_nodes,

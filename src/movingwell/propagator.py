@@ -41,7 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisIndex, _in_box, _mode_parts, basis_solution
+from .basis import (
+    _FAMILIES,
+    BasisIndex,
+    _box_interval,
+    _in_box,
+    _leg,
+    _mode_parts,
+    _mode_sum,
+)
 from .core import (
     ConvergenceError,
     DomainError,
@@ -66,8 +74,6 @@ _COEFF_FLOOR = 1e-13
 #: how many consecutive negligible coefficients end the expansion
 _COEFF_RUN = 3
 
-_SECTORS = ("symmetric", "single_wall")
-
 
 @dataclass(frozen=True)
 class SpectralExpansion:
@@ -91,14 +97,11 @@ class SpectralExpansion:
 
     def modes(self):
         """Yield (BasisIndex, coefficient) for every retained mode."""
-        if self.sector == "symmetric":
-            families = (("even", self.even_coeffs, 0), ("odd", self.odd_coeffs, 1))
-        else:
-            families = (("single_wall", self.odd_coeffs, 1),)
-        for sector, coeffs, start in families:
-            for n in range(start, self.n_max + 1):
+        for family in _FAMILIES[self.sector]:
+            coeffs = self.even_coeffs if family.sector == "even" else self.odd_coeffs
+            for n in range(family.first, self.n_max + 1):
                 if coeffs[n] != 0.0:
-                    yield BasisIndex(sector, n), coeffs[n]
+                    yield BasisIndex(family.sector, n), coeffs[n]
 
 
 def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
@@ -115,22 +118,10 @@ def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
     return complex(out) if np.ndim(x) == 0 else out
 
 
-def _tail_mass(gauss: GaussianParams, L0: float, sector: str) -> float:
-    root2d = math.sqrt(2.0) * gauss.d
-    if sector == "single_wall":
-        return 0.5 * (
-            math.erfc(gauss.x0 / root2d) + math.erfc((L0 - gauss.x0) / root2d)
-        )
-    return 0.5 * (
-        math.erfc((L0 / 2 - gauss.x0) / root2d)
-        + math.erfc((L0 / 2 + gauss.x0) / root2d)
-    )
-
-
 def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
-    if sector not in _SECTORS:
-        raise DomainError(f"sector must be one of {_SECTORS}, got {sector!r}")
-    tail = _tail_mass(gauss, L0, sector)
+    lo, hi = _box_interval(L0, sector)
+    root2d = math.sqrt(2.0) * gauss.d
+    tail = 0.5 * (math.erfc((gauss.x0 - lo) / root2d) + math.erfc((hi - gauss.x0) / root2d))
     if tail > TAIL_GATE:
         raise DomainError(
             f"initial packet leaks {tail:.3e} of its mass past the walls "
@@ -151,22 +142,26 @@ class _PacketState:
 
     ``norm`` is the packet's norm prefactor, (2 pi)^{-1/4} d^{-1/2}
     sqrt(pi/a) for the initial family, ``a`` the coefficient of x^2 in its
-    exponent, ``offset`` C = pi beta / (2 a L_ref), ``e_pre`` the merged
-    offset exponent, ``L_ref`` the box size at which the family was
-    projected and ``tau0`` the phase clock tau at that instant.
+    exponent, ``beta`` the coefficient of x, ``e_pre`` the merged offset
+    exponent, ``L_ref`` the box size at which the family was projected and
+    ``tau0`` the phase clock tau at that instant.
     """
 
     norm: complex
     a: complex
-    offset: complex
+    beta: complex
     e_pre: complex
     L_ref: float
     tau0: float
 
+    @property
+    def offset(self) -> complex:
+        """The packet offset C = pi beta / (2 a L_ref) of the theta bracket."""
+        return math.pi * self.beta / (2.0 * self.a * self.L_ref)
 
-def _gaussian_machinery(gauss, traj, constants):
-    """The packet in the initial family, plus beta and the prefactor w0
-    shared by every coefficient formula."""
+
+def _gaussian_machinery(gauss, traj, constants) -> _PacketState:
+    """The packet in the initial family."""
     hbar, m = constants.hbar, constants.mass
     L0 = traj.length(0.0)
     v0 = traj.velocity(0.0)
@@ -179,11 +174,8 @@ def _gaussian_machinery(gauss, traj, constants):
     a_i = a.imag
     p_h = gauss.p0 / hbar
     e_pre = (4j * a_r * gauss.x0 * (p_h - a_i * gauss.x0) - p_h**2) / (4.0 * a)
-    root_a = cmath.sqrt(math.pi / a)
-    w0 = math.sqrt(2.0 / L0) * (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * 0.5 * root_a
-    norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * root_a
-    offset = math.pi * beta / (2.0 * a * L0)
-    return _PacketState(norm, a, offset, e_pre, L_ref=L0, tau0=0.0), beta, w0
+    norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * cmath.sqrt(math.pi / a)
+    return _PacketState(norm, a, beta, e_pre, L_ref=L0, tau0=0.0)
 
 
 def _post_turn_state(gauss, traj, constants) -> _PacketState:
@@ -277,45 +269,65 @@ def theta_nome(
     Im kappa > 0 for all t: the packet's finite width keeps the series
     convergent, though Im kappa shrinks as tau grows.
     """
-    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    state = _gaussian_machinery(gauss, traj, constants)
     return _nome(state, traj, constants, t)
 
 
-def _truncated_families(families, n_limit: int, what: str):
-    """Grow every coefficient family until it produces three consecutive
-    terms below 1e-13 of the largest one.
+def _coefficient(state: _PacketState, nu: int, sine: bool) -> complex:
+    """Overlap of the packet ``state`` with mode nu of its family,
 
-    ``families`` holds (name, coefficient function of n, first n).
-    Returns the coefficient lists, padded with zeros to a common length,
-    and the largest retained n.
+        c_nu = sqrt(2/L_ref) norm (1/2) [e^{E+i nu C-k^2/4a} +- e^{E-i nu C-k^2/4a}],
+
+    k = pi nu / L_ref, the difference over i for a sine mode.  Exponents are
+    merged before ``exp``; nu C is formed as beta k / (2a) for each nu, as
+    nu times the rounded C would bias every coefficient the same way.
     """
-    coeffs = {name: [] for name, _, _ in families}
+    k = math.pi * nu / state.L_ref
+    g = 1j * state.beta * k / (2.0 * state.a)
+    decay = -(k**2) / (4.0 * state.a)
+    plus = cmath.exp(state.e_pre + g + decay)
+    minus = cmath.exp(state.e_pre - g + decay)
+    w = math.sqrt(2.0 / state.L_ref) * state.norm * 0.5
+    return (w / 1j) * (plus - minus) if sine else w * (plus + minus)
+
+
+def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: str):
+    """Coefficients of ``state`` on the mode families of box ``sector``,
+    each grown until it produces three consecutive terms below 1e-13 of the
+    largest one: (even or None, odd, largest n), zero-padded to one length.
+    """
+    families = _FAMILIES[sector]
+    coeffs = {f.sector: [] for f in families}
+    runs = dict.fromkeys(coeffs, 0)
+    done = dict.fromkeys(coeffs, False)
     biggest = 0.0
-    runs = {name: 0 for name, _, _ in families}
-    done = {name: False for name, _, _ in families}
     n = 0
     while not all(done.values()):
         if n > n_limit:
             raise ConvergenceError(f"{what} did not truncate within {n_limit} modes")
-        for name, func, start in families:
+        for name, first, step, shift, sine in families:
             if done[name]:
                 continue
-            c = func(n) if n >= start else 0.0
+            c = _coefficient(state, step * n + shift, sine) if n >= first else 0.0
             coeffs[name].append(c)
             mag = abs(c)
             biggest = max(biggest, mag)
-            if n >= start and mag < _COEFF_FLOOR * max(biggest, 1e-300):
+            if n >= first and mag < _COEFF_FLOOR * max(biggest, 1e-300):
                 runs[name] += 1
-                if runs[name] >= _COEFF_RUN and n >= start + _COEFF_RUN:
+                if runs[name] >= _COEFF_RUN and n >= first + _COEFF_RUN:
                     done[name] = True
             else:
                 runs[name] = 0
         n += 1
 
     n_max = max(len(v) for v in coeffs.values()) - 1
-    for name in coeffs:
-        coeffs[name] += [0.0] * (n_max + 1 - len(coeffs[name]))
-    return coeffs, n_max
+    arrays = {
+        name: np.asarray(v + [0.0] * (n_max + 1 - len(v)), dtype=complex)
+        for name, v in coeffs.items()
+    }
+    even = arrays.pop("even", None)
+    (odd,) = arrays.values()
+    return even, odd, n_max
 
 
 def expansion_coefficients(
@@ -336,31 +348,9 @@ def expansion_coefficients(
     1 - tail_tol of the packet's norm.
     """
     _initial_gate(gauss, traj.length(0.0), sector)
-    state, beta, w0 = _gaussian_machinery(gauss, traj, constants)
-    L0, a, e_pre = state.L_ref, state.a, state.e_pre
-
-    def family(step: int, shift: int, sine: bool):
-        # mode n has nu = step n + shift; its overlap with trig(k x),
-        # k = pi nu / L0, is two Gaussian integrals
-        def coeff(n: int) -> complex:
-            k = math.pi * (step * n + shift) / L0
-            g = 1j * beta * k / (2.0 * a)
-            decay = -(k**2) / (4.0 * a)
-            plus = cmath.exp(e_pre + g + decay)
-            minus = cmath.exp(e_pre - g + decay)
-            return (w0 / 1j) * (plus - minus) if sine else w0 * (plus + minus)
-
-        return coeff
-
-    if sector == "symmetric":
-        families = [("even", family(2, 1, False), 0), ("odd", family(2, 0, True), 1)]
-    else:
-        # the single wall's sine modes live in odd_coeffs
-        families = [("odd", family(1, 0, True), 1)]
-    coeffs, n_max = _truncated_families(families, n_limit, "mode expansion")
-    arrays = {name: np.asarray(v, dtype=complex) for name, v in coeffs.items()}
-    even, odd = arrays.get("even"), arrays["odd"]
-    captured = float(sum(np.sum(np.abs(c) ** 2) for c in arrays.values()))
+    state = _gaussian_machinery(gauss, traj, constants)
+    even, odd, n_max = _truncated_expansion(state, sector, n_limit, "mode expansion")
+    captured = float(sum(np.sum(np.abs(c) ** 2) for c in (even, odd) if c is not None))
 
     if 1.0 - captured > tail_tol:
         warnings.warn(
@@ -370,21 +360,9 @@ def expansion_coefficients(
             stacklevel=2,
         )
     return SpectralExpansion(
-        sector=sector,
-        even_coeffs=even,
-        odd_coeffs=odd,
-        n_max=n_max,
-        captured_norm=captured,
-        tail_tol=tail_tol,
+        sector=sector, even_coeffs=even, odd_coeffs=odd, n_max=n_max,
+        captured_norm=captured, tail_tol=tail_tol,
     )
-
-
-def _sum_modes(expansion, traj, constants, t, x):
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros(xa.shape, dtype=complex)
-    for idx, c in expansion.modes():
-        total = total + c * basis_solution(idx, traj, constants, t, xa)
-    return complex(total[0]) if np.ndim(x) == 0 else total
 
 
 def evolve_sum(
@@ -412,7 +390,9 @@ def evolve_sum(
             "initial-family coefficients stop being valid at the turning "
             "point; use evolve_cycle_reversing"
         )
-    return _sum_modes(expansion, traj, constants, t, x)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    out = _mode_sum(expansion.modes(), constants, *_leg(traj, t), xa, expansion.sector)
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def _forbid_post_turn(traj: WallTrajectory, t: float) -> None:
@@ -440,7 +420,7 @@ def evolve_theta_centered(
         raise DomainError("evolve_theta_centered needs x0 = p0 = 0")
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), "symmetric")
-    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    state = _gaussian_machinery(gauss, traj, constants)
     return _evaluate(state, traj, constants, t, x, tol=tol)
 
 
@@ -470,7 +450,7 @@ def evolve_theta_general(
     """
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), sector)
-    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    state = _gaussian_machinery(gauss, traj, constants)
     return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
 
 
@@ -508,7 +488,7 @@ def evolve_unconfined_approx(
             LocalizationWarning,
             stacklevel=2,
         )
-    state, _, _ = _gaussian_machinery(gauss, traj, constants)
+    state = _gaussian_machinery(gauss, traj, constants)
     return _evaluate(state, traj, constants, t, x, wall_free=True)
 
 
@@ -542,43 +522,31 @@ def contraction_coefficients(
             raise DomainError("the closed contraction route needs x0 = p0 = 0")
         _initial_gate(gauss, traj.L0, "symmetric")
         state = _post_turn_state(gauss, traj, constants)
-        front = math.sqrt(2.0 / L_h) * state.norm
-
-        def even_c(n: int) -> complex:
-            k = math.pi * (2 * n + 1) / L_h
-            return front * cmath.exp(-(k**2) / (4.0 * state.a))
-
-        coeffs, n_max = _truncated_families(
-            [("even", even_c, 0)], n_limit, "contraction expansion"
+        even, odd, n_max = _truncated_expansion(
+            state, "symmetric", n_limit, "contraction expansion"
         )
-        even = np.asarray(coeffs["even"], dtype=complex)
-        odd = np.zeros_like(even)
     else:
         start = expansion_coefficients(
             gauss, traj, constants, sector="symmetric", tail_tol=tail_tol
         )
-        xg = np.linspace(-L_h / 2, L_h / 2, grid_points + 1)
+        xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
         # the initial family evaluated AT the turn: basis_solution has
-        # already switched there, so assemble the pre-turn form explicitly.
-        # Each pre-turn mode is sqrt(2/L_h) e^{i (rate x^2 - phase)} trig;
-        # the contraction modes it is projected on carry the conjugate
-        # chirp, so the projection weight is (2/L_h) e^{2 i rate x^2} times
-        # the sum of c e^{-i phase} trig, the common chirp applied once
-        tau_h = traj.tau(traj.T / 2)
-        rate, total = 0.0, np.zeros(xg.shape, dtype=complex)
-        for idx, c in start.modes():
-            rate, phase, _, trig = _mode_parts(idx, constants, L_h, traj.q, tau_h, xg)
-            total += c * cmath.exp(-1j * phase) * trig
-        weighted = (2.0 / L_h) * np.exp(2j * rate * xg**2) * total
+        # already switched there, so sum the pre-turn leg explicitly
+        pre = _mode_sum(
+            start.modes(), constants, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric"
+        )
+        # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
+        # trig with their clock at zero; the conjugate chirp goes into the
+        # projection weight once
+        leg = (L_h, -traj.q, 0.0)
+        rate = _mode_parts(BasisIndex("even", 0), constants, *leg, 0.0)[0]
+        weighted = math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
         n_fit = max(2 * start.n_max + 8, 16)
-        even = np.zeros(n_fit + 1, dtype=complex)
-        odd = np.zeros(n_fit + 1, dtype=complex)
-        for n in range(n_fit + 1):
-            ke = math.pi * (2 * n + 1) * xg / L_h
-            even[n] = np.trapezoid(weighted * np.cos(ke), xg)
-            if n >= 1:
-                ko = 2.0 * math.pi * n * xg / L_h
-                odd[n] = np.trapezoid(weighted * np.sin(ko), xg)
+        even, odd = np.zeros((2, n_fit + 1), dtype=complex)
+        for family, coeffs in zip(_FAMILIES["symmetric"], (even, odd)):
+            for n in range(family.first, n_fit + 1):
+                trig = _mode_parts(BasisIndex(family.sector, n), constants, *leg, xg)[3]
+                coeffs[n] = np.trapezoid(weighted * trig, xg)
         # trim with the usual floor
         biggest = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))), 1e-300)
         floor = _COEFF_FLOOR * biggest
@@ -594,13 +562,8 @@ def contraction_coefficients(
             stacklevel=2,
         )
     return SpectralExpansion(
-        sector="symmetric",
-        even_coeffs=even,
-        odd_coeffs=odd,
-        n_max=n_max,
-        captured_norm=captured,
-        tail_tol=tail_tol,
-        family="contraction",
+        sector="symmetric", even_coeffs=even, odd_coeffs=odd, n_max=n_max,
+        captured_norm=captured, tail_tol=tail_tol, family="contraction",
     )
 
 

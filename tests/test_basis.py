@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from movingwell.basis import (
+    _FAMILIES,
     BasisIndex,
+    _box_interval,
+    _in_box,
     basis_solution,
     instantaneous_eigenstate,
     instantaneous_energy,
@@ -38,6 +41,29 @@ def test_index_labels():
         BasisIndex("single_wall", 0)
     with pytest.raises(DomainError):
         BasisIndex("radial", 1)
+
+
+def test_sector_table_drives_labels_and_boxes():
+    # every mode family starts at its first n and lives in its box sector
+    for box, families in _FAMILIES.items():
+        for family in families:
+            idx = BasisIndex(family.sector, family.first)
+            assert idx.nu == family.step * family.first + family.shift
+            assert idx.is_sine == family.sine
+            with pytest.raises(DomainError):
+                BasisIndex(family.sector, family.first - 1)
+            lo, hi = _box_interval(10.0, box)
+            assert hi - lo == 10.0
+            x = np.array([lo, hi, lo - 1e-9, hi + 1e-9, np.nan])
+            assert _in_box(x, 10.0, box).tolist() == [True, True, False, False, False]
+    assert _box_interval(10.0, "symmetric") == (-5.0, 5.0)
+    assert _box_interval(10.0, "single_wall") == (0.0, 10.0)
+
+
+@pytest.mark.parametrize("sector", ["even", "odd", "radial"])
+def test_box_helpers_take_box_sectors_only(sector):
+    with pytest.raises(DomainError, match="sector must be one of"):
+        _in_box(np.zeros(3), 10.0, sector)
 
 
 def test_eigenstate_orthonormality_symmetric_box():

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from movingwell.config import ConfigError, ScenarioConfig
+
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
@@ -93,6 +95,72 @@ class TestConfigErrors:
         res = run_cli("theta-check", "--config", cfg, "--out", str(tmp_path))
         assert res.returncode == 2
         assert "theta.samples" in res.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_are_rejected_by_key(self, bad):
+        cfg = ScenarioConfig({"gaussian.d": bad, "time.t_list": f"1,{bad}"})
+        with pytest.raises(ConfigError, match="gaussian.d"):
+            cfg.get_float("gaussian.d")
+        with pytest.raises(ConfigError, match="time.t_list"):
+            cfg.get_float_list("time.t_list")
+
+    def test_nan_width_names_its_key(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=linear\ntrajectory.L0=100\ntrajectory.q=2\n"
+            "gaussian.d=nan\ntime.t=1\n",
+        )
+        res = run_cli("locality", "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert "gaussian.d" in res.stderr
+        assert "grid.x_min" not in res.stderr
+
+    def test_nan_in_time_list_fails_before_any_output(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=linear\ntrajectory.L0=100\ntrajectory.q=2\n"
+            "gaussian.d=1\ntime.t_list=1,nan\n",
+        )
+        res = run_cli("locality", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "time.t_list" in res.stderr
+        assert res.stdout == ""
+        assert not (tmp_path / "out" / "locality.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "oracle-compare"])
+    @pytest.mark.parametrize("n_steps", ["0", "-5"])
+    def test_step_count_must_be_positive(self, tmp_path, command, n_steps):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=smooth_periodic\ntrajectory.L0=100\ntrajectory.q=0.1\n"
+            f"trajectory.omega=1\ngaussian.d=1\ntime.t=1\nsolver.n_steps={n_steps}\n",
+        )
+        res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert "solver.n_steps" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, line, csv",
+        [
+            ("phase", "phase.n_max=-3", "phase.csv"),
+            ("phase", "phase.time_nodes=1", "phase.csv"),
+            ("basis-check", "basis.n_max=0", "basis_check.csv"),
+            ("theta-check", "theta.samples=0", "theta_check.csv"),
+            ("fig1", "fig1.n_max=-1", "fig1.csv"),
+        ],
+    )
+    def test_out_of_range_count_is_rejected(self, tmp_path, command, line, csv):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=smooth_periodic\ntrajectory.L0=100\ntrajectory.q=0.1\n"
+            f"trajectory.omega=1\n{line}\n",
+        )
+        res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert line.split("=")[0] in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / csv).exists()
 
     def test_missing_file(self, tmp_path):
         res = run_cli("theta-check", "--config", str(tmp_path / "nope.cfg"),

@@ -171,6 +171,29 @@ def test_validation_errors():
         LinearWall(L0=10.0, q=1.0).length(-0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    makers = [
+        lambda: PhysicalConstants(hbar=bad),
+        lambda: PhysicalConstants(mass=bad),
+        lambda: GaussianParams(d=bad),
+        lambda: GaussianParams(d=1.0, x0=bad),
+        lambda: GaussianParams(d=1.0, p0=bad),
+        lambda: LinearWall(L0=bad, q=0.0),
+        lambda: LinearWall(L0=10.0, q=bad),
+        lambda: ReversingLinearWall(L0=bad, q=1.0, T=4.0),
+        lambda: ReversingLinearWall(L0=10.0, q=bad, T=4.0),
+        lambda: ReversingLinearWall(L0=10.0, q=1.0, T=bad),
+        lambda: SmoothPeriodicWall(L0=bad, q=0.1, omega=1.0),
+        lambda: SmoothPeriodicWall(L0=10.0, q=bad, omega=1.0),
+        lambda: SmoothPeriodicWall(L0=10.0, q=0.1, omega=bad),
+        lambda: ScaledWall(inner=LinearWall(L0=10.0, q=0.0), k=bad),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError):
+            make()
+
+
 def test_wavefunction_grid_norm_and_immutability():
     x = np.linspace(-8.0, 8.0, 3201)
     psi = (2 * math.pi) ** -0.25 * np.exp(-(x**2) / 4.0)

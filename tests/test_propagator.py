@@ -224,6 +224,61 @@ def test_evolve_sum_family_guards():
         evolve_sum(con, SMOOTH, C, 3.0, 0.0)
 
 
+def _per_mode_sum(expansion, traj, t, x):
+    """The mode sum written mode by mode: every term carries its own chirp."""
+    total = np.zeros(x.shape, dtype=complex)
+    for idx, c in expansion.modes():
+        total = total + c * basis_solution(idx, traj, C, t, x)
+    return total
+
+
+@pytest.mark.parametrize(
+    "gauss, traj, t, sector",
+    [
+        (GaussianParams(d=1.0, x0=10.0, p0=2.0), SMOOTH, 3.0, "symmetric"),
+        (GaussianParams(d=1.5, x0=40.0, p0=-1.0), LinearWall(L0=80.0, q=3.0), 7.0,
+         "single_wall"),
+        (G1, ReversingLinearWall(L0=100.0, q=2.0, T=4.0), 1.5, "symmetric"),
+    ],
+)
+def test_mode_sum_matches_per_mode_solutions(gauss, traj, t, sector):
+    ex = expansion_coefficients(gauss, traj, C, sector=sector)
+    L = traj.length(t)
+    # the grid runs past both walls, where both forms must vanish
+    x = np.linspace(-0.6 * L, 1.1 * L, 1501)
+    ours = evolve_sum(ex, traj, C, t, x)
+    ref = _per_mode_sum(ex, traj, t, x)
+    assert np.max(np.abs(ours - ref)) < 1e-14
+    assert np.all(ours[np.abs(ref) == 0.0] == 0.0)
+    assert evolve_sum(ex, traj, C, t, x[700]) == ours[700]
+
+
+def test_contraction_mode_sum_matches_per_mode_solutions():
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    x = np.linspace(-60.0, 60.0, 1201)
+    for route in ("closed", "reexpansion"):
+        con = contraction_coefficients(G1, traj, C, route=route)
+        for t in (2.0, 3.5):
+            ours = evolve_sum(con, traj, C, t, x)
+            assert np.max(np.abs(ours - _per_mode_sum(con, traj, t, x))) < 1e-14
+
+
+def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
+    # the post-turn packet is a centred Gaussian of exponent a_tot: its even
+    # coefficients are sqrt(2/L_h) norm e^{-k^2/(4 a_tot)}, bit for bit
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    con = contraction_coefficients(G1, traj, C, route="closed")
+    state = propagator._post_turn_state(G1, traj, C)
+    front = math.sqrt(2.0 / traj.half_length) * state.norm
+    expect = [
+        front * np.exp(-((math.pi * (2 * n + 1) / traj.half_length) ** 2) / (4.0 * state.a))
+        for n in range(con.n_max + 1)
+    ]
+    assert np.array_equal(con.even_coeffs, np.array(expect))
+    assert np.all(con.odd_coeffs == 0.0)
+    assert con.odd_coeffs.shape == con.even_coeffs.shape
+
+
 def test_theta_forms_refuse_post_turn_times():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     with pytest.raises(DomainError):
