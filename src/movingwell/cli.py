@@ -129,6 +129,21 @@ def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     return np.linspace(lo, hi, pts + 1)
 
 
+def _solver_spec(cfg: ScenarioConfig, dt: float, box: bool = False) -> SolverSpec:
+    """SolverSpec from the solver.* keys (with the static box x_min/x_max
+    when ``box``); a bad value is reported by its key."""
+    n = cfg.get_int("solver.n_points", 4096)
+    if n < 8 or n & (n - 1):
+        raise ConfigError("solver.n_points must be a power of two, at least 8")
+    if not box:
+        return SolverSpec(n_points=n, dt=dt)
+    lo = cfg.get_float("solver.x_min", -40.0)
+    hi = cfg.get_float("solver.x_max", 40.0)
+    if not lo < hi:
+        raise ConfigError("solver.x_min must lie below solver.x_max")
+    return SolverSpec(n_points=n, dt=dt, x_min=lo, x_max=hi)
+
+
 def _wavefunction_rows(x, psi):
     a2 = np.abs(psi) ** 2
     return zip(x, psi.real, psi.imag, a2)
@@ -472,12 +487,7 @@ def cmd_fig2(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
     T = _time_or_period(cfg, "time.t", traj)
     n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
-    spec = SolverSpec(
-        n_points=cfg.get_int("solver.n_points", 4096),
-        dt=T / n_steps,
-        x_min=cfg.get_float("solver.x_min", -40.0),
-        x_max=cfg.get_float("solver.x_max", 40.0),
-    )
+    spec = _solver_spec(cfg, T / n_steps, box=True)
     unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
     x = unconf.positions
     conf = evolve_theta_general(gauss, traj, constants, T, x)
@@ -502,15 +512,14 @@ def cmd_oracle_compare(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     gauss = build_gaussian(cfg)
     t = cfg.get_float("time.t", 2.0)
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
-    n_points = cfg.get_int("solver.n_points", 4096)
     n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
+    spec = _solver_spec(cfg, t / n_steps)
     fmap = FrameMap(traj=traj)
     L0 = fmap.L0
-    y = np.linspace(-L0 / 2, L0 / 2, n_points + 1)
+    y = np.linspace(-L0 / 2, L0 / 2, spec.n_points + 1)
     start = WaveFunctionGrid(
         positions=y, values=initial_gaussian(gauss, constants, y), time=0.0
     )
-    spec = SolverSpec(n_points=n_points, dt=t / n_steps)
     num = evolve_fixed_frame(start, fmap, spec, t, constants)
     s = fmap.scale(t)
     lab = WaveFunctionGrid(

@@ -21,7 +21,10 @@ is the cycle's geometric phase.  It has the closed form
 
 whose trajectory factor is exposed as ``wall_action_integral``.  The
 dynamical phase is deliberately computed by quadrature of <H(t)> rather
-than from the closed form, so the decomposition cross-validates it.
+than from the closed form, so the decomposition cross-validates it.  The
+quadrature integrand is Re psi* H psi taken pointwise; with |psi| =
+sqrt(2/L) |trig| the chirp phase cancels and the imaginary parts of psi''
+drop out, so it is formed in real arithmetic over a (time x space) grid.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .basis import (
     _box_interval,
     _box_of,
     _clock_phase,
-    _solution_and_second_derivative,
+    _leg,
     instantaneous_energy,
 )
 from .core import (
@@ -117,19 +120,36 @@ def energy_expectation(
     return level + (constants.mass / 24.0) * shape * (Lp**2 - L * Lpp)
 
 
-def _h_expectation_quadrature(idx, traj, constants, t, space_nodes):
-    """<H(t)> by Gauss-Legendre quadrature of psi* H psi (independent of
-    the closed form above)."""
+#: points per (time x space) block of the <H> quadrature; rows per block
+#: follow from the space resolution
+_BLOCK_POINTS = 2**16
+
+
+def _h_density(idx, traj, constants, ts, u):
+    """Re psi* H psi on a (time x space) grid, in real arithmetic.
+
+    Row i holds time ts[i]; column j the box point at unit coordinate
+    u[j] in [-1, 1].  Returns (half-width of the box per row, density).
+    With |pre|^2 = 2/L the chirp phase cancels, and the 2 i alpha and
+    cross terms of psi'' are imaginary against a real trig, so
+
+        Re psi* H psi = (2/L) trig^2 [(hbar^2/2m)(k^2 + 4 alpha^2 x^2)
+                                      + (m/2) Omega^2 x^2].
+    """
     hbar, m = constants.hbar, constants.mass
-    L = traj.length(t)
-    base, w = _gl_nodes(space_nodes)
+    legs = np.array([(*_leg(traj, t)[:2], traj.omega_squared(t)) for t in ts])
+    L, v, w2 = legs.T[:, :, None]
     lo, hi = _box_interval(L, _box_of(idx))
     scale = 0.5 * (hi - lo)
-    x = scale * base + 0.5 * (hi + lo)
-    psi, psi_xx = _solution_and_second_derivative(idx, traj, constants, t, x)
-    v = 0.5 * m * traj.omega_squared(t) * x**2
-    integrand = np.conj(psi) * (-(hbar**2) / (2.0 * m) * psi_xx + v * psi)
-    return scale * float(np.sum(w * integrand.real))
+    x = scale * u + 0.5 * (hi + lo)
+    k = math.pi * idx.nu / L
+    alpha = m * v / (2.0 * hbar * L)
+    trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
+    # per row the bracket times 2/L is a + b x^2
+    kin = hbar**2 / (2.0 * m)
+    a = (2.0 / L) * kin * k**2
+    b = (2.0 / L) * (4.0 * kin * alpha**2 + 0.5 * m * w2)
+    return scale[:, 0], trig**2 * (a + b * x**2)
 
 
 def dynamical_phase(
@@ -143,11 +163,14 @@ def dynamical_phase(
 ) -> float:
     """delta = -(1/hbar) integral_0^T <H(t)> dt by nested quadrature.
 
-    Gauss-Legendre in both time and space; with ``check`` the computation
-    repeats at doubled resolution and a relative disagreement above 1e-9
-    raises ConvergenceError.  The integrand is evaluated pointwise, so an
-    impulsive velocity reversal (kink in L') contributes only through the
-    smooth pieces on either side.
+    Gauss-Legendre in both time and space over the integrand Re psi* H psi,
+    evaluated pointwise in real arithmetic as (2/L) trig^2 [(hbar^2/2m)
+    (k^2 + 4 alpha^2 x^2) + (m/2) Omega^2 x^2] on blocks of at most 2^16
+    (time, space) points, so memory does not grow with ``time_nodes``.
+    With ``check`` the computation repeats at doubled resolution and a
+    relative disagreement above 1e-9 raises ConvergenceError.  An impulsive
+    velocity reversal (kink in L') contributes only through the smooth
+    pieces on either side.
     """
     T = _cycle_time(traj, T)
     if T <= 0:
@@ -156,12 +179,16 @@ def dynamical_phase(
         raise DomainError("need at least 2 quadrature nodes in each direction")
 
     def run(nt, nx):
-        base, w = _gl_nodes(nt)
-        ts = 0.5 * T * (base + 1.0)
-        vals = np.array(
-            [_h_expectation_quadrature(idx, traj, constants, t, nx) for t in ts]
-        )
-        return -0.5 * T * float(np.sum(w * vals)) / constants.hbar
+        base_t, w_t = _gl_nodes(nt)
+        base_x, w_x = _gl_nodes(nx)
+        ts = 0.5 * T * (base_t + 1.0)
+        vals = np.empty(nt)
+        rows = max(1, _BLOCK_POINTS // nx)
+        for start in range(0, nt, rows):
+            block = slice(start, start + rows)
+            scale, density = _h_density(idx, traj, constants, ts[block], base_x)
+            vals[block] = scale * np.sum(density * w_x, axis=1)
+        return -0.5 * T * float(np.sum(w_t * vals)) / constants.hbar
 
     delta = run(time_nodes, space_nodes)
     if check:

@@ -73,6 +73,8 @@ WIDTH_WARN = 0.1
 _COEFF_FLOOR = 1e-13
 #: how many consecutive negligible coefficients end the expansion
 _COEFF_RUN = 3
+#: i^j for j mod 4, exact
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -508,8 +510,11 @@ def contraction_coefficients(
     unconfined form) and projects analytically; centred packets only.
 
     route "reexpansion": evolves the initial-family mode sum to the turn
-    and projects numerically on a fine grid; works for any packet the
-    initial gate admits.
+    and projects it by the trapezoid rule on a uniform grid of
+    ``grid_points`` intervals; works for any packet the initial gate
+    admits.  The trapezoid sums against e^{+-i pi nu x / L_h} for every
+    nu come from one length-2N FFT of the weighted samples, and the cos
+    and sin families are their half-sum and half-difference.
     """
     if not isinstance(traj, ReversingLinearWall):
         raise DomainError("contraction_coefficients needs a ReversingLinearWall")
@@ -536,17 +541,22 @@ def contraction_coefficients(
             start.modes(), constants, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric"
         )
         # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
-        # trig with their clock at zero; the conjugate chirp goes into the
-        # projection weight once
-        leg = (L_h, -traj.q, 0.0)
-        rate = _mode_parts(BasisIndex("even", 0), constants, *leg, 0.0)[0]
-        weighted = math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+        # trig with their clock at zero; the conjugate chirp and the
+        # trapezoid weights go into the projected samples once
+        rate = _mode_parts(BasisIndex("even", 0), constants, L_h, -traj.q, 0.0, 0.0)[0]
+        g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+        g[[0, -1]] *= 0.5
+        # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
+        # so sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
+        # times (-+i)^nu; cos and sin are the half-sum and half-difference
+        spectrum = np.fft.fft(g, 2 * grid_points)
         n_fit = max(2 * start.n_max + 8, 16)
         even, odd = np.zeros((2, n_fit + 1), dtype=complex)
         for family, coeffs in zip(_FAMILIES["symmetric"], (even, odd)):
-            for n in range(family.first, n_fit + 1):
-                trig = _mode_parts(BasisIndex(family.sector, n), constants, *leg, xg)[3]
-                coeffs[n] = np.trapezoid(weighted * trig, xg)
+            nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
+            up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
+            down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
+            coeffs[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
         # trim with the usual floor
         biggest = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))), 1e-300)
         floor = _COEFF_FLOOR * biggest

@@ -140,6 +140,33 @@ class TestConfigErrors:
         assert "solver.n_steps" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command", ["fig2", "oracle-compare"])
+    def test_solver_points_name_their_key(self, tmp_path, command):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=smooth_periodic\ntrajectory.L0=100\ntrajectory.q=0.1\n"
+            "trajectory.omega=1\ngaussian.d=1\ntime.t=1\nsolver.n_points=100\n",
+        )
+        res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert "solver.n_points must be a power of two" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "line, key", [("solver.x_min=50", "solver.x_min"), ("solver.x_max=-50", "solver.x_max")]
+    )
+    def test_solver_box_names_its_keys(self, tmp_path, line, key):
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=smooth_periodic\ntrajectory.L0=100\ntrajectory.q=0.1\n"
+            f"trajectory.omega=1\ngaussian.d=1\ntime.t=1\n{line}\n",
+        )
+        res = run_cli("fig2", "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert key in res.stderr
+        assert "solver.x_min must lie below solver.x_max" in res.stderr
+        assert not (tmp_path / "fig2.csv").exists()
+
     @pytest.mark.parametrize(
         "command, line, csv",
         [

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from movingwell.basis import BasisIndex, basis_solution
+from movingwell import basis, phases
+from movingwell.basis import (
+    BasisIndex,
+    _box_interval,
+    _box_of,
+    _solution_and_second_derivative,
+    basis_solution,
+)
 from movingwell.core import (
     ConvergenceError,
     DomainError,
@@ -191,6 +198,87 @@ def test_dynamical_phase_convergence_guard():
     # same call without the guard returns (an unconverged) number
     val = dynamical_phase(idx, fast, C, time_nodes=2, space_nodes=8, check=False)
     assert math.isfinite(val)
+
+
+def _h_reference(idx, traj, t, x):
+    """Re psi* H psi from the analytic psi'' in complex arithmetic."""
+    psi, psi_xx = _solution_and_second_derivative(idx, traj, C, t, x)
+    v = 0.5 * C.mass * traj.omega_squared(t) * x**2
+    return (np.conj(psi) * (-(C.hbar**2) / (2.0 * C.mass) * psi_xx + v * psi)).real
+
+
+def _per_node_delta(idx, traj, T, time_nodes, space_nodes):
+    """dynamical_phase without the check, one <H> quadrature per time node."""
+    base_t, w_t = phases._gl_nodes(time_nodes)
+    base_x, w_x = phases._gl_nodes(space_nodes)
+    vals = []
+    for t in 0.5 * T * (base_t + 1.0):
+        lo, hi = _box_interval(traj.length(t), _box_of(idx))
+        scale = 0.5 * (hi - lo)
+        x = scale * base_x + 0.5 * (hi + lo)
+        vals.append(scale * float(np.sum(w_x * _h_reference(idx, traj, t, x))))
+    return -0.5 * T * float(np.sum(w_t * np.array(vals))) / C.hbar
+
+
+REV_WALL = ReversingLinearWall(L0=20.0, q=1.5, T=4.0)
+
+
+@pytest.mark.parametrize(
+    "idx, traj, times",
+    [
+        (BasisIndex("even", 3), REF_WALL, (0.3, 2.9, 5.7)),
+        (BasisIndex("odd", 2), ScaledWall(inner=REF_WALL, k=0.1), (1.1, 4.4)),
+        # both legs of the reversing wall, its contraction clock restarted
+        (BasisIndex("even", 1), REV_WALL, (0.7, 1.9, 2.0, 3.3)),
+        (BasisIndex("single_wall", 4), REV_WALL, (0.2, 3.8)),
+        (BasisIndex("single_wall", 2), LinearWall(L0=7.0, q=0.4), (0.5, 9.0)),
+    ],
+)
+def test_h_density_is_the_real_part_of_psi_h_psi(idx, traj, times):
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, 257)
+    ts = np.array(times)
+    scale, density = phases._h_density(idx, traj, C, ts, u)
+    assert density.shape == (len(ts), len(u))
+    for i, t in enumerate(ts):
+        lo, hi = _box_interval(traj.length(t), _box_of(idx))
+        assert scale[i] == 0.5 * (hi - lo)
+        ref = _h_reference(idx, traj, t, scale[i] * u + 0.5 * (hi + lo))
+        np.testing.assert_allclose(
+            density[i], ref, rtol=1e-13, atol=1e-15 * np.max(np.abs(ref))
+        )
+
+
+@pytest.mark.parametrize(
+    "idx, traj, T, time_nodes, space_nodes",
+    [
+        (BasisIndex("even", 2), REF_WALL, None, 3, 512),
+        (BasisIndex("odd", 1), REF_WALL, None, 257, 512),
+        (BasisIndex("even", 0), REV_WALL, 4.0, 20, 2000),
+        (BasisIndex("single_wall", 3), LinearWall(L0=7.0, q=0.4), 2.5, 130, 64),
+    ],
+)
+def test_dynamical_phase_matches_per_node_quadrature(idx, traj, T, time_nodes, space_nodes):
+    # the time nodes fill whole blocks and a partial last one
+    T = traj.period if T is None else T
+    ours = dynamical_phase(
+        idx, traj, C, T, time_nodes=time_nodes, space_nodes=space_nodes, check=False
+    )
+    ref = _per_node_delta(idx, traj, T, time_nodes, space_nodes)
+    assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_dynamical_phase_makes_no_per_node_solution_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return _solution_and_second_derivative(*args)
+
+    monkeypatch.setattr(basis, "_solution_and_second_derivative", counting)
+    monkeypatch.setattr(phases, "_solution_and_second_derivative", counting, raising=False)
+    dynamical_phase(GROUND, REF_WALL, C)
+    assert calls == []
 
 
 def test_dynamical_phase_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from movingwell import propagator
-from movingwell.basis import BasisIndex, basis_solution
+from movingwell.basis import BasisIndex, _mode_sum, basis_solution
 from movingwell.core import (
     DomainError,
     GaussianParams,
@@ -296,6 +296,59 @@ def test_contraction_routes_cross_validate():
     # centred packet: odd projections vanish
     assert np.max(np.abs(numeric.odd_coeffs)) < 1e-13
     assert closed.captured_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def _trapezoid_contraction(gauss, traj, grid_points=2**15):
+    """The re-expansion projection written mode by mode with np.trapezoid:
+    (even, odd, n_max, captured norm)."""
+    start = expansion_coefficients(gauss, traj, C)
+    L_h = traj.half_length
+    xg = np.linspace(-L_h / 2, L_h / 2, grid_points + 1)
+    pre = _mode_sum(start.modes(), C, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric")
+    rate = -C.mass * traj.q / (2.0 * C.hbar * L_h)
+    weighted = math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+    n_fit = max(2 * start.n_max + 8, 16)
+    even = np.array([
+        np.trapezoid(weighted * np.cos(math.pi * (2 * n + 1) * xg / L_h), xg)
+        for n in range(n_fit + 1)
+    ])
+    odd = np.array([0.0] + [
+        np.trapezoid(weighted * np.sin(math.pi * 2 * n * xg / L_h), xg)
+        for n in range(1, n_fit + 1)
+    ])
+    floor = propagator._COEFF_FLOOR * max(np.max(np.abs(even)), np.max(np.abs(odd)))
+    n_max = int(np.flatnonzero((np.abs(even) >= floor) | (np.abs(odd) >= floor))[-1])
+    even, odd = even[: n_max + 1], odd[: n_max + 1]
+    return even, odd, n_max, float(np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2))
+
+
+@pytest.mark.parametrize("gauss", [G1, GaussianParams(d=1.0, x0=5.0, p0=0.7)])
+def test_reexpansion_fft_projection_matches_trapezoid_sums(gauss):
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    ours = contraction_coefficients(gauss, traj, C, route="reexpansion")
+    even, odd, n_max, captured = _trapezoid_contraction(gauss, traj)
+    assert ours.n_max == n_max
+    assert ours.captured_norm == pytest.approx(captured, abs=1e-14)
+    biggest = max(np.max(np.abs(even)), np.max(np.abs(odd)))
+    assert np.max(np.abs(ours.even_coeffs - even)) <= 1e-14 * biggest
+    assert np.max(np.abs(ours.odd_coeffs - odd)) <= 1e-14 * biggest
+    if gauss.x0 != 0.0:
+        assert np.max(np.abs(odd)) > 0.1 * biggest
+
+
+def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
+    # the pre-turn mode sum calls basis._mode_parts per mode; the projection
+    # onto the contraction family goes through this module's name
+    calls, original = [], propagator._mode_parts
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(propagator, "_mode_parts", counting)
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    contraction_coefficients(G1, traj, C, route="reexpansion")
+    assert 1 <= len(calls) <= 2
 
 
 def test_cycle_routes_agree_throughout():
