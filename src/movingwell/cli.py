@@ -1,9 +1,13 @@
 """Scenario runner: every verification and reproduction as a shell command.
 
-Commands read a flat dotted-key config, write CSV files stamped with the
-resolved configuration, and print one summary line each to stdout.  Exit
-codes: 0 success, 2 configuration problems, 3 a numerical threshold was
-violated (or, under --strict, a warning was emitted).
+Commands read a flat dotted-key config and return their CSV tables, their
+stdout lines (one per time for ``evolve`` and ``locality``, one summary
+line otherwise) and whether their checks held.  ``main`` writes the CSVs,
+stamped with the resolved configuration, and the plot scripts, then prints
+the lines, all once the command has finished: a run that fails midway
+writes and prints nothing.  Exit codes: 0 success, 2 configuration
+problems, 3 a numerical threshold was violated (or, under --strict, a
+warning was emitted).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .basis import (
     schrodinger_residual,
 )
 from .config import (
+    _MISSING,
     ConfigError,
     ScenarioConfig,
     build_constants,
@@ -38,7 +43,6 @@ from .core import (
     LinearWall,
     ReversingLinearWall,
     ScaledWall,
-    SmoothPeriodicWall,
     WaveFunctionGrid,
 )
 from .oracle import (
@@ -67,18 +71,6 @@ from .propagator import (
 )
 from .theta import jacobi_transform, theta
 
-COMMANDS = (
-    "theta-check",
-    "basis-check",
-    "evolve",
-    "locality",
-    "cycle",
-    "phase",
-    "fig1",
-    "fig2",
-    "oracle-compare",
-)
-
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
@@ -92,40 +84,45 @@ def _write_csv(path: Path, resolved: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_text(path: Path, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-
-
-def _resolve_times(cfg: ScenarioConfig) -> list[float]:
-    if cfg.has("time.t_list"):
-        return cfg.get_float_list("time.t_list")
-    return [cfg.get_float("time.t")]
+def _require(ok: bool, key: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key} {rule}")
 
 
 def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
     n = cfg.get_int(key, default)
-    if n < least:
-        raise ConfigError(f"{key} must be at least {least}")
+    _require(n >= least, key, f"must be at least {least}")
     return n
 
 
-def _time_or_period(cfg: ScenarioConfig, key: str, traj) -> float:
-    if cfg.has(key):
-        return cfg.get_float(key)
-    if traj.period is None:
-        raise ConfigError(f"trajectory has no period; set {key}")
-    return traj.period
+def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[float]:
+    """The times under ``key``, a comma list when it ends in ``_list``, each
+    checked against the trajectory's window [0, t_max] so that a bad one
+    names its key.  An absent key reads ``default``, if one is given;
+    "period" stands for the trajectory's period, which the CSV stamp leaves
+    out.
+    """
+    if default == "period" and not cfg.has(key):
+        _require(traj.period is not None, "trajectory", f"has no period; set {key}")
+        times = [traj.period]
+    elif key.endswith("_list"):
+        times = cfg.get_float_list(key)
+    else:
+        times = [cfg.get_float(key, default)]
+    for t in times:
+        try:
+            traj._check(t)
+        except DomainError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return times
 
 
 def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     lo = cfg.get_float("grid.x_min", x_min)
     hi = cfg.get_float("grid.x_max", x_max)
     pts = cfg.get_int("grid.n_points", n)
-    if not lo < hi:
-        raise ConfigError("grid.x_min must lie below grid.x_max")
-    if pts < 2:
-        raise ConfigError("grid.n_points must be at least 2")
+    _require(lo < hi, "grid.x_min", "must lie below grid.x_max")
+    _require(pts >= 2, "grid.n_points", "must be at least 2")
     return np.linspace(lo, hi, pts + 1)
 
 
@@ -133,26 +130,29 @@ def _solver_spec(cfg: ScenarioConfig, dt: float, box: bool = False) -> SolverSpe
     """SolverSpec from the solver.* keys (with the static box x_min/x_max
     when ``box``); a bad value is reported by its key."""
     n = cfg.get_int("solver.n_points", 4096)
-    if n < 8 or n & (n - 1):
-        raise ConfigError("solver.n_points must be a power of two, at least 8")
+    _require(n >= 8 and not n & (n - 1), "solver.n_points",
+             "must be a power of two, at least 8")
     if not box:
         return SolverSpec(n_points=n, dt=dt)
     lo = cfg.get_float("solver.x_min", -40.0)
     hi = cfg.get_float("solver.x_max", 40.0)
-    if not lo < hi:
-        raise ConfigError("solver.x_min must lie below solver.x_max")
+    _require(lo < hi, "solver.x_min", "must lie below solver.x_max")
     return SolverSpec(n_points=n, dt=dt, x_min=lo, x_max=hi)
 
 
-def _wavefunction_rows(x, psi):
-    a2 = np.abs(psi) ** 2
-    return zip(x, psi.real, psi.imag, a2)
+def _wave_csv(name: str, x, psi, *stamp):
+    """A wavefunction table: columns x, re_psi, im_psi, abs2."""
+    rows = zip(x, psi.real, psi.imag, np.abs(psi) ** 2)
+    return (name, ["x", "re_psi", "im_psi", "abs2"], rows, *stamp)
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command maps (config, seed) to (csvs, lines, ok), a CSV table being
+# (file name, header, rows) plus an optional suffix to its config stamp.
 
 
-def cmd_theta_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_theta_check(cfg: ScenarioConfig, seed: int):
     """Random sweep of the modular-transformation identity."""
     n = _get_count(cfg, "theta.samples", 100, 1)
     tol = cfg.get_float("tolerances.theta_tol", 1e-12)
@@ -168,21 +168,16 @@ def cmd_theta_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
         rel = abs(direct - transformed) / max(abs(direct), 1e-30)
         worst = max(worst, rel)
         rows.append((kind, z.real, z.imag, kappa.real, kappa.imag, rel))
-    _write_csv(
-        out / "theta_check.csv",
-        cfg.resolved_line(),
-        ["kind", "z_re", "z_im", "kappa_re", "kappa_im", "rel_err"],
-        rows,
-    )
-    print(f"theta-check: samples={n} max_rel_err={worst:.3e} tol={tol:.1e}")
-    return 0 if worst <= tol else 3
+    header = ["kind", "z_re", "z_im", "kappa_re", "kappa_im", "rel_err"]
+    line = f"theta-check: samples={n} max_rel_err={worst:.3e} tol={tol:.1e}"
+    return [("theta_check.csv", header, rows)], [line], worst <= tol
 
 
-def cmd_basis_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     """Orthonormality of the solution families plus residual convergence."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    t = cfg.get_float("basis.t", 1.0)
+    (t,) = _get_times(cfg, "basis.t", traj, 1.0)
     n_max = _get_count(cfg, "basis.n_max", 20, 1)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
@@ -207,53 +202,23 @@ def cmd_basis_check(cfg: ScenarioConfig, out: Path, seed: int) -> int:
         r2 = schrodinger_residual(idx, traj, constants, t, potential="tdlo", dt=1e-3)
         ratios.append(r1 / r2)
         rows.append((1, float(n), r1 / r2))
-    _write_csv(
-        out / "basis_check.csv",
-        cfg.resolved_line(),
-        ["check", "label", "value"],
-        rows,
-    )
     ok = worst_gram <= gram_tol and all(3.0 < r < 5.0 for r in ratios)
-    print(
-        f"basis-check: gram_dev={worst_gram:.3e} residual_ratios="
-        + ",".join(f"{r:.2f}" for r in ratios)
-    )
-    return 0 if ok else 3
+    listed = ",".join(f"{r:.2f}" for r in ratios)
+    line = f"basis-check: gram_dev={worst_gram:.3e} residual_ratios={listed}"
+    return [("basis_check.csv", ["check", "label", "value"], rows)], [line], ok
 
 
 _ROUTES = ("sum", "theta_centered", "theta_general", "unconfined_approx", "cycle")
 
 
-EVOLVE_PLOT = """\
-# Plot |psi|^2 from the evolve command's CSV output.
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-for path in sys.argv[1:]:
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    head, data = rows[0], rows[1:]
-    x = [float(r[0]) for r in data]
-    a2 = [float(r[3]) for r in data]
-    plt.plot(x, a2, label=path)
-plt.xlabel("x")
-plt.ylabel("|psi|^2")
-plt.legend()
-plt.tight_layout()
-plt.savefig("evolve.png", dpi=160)
-"""
-
-
-def cmd_evolve(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """Propagate the packet along one route; one CSV per requested time."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
-    times = _resolve_times(cfg)
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
 
     if route == "sum":
@@ -276,22 +241,17 @@ def cmd_evolve(cfg: ScenarioConfig, out: Path, seed: int) -> int:
             gauss, traj, constants, t, x, route=cycle_route
         )
 
-    results = [job(t) for t in times]
-    for i, (t, psi) in enumerate(zip(times, results)):
-        path = out / f"evolve_{i:03d}.csv"
-        _write_csv(
-            path,
-            cfg.resolved_line() + f" __t={_fmt(t)}",
-            ["x", "re_psi", "im_psi", "abs2"],
-            _wavefunction_rows(x, psi),
-        )
+    csvs, lines = [], []
+    for i, t in enumerate(times):
+        psi = job(t)
+        name = f"evolve_{i:03d}.csv"
+        csvs.append(_wave_csv(name, x, psi, f" __t={_fmt(t)}"))
         norm = math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
-        print(f"evolve[{i}]: route={route} t={t:g} norm={norm:.12f} -> {path.name}")
-    _write_text(out / "evolve_plot.py", EVOLVE_PLOT)
-    return 0
+        lines.append(f"evolve[{i}]: route={route} t={t:g} norm={norm:.12f} -> {name}")
+    return csvs, lines, True
 
 
-def cmd_locality(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_locality(cfg: ScenarioConfig, seed: int):
     """Moving versus baseline wall: the packet must not notice.
 
     The baseline is the inner trajectory for a scaled pair, the static box
@@ -308,10 +268,9 @@ def cmd_locality(cfg: ScenarioConfig, out: Path, seed: int) -> int:
         baseline = traj.inner
     else:
         baseline = LinearWall(L0=traj.length(0.0), q=0.0)
-    times = _resolve_times(cfg)
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
-    rows = []
-    failed = False
+    rows, lines = [], []
     for t in times:
         rep = locality_compare(
             gauss, constants, traj, baseline, t, x,
@@ -319,22 +278,16 @@ def cmd_locality(cfg: ScenarioConfig, out: Path, seed: int) -> int:
         )
         rows.append((t, rep.sup_error, rep.l2_error, rep.localization_ratio,
                      {"pass": 0.0, "warn": 1.0, "fail": 2.0}[rep.verdict]))
-        print(
+        lines.append(
             f"locality: t={t:g} sup_error={rep.sup_error:.3e} "
             f"l2_error={rep.l2_error:.3e} spread_ratio={rep.localization_ratio:.3f} "
             f"verdict={rep.verdict}"
         )
-        failed = failed or rep.verdict == "fail"
-    _write_csv(
-        out / "locality.csv",
-        cfg.resolved_line(),
-        ["t", "sup_error", "l2_error", "localization_ratio", "verdict_code"],
-        rows,
-    )
-    return 3 if failed else 0
+    header = ["t", "sup_error", "l2_error", "localization_ratio", "verdict_code"]
+    return [("locality.csv", header, rows)], lines, all(r[4] != 2.0 for r in rows)
 
 
-def cmd_cycle(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_cycle(cfg: ScenarioConfig, seed: int):
     """Full expand-reverse-contract cycle of the reversing wall."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
@@ -343,7 +296,7 @@ def cmd_cycle(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     gauss = build_gaussian(cfg)
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
-    t = cfg.get_float("time.t", traj.T)
+    (t,) = _get_times(cfg, "time.t", traj, traj.T)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     closed = evolve_cycle_reversing(gauss, traj, constants, t, x, route="closed")
     reexp = evolve_cycle_reversing(gauss, traj, constants, t, x, route="reexpansion")
@@ -352,21 +305,16 @@ def cmd_cycle(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     )
     route_diff = float(np.max(np.abs(closed - reexp)))
     static_diff = float(np.max(np.abs(closed - static)))
-    for name, psi in (("cycle_closed", closed), ("cycle_reexpansion", reexp)):
-        _write_csv(
-            out / f"{name}.csv",
-            cfg.resolved_line(),
-            ["x", "re_psi", "im_psi", "abs2"],
-            _wavefunction_rows(x, psi),
-        )
-    print(
-        f"cycle: t={t:g} route_diff={route_diff:.3e} static_diff={static_diff:.3e}"
-    )
+    csvs = [
+        _wave_csv("cycle_closed.csv", x, closed),
+        _wave_csv("cycle_reexpansion.csv", x, reexp),
+    ]
+    line = f"cycle: t={t:g} route_diff={route_diff:.3e} static_diff={static_diff:.3e}"
     ok = route_diff <= route_tol and (t < traj.T or static_diff <= static_tol)
-    return 0 if ok else 3
+    return csvs, [line], ok
 
 
-def cmd_phase(cfg: ScenarioConfig, out: Path, seed: int) -> int:
+def cmd_phase(cfg: ScenarioConfig, seed: int):
     """Clock / dynamical / geometric split for the lowest box levels."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
@@ -374,7 +322,8 @@ def cmd_phase(cfg: ScenarioConfig, out: Path, seed: int) -> int:
     tol = cfg.get_float("tolerances.phase_tol", 1e-6)
     time_nodes = _get_count(cfg, "phase.time_nodes", 256, 2)
     space_nodes = _get_count(cfg, "phase.space_nodes", 512, 2)
-    T = _time_or_period(cfg, "time.T", traj)
+    (T,) = _get_times(cfg, "time.T", traj, "period")
+    _require(T > 0, "time.T", "must be positive")
     rows = []
     worst = 0.0
     for n in range(n_max + 1):
@@ -389,15 +338,131 @@ def cmd_phase(cfg: ScenarioConfig, out: Path, seed: int) -> int:
         rel = abs(gamma + mu + delta) / scale
         worst = max(worst, rel)
         rows.append((n, nu, mu, delta, gamma, gamma % (2 * math.pi), rel))
-    _write_csv(
-        out / "phase.csv",
-        cfg.resolved_line(),
-        ["n", "nu", "mu", "delta", "gamma", "gamma_mod_2pi", "closure_rel_err"],
-        rows,
-    )
-    print(f"phase: modes={n_max + 1} worst_closure={worst:.3e} tol={tol:.1e}")
-    return 0 if worst <= tol else 3
+    header = ["n", "nu", "mu", "delta", "gamma", "gamma_mod_2pi", "closure_rel_err"]
+    line = f"phase: modes={n_max + 1} worst_closure={worst:.3e} tol={tol:.1e}"
+    return [("phase.csv", header, rows)], [line], worst <= tol
 
+
+def cmd_fig1(cfg: ScenarioConfig, seed: int):
+    """Phase-versus-mode dataset for the family of breathing boxes."""
+    constants = build_constants(cfg)
+    sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
+    _require(min(sizes) > 0, "fig1.Lbar0_list", "must hold positive box sizes")
+    n_max = _get_count(cfg, "fig1.n_max", 30, 0)
+    q = cfg.get_float("fig1.q", 0.1)
+    _require(abs(q) < 1, "fig1.q", "must satisfy |q| < 1 to keep the wall finite")
+    omega = cfg.get_float("fig1.omega", 1.0)
+    _require(omega > 0, "fig1.omega", "must be positive")
+    tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
+    data = fig_mode_phases(
+        constants, Lbar0_values=sizes, n_max=n_max, q=q, omega=omega
+    )
+    rows = []
+    for i, L0 in enumerate(data["Lbar0"]):
+        for j, n in enumerate(data["n"]):
+            rows.append((L0, float(n), data["gamma_mod_2pi"][i, j], data["gamma"][i, j]))
+    # the unreduced curves must be exact multiples of each other
+    base = data["gamma"][0] * (data["Lbar0"][0] ** -2)
+    worst = 0.0
+    for i, L0 in enumerate(data["Lbar0"]):
+        dev = float(np.max(np.abs(data["gamma"][i] / L0**2 - base) / base))
+        worst = max(worst, dev)
+    header = ["Lbar0", "n", "gamma_mod_2pi", "gamma"]
+    line = f"fig1: sizes={len(sizes)} modes={n_max + 1} k2_consistency={worst:.3e}"
+    return [("fig1.csv", header, rows)], [line], worst <= tol
+
+
+def cmd_fig2(cfg: ScenarioConfig, seed: int):
+    """Confined theta evolution against the wall-free PDE oracle."""
+    constants = build_constants(cfg)
+    traj = build_trajectory(cfg)
+    gauss = build_gaussian(cfg)
+    tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
+    (T,) = _get_times(cfg, "time.t", traj, "period")
+    _require(T > 0, "time.t", "must be positive")
+    n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
+    spec = _solver_spec(cfg, T / n_steps, box=True)
+    unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
+    x = unconf.positions
+    conf = evolve_theta_general(gauss, traj, constants, T, x)
+    num = math.sqrt(float(np.trapezoid(np.abs(unconf.values - conf) ** 2, x)))
+    den = math.sqrt(float(np.trapezoid(np.abs(conf) ** 2, x)))
+    rel = num / den
+    rows = zip(x, np.abs(conf) ** 2, np.abs(unconf.values) ** 2)
+    header = ["x", "abs2_confined", "abs2_unconfined"]
+    line = f"fig2: t={T:g} rel_l2={rel:.3e} tol={tol:.1e}"
+    return [("fig2.csv", header, rows)], [line], rel <= tol
+
+
+def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
+    """Crank-Nicolson in the fixed frame against the theta closed form."""
+    constants = build_constants(cfg)
+    traj = build_trajectory(cfg)
+    gauss = build_gaussian(cfg)
+    (t,) = _get_times(cfg, "time.t", traj, 2.0)
+    _require(t > 0, "time.t", "must be positive")
+    tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
+    n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
+    spec = _solver_spec(cfg, t / n_steps)
+    fmap = FrameMap(traj=traj)
+    L0 = fmap.L0
+    y = np.linspace(-L0 / 2, L0 / 2, spec.n_points + 1)
+    start = WaveFunctionGrid(
+        positions=y, values=initial_gaussian(gauss, constants, y), time=0.0
+    )
+    num = evolve_fixed_frame(start, fmap, spec, t, constants)
+    s = fmap.scale(t)
+    lab = WaveFunctionGrid(
+        positions=y * s,
+        values=evolve_theta_general(gauss, traj, constants, t, y * s),
+        time=t,
+    )
+    ref = to_fixed_frame(lab, fmap, t)
+    diff = num.values - ref.values
+    rel = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, y))) / math.sqrt(
+        float(np.trapezoid(np.abs(ref.values) ** 2, y))
+    )
+    rows = zip(y, num.values.real, num.values.imag, ref.values.real, ref.values.imag,
+               np.abs(diff))
+    header = ["y", "re_num", "im_num", "re_ref", "im_ref", "abs_diff"]
+    line = f"oracle-compare: t={t:g} rel_l2={rel:.3e} tol={tol:.1e}"
+    return [("oracle_compare.csv", header, rows)], [line], rel <= tol
+
+
+#: the one command table; its keys are also the CLI's command choices
+COMMANDS = {
+    "theta-check": cmd_theta_check,
+    "basis-check": cmd_basis_check,
+    "evolve": cmd_evolve,
+    "locality": cmd_locality,
+    "cycle": cmd_cycle,
+    "phase": cmd_phase,
+    "fig1": cmd_fig1,
+    "fig2": cmd_fig2,
+    "oracle-compare": cmd_oracle_compare,
+}
+
+
+EVOLVE_PLOT = """\
+# Plot |psi|^2 from the evolve command's CSV output.
+import csv
+import sys
+
+import matplotlib.pyplot as plt
+
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    head, data = rows[0], rows[1:]
+    x = [float(r[0]) for r in data]
+    a2 = [float(r[3]) for r in data]
+    plt.plot(x, a2, label=path)
+plt.xlabel("x")
+plt.ylabel("|psi|^2")
+plt.legend()
+plt.tight_layout()
+plt.savefig("evolve.png", dpi=160)
+"""
 
 FIG1_PLOT = """\
 # Geometric phase (mod 2 pi) against mode index, one curve per box size.
@@ -422,39 +487,6 @@ plt.tight_layout()
 plt.savefig("fig1.png", dpi=160)
 """
 
-
-def cmd_fig1(cfg: ScenarioConfig, out: Path, seed: int) -> int:
-    """Phase-versus-mode dataset for the family of breathing boxes."""
-    constants = build_constants(cfg)
-    sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
-    n_max = _get_count(cfg, "fig1.n_max", 30, 0)
-    q = cfg.get_float("fig1.q", 0.1)
-    omega = cfg.get_float("fig1.omega", 1.0)
-    tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
-    data = fig_mode_phases(
-        constants, Lbar0_values=sizes, n_max=n_max, q=q, omega=omega
-    )
-    rows = []
-    for i, L0 in enumerate(data["Lbar0"]):
-        for j, n in enumerate(data["n"]):
-            rows.append((L0, float(n), data["gamma_mod_2pi"][i, j], data["gamma"][i, j]))
-    _write_csv(
-        out / "fig1.csv",
-        cfg.resolved_line(),
-        ["Lbar0", "n", "gamma_mod_2pi", "gamma"],
-        rows,
-    )
-    _write_text(out / "fig1_plot.py", FIG1_PLOT)
-    # the unreduced curves must be exact multiples of each other
-    base = data["gamma"][0] * (data["Lbar0"][0] ** -2)
-    worst = 0.0
-    for i, L0 in enumerate(data["Lbar0"]):
-        dev = float(np.max(np.abs(data["gamma"][i] / L0**2 - base) / base))
-        worst = max(worst, dev)
-    print(f"fig1: sizes={len(sizes)} modes={n_max + 1} k2_consistency={worst:.3e}")
-    return 0 if worst <= tol else 3
-
-
 FIG2_PLOT = """\
 # Confined (theta resummation) vs unconfined (direct PDE) densities.
 import csv
@@ -478,82 +510,8 @@ plt.tight_layout()
 plt.savefig("fig2.png", dpi=160)
 """
 
-
-def cmd_fig2(cfg: ScenarioConfig, out: Path, seed: int) -> int:
-    """Confined theta evolution against the wall-free PDE oracle."""
-    constants = build_constants(cfg)
-    traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
-    tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
-    T = _time_or_period(cfg, "time.t", traj)
-    n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
-    spec = _solver_spec(cfg, T / n_steps, box=True)
-    unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
-    x = unconf.positions
-    conf = evolve_theta_general(gauss, traj, constants, T, x)
-    num = math.sqrt(float(np.trapezoid(np.abs(unconf.values - conf) ** 2, x)))
-    den = math.sqrt(float(np.trapezoid(np.abs(conf) ** 2, x)))
-    rel = num / den
-    _write_csv(
-        out / "fig2.csv",
-        cfg.resolved_line(),
-        ["x", "abs2_confined", "abs2_unconfined"],
-        zip(x, np.abs(conf) ** 2, np.abs(unconf.values) ** 2),
-    )
-    _write_text(out / "fig2_plot.py", FIG2_PLOT)
-    print(f"fig2: t={T:g} rel_l2={rel:.3e} tol={tol:.1e}")
-    return 0 if rel <= tol else 3
-
-
-def cmd_oracle_compare(cfg: ScenarioConfig, out: Path, seed: int) -> int:
-    """Crank-Nicolson in the fixed frame against the theta closed form."""
-    constants = build_constants(cfg)
-    traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
-    t = cfg.get_float("time.t", 2.0)
-    tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
-    n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
-    spec = _solver_spec(cfg, t / n_steps)
-    fmap = FrameMap(traj=traj)
-    L0 = fmap.L0
-    y = np.linspace(-L0 / 2, L0 / 2, spec.n_points + 1)
-    start = WaveFunctionGrid(
-        positions=y, values=initial_gaussian(gauss, constants, y), time=0.0
-    )
-    num = evolve_fixed_frame(start, fmap, spec, t, constants)
-    s = fmap.scale(t)
-    lab = WaveFunctionGrid(
-        positions=y * s,
-        values=evolve_theta_general(gauss, traj, constants, t, y * s),
-        time=t,
-    )
-    ref = to_fixed_frame(lab, fmap, t)
-    diff = num.values - ref.values
-    rel = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, y))) / math.sqrt(
-        float(np.trapezoid(np.abs(ref.values) ** 2, y))
-    )
-    _write_csv(
-        out / "oracle_compare.csv",
-        cfg.resolved_line(),
-        ["y", "re_num", "im_num", "re_ref", "im_ref", "abs_diff"],
-        zip(y, num.values.real, num.values.imag, ref.values.real, ref.values.imag,
-            np.abs(diff)),
-    )
-    print(f"oracle-compare: t={t:g} rel_l2={rel:.3e} tol={tol:.1e}")
-    return 0 if rel <= tol else 3
-
-
-_DISPATCH = {
-    "theta-check": cmd_theta_check,
-    "basis-check": cmd_basis_check,
-    "evolve": cmd_evolve,
-    "locality": cmd_locality,
-    "cycle": cmd_cycle,
-    "phase": cmd_phase,
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "oracle-compare": cmd_oracle_compare,
-}
+#: the plot script written beside a command's CSVs, as <command>_plot.py
+PLOTS = {"evolve": EVOLVE_PLOT, "fig1": FIG1_PLOT, "fig2": FIG2_PLOT}
 
 
 def main(argv=None) -> int:
@@ -574,29 +532,30 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = ScenarioConfig(parse_config(args.config))
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _DISPATCH[args.command](cfg, out, args.seed)
-    except (ConfigError, DomainError) as exc:
+            csvs, lines, ok = COMMANDS[args.command](cfg, args.seed)
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
 
+    for name, header, rows, *stamp in csvs:
+        _write_csv(out / name, cfg.resolved_line() + "".join(stamp), header, rows)
+    if args.command in PLOTS:
+        (out / f"{args.command}_plot.py").write_text(
+            PLOTS[args.command], encoding="utf-8", newline="\n"
+        )
+    for line in lines:
+        print(line)
     for w in caught:
         print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
     unused = cfg.unused_keys()
     if unused:
         print(f"note: unused config keys: {', '.join(unused)}", file=sys.stderr)
-    if args.strict and caught:
-        return 3
-    return code
+    return 3 if (args.strict and caught) or not ok else 0
 
 
 if __name__ == "__main__":

@@ -144,15 +144,14 @@ class _PacketState:
 
     ``norm`` is the packet's norm prefactor, (2 pi)^{-1/4} d^{-1/2}
     sqrt(pi/a) for the initial family, ``a`` the coefficient of x^2 in its
-    exponent, ``beta`` the coefficient of x, ``e_pre`` the merged offset
-    exponent, ``L_ref`` the box size at which the family was projected and
-    ``tau0`` the phase clock tau at that instant.
+    exponent, ``beta`` the coefficient of x, ``L_ref`` the box size at which
+    the family was projected and ``tau0`` the phase clock tau at that
+    instant.
     """
 
     norm: complex
     a: complex
     beta: complex
-    e_pre: complex
     L_ref: float
     tau0: float
 
@@ -169,15 +168,8 @@ def _gaussian_machinery(gauss, traj, constants) -> _PacketState:
     v0 = traj.velocity(0.0)
     a = 1.0 / (4.0 * gauss.d**2) + 1j * m * v0 / (2.0 * hbar * L0)
     beta = gauss.x0 / (2.0 * gauss.d**2) + 1j * gauss.p0 / constants.hbar
-    # e_pre = beta^2/(4 a) - x0^2/(4 d^2), written so the two ~x0^2/(4 d^2)
-    # blocks cancel symbolically instead of numerically (they reach ~625
-    # for x0 = 50, d = 1)
-    a_r = 1.0 / (4.0 * gauss.d**2)
-    a_i = a.imag
-    p_h = gauss.p0 / hbar
-    e_pre = (4j * a_r * gauss.x0 * (p_h - a_i * gauss.x0) - p_h**2) / (4.0 * a)
     norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * cmath.sqrt(math.pi / a)
-    return _PacketState(norm, a, beta, e_pre, L_ref=L0, tau0=0.0)
+    return _PacketState(norm, a, beta, L_ref=L0, tau0=0.0)
 
 
 def _post_turn_state(gauss, traj, constants) -> _PacketState:
@@ -196,7 +188,30 @@ def _post_turn_state(gauss, traj, constants) -> _PacketState:
     a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
     a_tot = a_f - 1j * m * traj.q / (2.0 * hbar * L_h)
     norm = n_f * cmath.sqrt(math.pi / a_tot)
-    return _PacketState(norm, a_tot, 0.0, 0.0, L_ref=L_h, tau0=traj.tau(t_half))
+    return _PacketState(norm, a_tot, 0.0, L_ref=L_h, tau0=traj.tau(t_half))
+
+
+def _exponent(state: _PacketState):
+    """The function k -> (beta + i k)^2/(4a) - (Re beta)^2/(4 Re a): the
+    exponent of the packet's overlap with e^{ikx}, whose last term is
+    x0^2/(4 d^2) for the initial family and 0 after the turn.  At k = 0 it
+    is the closed forms' offset exponent E.
+
+    With b = Re beta, p = Im beta + k and c = (Im a / Re a) b it equals
+    (-p^2 + i b (2p - c)) / (4a): the two real ~x0^2/(4 d^2) blocks cancel
+    symbolically, not in rounding (they reach ~625 for x0 = 50, d = 1).
+    The constants are Python scalars: numpy scalar arithmetic (from numpy
+    inputs) costs several times more per call.
+    """
+    b, im_beta = float(state.beta.real), float(state.beta.imag)
+    c = float(state.a.imag / state.a.real) * b
+    four_a = complex(4.0 * state.a)
+
+    def exponent(k: float) -> complex:
+        p = im_beta + k
+        return (-p * p + 1j * b * (2.0 * p - c)) / four_a
+
+    return exponent
 
 
 def _nome(state: _PacketState, traj, constants, t: float) -> complex:
@@ -250,7 +265,9 @@ def _evaluate(
     kappa = _nome(state, traj, constants, t)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     z = math.pi * xa / L
-    chirp = np.exp(1j * m * traj.velocity(t) * xa**2 / (2.0 * hbar * L) + state.e_pre)
+    chirp = np.exp(
+        1j * m * traj.velocity(t) * xa**2 / (2.0 * hbar * L) + _exponent(state)(0.0)
+    )
     pre = state.norm / math.sqrt(state.L_ref * L)
     if wall_free:
         out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * z**2 / (math.pi * kappa)))
@@ -275,22 +292,27 @@ def theta_nome(
     return _nome(state, traj, constants, t)
 
 
-def _coefficient(state: _PacketState, nu: int, sine: bool) -> complex:
-    """Overlap of the packet ``state`` with mode nu of its family,
+def _coefficients(state: _PacketState):
+    """The function (nu, sine) -> overlap of the packet ``state`` with mode
+    nu of its family,
 
-        c_nu = sqrt(2/L_ref) norm (1/2) [e^{E+i nu C-k^2/4a} +- e^{E-i nu C-k^2/4a}],
+        c_nu = sqrt(2/L_ref) norm (1/2) [e^{E(k)} +- e^{E(-k)}],
 
-    k = pi nu / L_ref, the difference over i for a sine mode.  Exponents are
-    merged before ``exp``; nu C is formed as beta k / (2a) for each nu, as
-    nu times the rounded C would bias every coefficient the same way.
+    k = pi nu / L_ref, E the ``_exponent`` of the state, the difference over
+    i for a sine mode.  Each exponent is one cancelled expression before
+    ``exp``, so the nu C and k^2/4a terms never meet a large E in rounding.
     """
-    k = math.pi * nu / state.L_ref
-    g = 1j * state.beta * k / (2.0 * state.a)
-    decay = -(k**2) / (4.0 * state.a)
-    plus = cmath.exp(state.e_pre + g + decay)
-    minus = cmath.exp(state.e_pre - g + decay)
-    w = math.sqrt(2.0 / state.L_ref) * state.norm * 0.5
-    return (w / 1j) * (plus - minus) if sine else w * (plus + minus)
+    exponent = _exponent(state)
+    L_ref = float(state.L_ref)
+    w = complex(math.sqrt(2.0 / L_ref) * state.norm * 0.5)
+
+    def coefficient(nu: int, sine: bool) -> complex:
+        k = math.pi * nu / L_ref
+        plus = cmath.exp(exponent(k))
+        minus = cmath.exp(exponent(-k))
+        return (w / 1j) * (plus - minus) if sine else w * (plus + minus)
+
+    return coefficient
 
 
 def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: str):
@@ -299,6 +321,7 @@ def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: s
     largest one: (even or None, odd, largest n), zero-padded to one length.
     """
     families = _FAMILIES[sector]
+    coefficient = _coefficients(state)
     coeffs = {f.sector: [] for f in families}
     runs = dict.fromkeys(coeffs, 0)
     done = dict.fromkeys(coeffs, False)
@@ -310,7 +333,7 @@ def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: s
         for name, first, step, shift, sine in families:
             if done[name]:
                 continue
-            c = _coefficient(state, step * n + shift, sine) if n >= first else 0.0
+            c = coefficient(step * n + shift, sine) if n >= first else 0.0
             coeffs[name].append(c)
             mag = abs(c)
             biggest = max(biggest, mag)

@@ -6,6 +6,7 @@ them.  Heavy solver commands run at reduced resolution; the physics at
 full resolution is covered elsewhere.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from movingwell import cli
 from movingwell.config import ConfigError, ScenarioConfig
+from movingwell.core import ConvergenceError
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
 GAMMA0 = 2.8655985682520457
+
+BREATHING = (
+    "trajectory.kind=smooth_periodic\ntrajectory.L0=100\ntrajectory.q=0.1\n"
+    "trajectory.omega=1\ngaussian.d=1\n"
+)
 
 
 def run_cli(*args, cwd=None):
@@ -189,6 +197,47 @@ class TestConfigErrors:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / csv).exists()
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("phase", "time.T=-2"),
+            ("evolve", "time.t_list=0,-3"),
+            ("basis-check", "basis.t=-1"),
+            ("oracle-compare", "time.t=-1"),
+            ("cycle", "time.t=9"),
+        ],
+    )
+    def test_time_outside_the_window_names_its_key(self, tmp_path, command, line):
+        if command == "cycle":  # the reversing wall's window ends at T = 4
+            text = ("trajectory.kind=reversing_linear\ntrajectory.L0=100\n"
+                    "trajectory.q=2\ntrajectory.T=4\ngaussian.d=1\n")
+        else:
+            text = BREATHING
+        cfg = write_cfg(tmp_path, text + line + "\n")
+        out = tmp_path / "out"
+        res = run_cli(command, "--config", cfg, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert f"config error: {line.split('=')[0]}: t = " in res.stderr
+        assert res.stdout == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, line", [("phase", "time.T=0"), ("fig2", "time.t=0"), ("oracle-compare", "time.t=0")]
+    )
+    def test_zero_duration_names_its_key(self, tmp_path, command, line):
+        cfg = write_cfg(tmp_path, BREATHING + line + "\n")
+        res = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stderr
+        assert f"config error: {line.split('=')[0]} must be positive" in res.stderr
+
+    @pytest.mark.parametrize("line", ["fig1.q=1.5", "fig1.omega=-1", "fig1.Lbar0_list=100,-5"])
+    def test_fig1_keys_name_themselves(self, tmp_path, line):
+        cfg = write_cfg(tmp_path, line + "\n")
+        res = run_cli("fig1", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 2, res.stderr
+        assert f"config error: {line.split('=')[0]} " in res.stderr
+        assert not (tmp_path / "out" / "fig1.csv").exists()
+
     def test_missing_file(self, tmp_path):
         res = run_cli("theta-check", "--config", str(tmp_path / "nope.cfg"),
                       "--out", str(tmp_path))
@@ -202,6 +251,36 @@ class TestConfigErrors:
 
 
 class TestLocality:
+    def test_time_past_the_collapse_leaves_no_output(self, tmp_path):
+        # the wall closes in at q = -1: t = 120 lies past t_max = 99
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=linear\ntrajectory.L0=100\ntrajectory.q=-1\n"
+            "gaussian.d=1\ntime.t_list=1,120\n",
+        )
+        res = run_cli("locality", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert not (tmp_path / "out" / "locality.csv").exists()
+
+    def test_failure_midway_prints_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        real = cli.locality_compare
+        calls = []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConvergenceError("second time fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "locality_compare", second_call_fails)
+        argv = ["locality", "--config", str(CONFIGS / "locality.cfg"), "--out", str(tmp_path)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "convergence failure: second time fails" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_moving_wall_matches_static_box(self, tmp_path):
         res = run_cli("locality", "--config", str(CONFIGS / "locality.cfg"),
                       "--out", str(tmp_path))
@@ -339,6 +418,14 @@ class TestSolverCommands:
 
 
 class TestSampleConfigs:
+    def test_command_table_matches_readme_and_configs(self):
+        readme = (REPO / "README.md").read_text()
+        listed = re.findall(r"^\| `([a-z0-9-]+)` +\|", readme, flags=re.M)
+        assert list(cli.COMMANDS) == listed
+        for command in cli.COMMANDS:
+            # theta-check -> theta.cfg, oracle-compare -> oracle.cfg, ...
+            assert (CONFIGS / f"{command.split('-')[0]}.cfg").is_file(), command
+
     def test_all_samples_parse(self):
         from movingwell.config import parse_config
 

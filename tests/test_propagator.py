@@ -101,6 +101,31 @@ def test_captured_norm_is_complete():
         assert ex.captured_norm == pytest.approx(1.0, abs=1e-13)
 
 
+def test_far_offset_packet_captures_its_norm_without_warning():
+    # x0^2/(4 d^2) ~ 63 here: merging the offset and mode exponents after
+    # rounding left a 1.13e-14 deficit and a spurious TruncationWarning
+    g = GaussianParams(d=1.975, x0=31.321875)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        ex = expansion_coefficients(g, LinearWall(L0=50.0, q=3.0), C, sector="single_wall")
+    assert abs(1.0 - ex.captured_norm) <= 5e-15
+
+
+@pytest.mark.parametrize("k", [0.0, 0.37, -2.9, 41.0])
+def test_overlap_exponent_against_mpmath(k):
+    # (beta + i k)^2/(4a) - (Re beta)^2/(4 Re a) at 50 digits from the
+    # state's own a and beta: the cancelled form is exact to rounding
+    g = GaussianParams(d=1.975, x0=31.321875, p0=0.4)
+    state = propagator._gaussian_machinery(g, LinearWall(L0=50.0, q=3.0), C)
+    with mp.workdps(50):
+        a = mp.mpc(state.a.real, state.a.imag)
+        beta = mp.mpc(state.beta.real, state.beta.imag)
+        ref = (beta + 1j * mp.mpf(k)) ** 2 / (4 * a) - beta.real**2 / (4 * a.real)
+        ref = complex(ref)
+    got = propagator._exponent(state)(k)
+    assert abs(got - ref) <= 4e-16 * max(abs(ref), 1.0)
+
+
 def test_theta_routes_equal_initial_gaussian_at_t0():
     x = np.linspace(-8.0, 8.0, 33)
     psi0 = initial_gaussian(G1, C, x)
