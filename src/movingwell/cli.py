@@ -221,6 +221,10 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
 
+    def require_centred(key):
+        _require(gauss.x0 == 0.0 and gauss.p0 == 0.0, key,
+                 "needs gaussian.x0 = gaussian.p0 = 0")
+
     if route == "sum":
         expansion = expansion_coefficients(
             gauss, traj, constants, sector=sector,
@@ -228,15 +232,21 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
         )
         job = lambda t: evolve_sum(expansion, traj, constants, t, x)
     elif route == "theta_centered":
+        require_centred("evolve.route=theta_centered")
         job = lambda t: evolve_theta_centered(gauss, traj, constants, t, x)
     elif route == "theta_general":
         job = lambda t: evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
     elif route == "unconfined_approx":
+        require_centred("evolve.route=unconfined_approx")
         job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
     else:
+        _require(isinstance(traj, ReversingLinearWall), "evolve.route=cycle",
+                 "needs trajectory.kind=reversing_linear")
         cycle_route = cfg.get_str(
             "evolve.cycle_route", "closed", choices=("closed", "reexpansion")
         )
+        if cycle_route == "closed":
+            require_centred("evolve.cycle_route=closed")
         job = lambda t: evolve_cycle_reversing(
             gauss, traj, constants, t, x, route=cycle_route
         )

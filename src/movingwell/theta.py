@@ -6,19 +6,30 @@ Conventions (kind k, argument z, nome parameter kappa with Im kappa > 0):
     theta_3(z, kappa) = 1 + 2 sum_{n>=1} e^{i pi kappa n^2} cos(2 n z)
     theta_4(z, kappa) = 1 + 2 sum_{n>=1} (-1)^n e^{i pi kappa n^2} cos(2 n z)
 
-Propagation drives kappa toward the real axis (Im kappa -> 0), where the
-direct series converges slowly; the modular transformation to the dual
-parameter -1/kappa then converges fast.  ``theta`` picks the better route
-automatically.
+Propagation drives kappa toward the real axis (Im kappa -> 0) and along it
+(Re kappa falls by 8 per revival of the static box), where the direct
+series needs hundreds to thousands of terms.  ``theta`` therefore maps every
+call to the fundamental domain |Re kappa| <= 1/2, |kappa| >= 1 by exact
+T-steps kappa -> kappa - m and modular S-steps kappa -> -1/kappa, reducing
+z by its period and quasi-period on the way (the genus-1 case of
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
+functions", Math. Comp. 73 (2004)).  There Im kappa >= sqrt(3)/2, so at
+most about five terms reach 1e-15 at any time.
 
 Two numerical hazards are handled explicitly.  First, overflow: all
 exponential factors of a term (Gaussian prefactor included) are merged into
 a single exponent before exponentiating, so intermediate under/overflow
-cannot poison a finite result.  Second, phase conditioning: term phases
-grow like pi n^2 Re(kappa), reaching 1e5 radians in transformed sums, where
-double-precision assembly alone would cost ~1e-11 of relative accuracy;
-exponents are therefore accumulated in extended precision and reduced
-mod 2 pi before the final exp/cos/sin in doubles.
+cannot poison a finite result.  Second, phase conditioning: the merged
+exponent carries phases like |z|^2/(pi |kappa|), reaching 1e4-1e5 radians
+near the real axis, where a double's rounding of the phase is already
+~1e-12; the reduction and the exponents therefore run in extended
+precision (``_LD``) and are reduced mod 2 pi before the final exp/cos/sin
+in doubles.  With 80-bit ``longdouble`` (x86-64 Linux, eps
+1.1e-19) real arguments near the axis come out within ~6e-16 relative to
+max(1, |theta|), and out to 10^3 revivals within ~5e-16 of the sup.  On
+platforms whose ``longdouble`` is plain double (MSVC builds) the same code
+gives about 1.5e-13 in that near-axis regime (measured with ``_LD`` and its
+constants rebound to float64).
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ import numpy as np
 from .core import ConvergenceError, DomainError
 
 _VALID_KINDS = (2, 3, 4)
-#: direct summation is comfortable above this Im kappa
-_DIRECT_CUT = 0.05
+#: T/S steps allowed before ``_reduce`` gives up
+_STEP_CAP = 64
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -139,61 +150,97 @@ def _sum_direct(kind: int, z: np.ndarray, kappa: complex, tol: float, cap: int):
     )
 
 
-def _sum_transformed(kind: int, z: np.ndarray, kappa: complex, tol: float, cap: int):
-    """Series at the dual parameter -1/kappa, prefactor folded into each term.
+def _reduce(kind: int, z: np.ndarray, kappa: complex):
+    """Map theta_kind(z, kappa) to the fundamental domain of kappa.
 
-    theta_2(z, kappa) = (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} theta_4(z/kappa, -1/kappa)
-    theta_3           =            "                            theta_3(   "        "   )
-    theta_4           =            "                            theta_2(   "        "   )
+    Returns (kind', Re kappa', Im kappa', Re w, Im w, Re e0, Im e0, front),
+    all extended, with theta_kind(z, kappa) = front e^{e0} theta_kind'(w, kappa')
+    pointwise, |Re kappa'| <= 1/2 and |kappa'| >= 1, so Im kappa' >= sqrt(3)/2.
+    Each pass takes the exact T-shift kappa -> kappa - m (theta_3 and theta_4
+    swap for odd m, theta_2 gains e^{i pi m/4}, kept as an index mod 8),
+    reduces Re w by the period pi (theta_2 changes sign on odd shifts), and
+    then either stops or takes the S-step
 
-    With Im kappa > 0 the factor -i kappa has positive real part, so the
-    principal square root is the right branch.  The dual parameter, the
-    rotated argument z/kappa and the prefactor exponent -i z^2/(pi kappa)
-    are all computed in extended precision from the original kappa.
+        theta_{2,3,4}(w, kappa) = (-i kappa)^{-1/2} e^{-i w^2/(pi kappa)}
+                                  theta_{4,3,2}(w/kappa, -1/kappa).
+
+    At the stop, Im w is reduced by the quasi-period pi kappa,
+
+        theta(v + j pi kappa) = s^j e^{-i pi kappa j^2 - 2 i j v} theta(v),
+
+    with s = -1 for theta_4 only.  Before an S-step that shift is the real
+    shift j pi of w/kappa, which the next pass's period step takes, so one
+    quasi-period step at the end reduces Im w at every stage.  Reducing w
+    at every stage, not only at the end, keeps the merged exponent free of
+    large cancelling terms.
     """
-    dual = {2: 4, 3: 3, 4: 2}[kind]
     kr, ki = _LD(kappa.real), _LD(kappa.imag)
-    denom = kr * kr + ki * ki
-    kd_re, kd_im = -kr / denom, ki / denom  # -1/kappa
-    zr = np.asarray(z.real, dtype=_LD)
-    zi = np.asarray(z.imag, dtype=_LD)
-    # w = z / kappa
-    w_re = (zr * kr + zi * ki) / denom
-    w_im = (zi * kr - zr * ki) / denom
-    # e0 = -i z^2 / (pi kappa) = -i (z^2 conj(kappa)) / (pi |kappa|^2)
-    z2_re = zr * zr - zi * zi
-    z2_im = 2 * zr * zi
-    u_re = (z2_re * kr + z2_im * ki) / (_PI_LD * denom)
-    u_im = (z2_im * kr - z2_re * ki) / (_PI_LD * denom)
-    e0_re, e0_im = u_im, -u_re
-    front = (-1j * kappa) ** -0.5
-    # absolute tolerance on the final value -> tolerance on the dual series
-    tol_d = min(max(tol / abs(front), 1e-300), 0.5)
-    kappa_d = complex(float(kd_re), float(kd_im))
-    w_probe = 1j * float(np.max(np.abs(w_im), initial=0.0))
-    n_max = truncation_bound(kappa_d, w_probe, tol_d, cap)
-    return front * _sum_engine(dual, kd_re, kd_im, w_re, w_im, e0_re, e0_im, n_max)
+    wr = np.asarray(z.real, dtype=_LD)
+    wi = np.asarray(z.imag, dtype=_LD)
+    er = ei = _LD(0)
+    eighth = 0
+    front = 1
+    for _ in range(_STEP_CAP):
+        m = np.rint(kr)
+        kr = kr - m
+        if kind == 2:
+            eighth = (eighth + int(m)) % 8
+        elif int(m) % 2:
+            kind = 7 - kind
+        done = kr * kr + ki * ki >= 1
+        # any integer shift is exact, so j and n may be rounded in doubles
+        j = np.rint(wi.astype(float) / (math.pi * float(ki))) if done else 0
+        if np.any(j):
+            j = j.astype(_LD)
+            pkr, pki = _PI_LD * kr, _PI_LD * ki
+            wr = wr - j * pkr
+            wi = wi - j * pki
+            er = er + j * (pki * j + 2 * wi)
+            # s^j = e^{i pi j} for theta_4
+            ei = ei - j * (pkr * j + 2 * wr - (_PI_LD if kind == 4 else 0))
+        n = np.rint(wr.astype(float) / math.pi)
+        if n.any():
+            n = n.astype(_LD)
+            wr = wr - n * _PI_LD
+            if kind == 2:
+                ei = ei + _PI_LD * n
+        if done:
+            front = front * np.exp(1j * _PI_LD * eighth / 4)
+            return kind, kr, ki, wr, wi, er, ei, front
+        inv = 1 / (kr + 1j * ki)
+        front = front * np.sqrt(1j * inv)
+        # w' = w / kappa, e0 -= i w w' / pi, kappa -> -1 / kappa
+        ir, ii = inv.real, inv.imag
+        vr, vi = wr * ir - wi * ii, wr * ii + wi * ir
+        er = er + (wr * vi + wi * vr) / _PI_LD
+        ei = ei - (wr * vr - wi * vi) / _PI_LD
+        wr, wi, kr, ki = vr, vi, -ir, -ii
+        kind = 6 - kind
+    raise ConvergenceError(
+        f"kappa = {kappa!r} did not reach the fundamental domain in {_STEP_CAP} steps"
+    )
 
 
 def theta(kind: int, z, kappa: complex, tol: float = 1e-15, cap: int = 10**6):
     """Evaluate theta_kind(z, kappa) for scalar or array z.
 
-    Routing: direct summation when Im kappa >= 0.05; otherwise the modular
-    transform when it improves the decay rate (Im(-1/kappa) > Im kappa);
-    otherwise direct summation, which may hit the term cap and raise
-    ConvergenceError for hopeless parameters.
+    Every call first maps kappa to the fundamental domain and z to its
+    period cell (``_reduce``), then sums the reduced series, truncated at an
+    absolute tolerance of tol / |front| on the reduced series.  There
+    Im kappa >= sqrt(3)/2, so about 5 terms reach 1e-15 whatever t is.
+    ConvergenceError is raised when the term count would exceed ``cap`` or
+    the reduction would exceed ``_STEP_CAP`` steps (which takes Im kappa
+    far below any packet's, e.g. 1e-200).
     """
     kappa = _validate(kind, kappa, tol, cap)
     z_in = np.asarray(z, dtype=complex)
     scalar = z_in.ndim == 0
-    z_arr = np.atleast_1d(z_in)
-    b = kappa.imag
-    if b >= _DIRECT_CUT:
-        out = _sum_direct(kind, z_arr, kappa, tol, cap)
-    elif b / abs(kappa) ** 2 > b:
-        out = _sum_transformed(kind, z_arr, kappa, tol, cap)
-    else:
-        out = _sum_direct(kind, z_arr, kappa, tol, cap)
+    kind_r, kr, ki, wr, wi, er, ei, front = _reduce(kind, np.atleast_1d(z_in), kappa)
+    front = complex(front)
+    tol_r = min(max(tol / abs(front), 1e-300), 0.5)
+    w_probe = 1j * float(np.max(np.abs(wi), initial=0.0))
+    n_max = truncation_bound(complex(float(kr), float(ki)), w_probe, tol_r, cap)
+    out = front * _sum_engine(kind_r, kr, ki, wr, wi, er, ei, n_max)
     return complex(out[0]) if scalar else out
 
 

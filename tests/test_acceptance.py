@@ -428,3 +428,29 @@ def test_14_single_wall_locality(capsys):
             f"x0 = L0/2 in [0, L0], q in {{2, 0}}, worst sup {worst:.3e}, "
             f"tol 1e-10",
             elapsed, 2.0)
+
+
+def test_15_static_box_revivals(capsys):
+    # E_n T_rev / hbar = 2 pi n^2 in the symmetric box, so psi returns
+    # exactly at T_rev = 4 m L^2 / (pi hbar), and at T_rev / 2 every mode
+    # picks up (-1)^n, which mirrors the packet: |psi(T/2, x)| = |psi(0, -x)|
+    t0 = time.perf_counter()
+    L0 = 100.0
+    static = LinearWall(L0=L0, q=0.0)
+    t_rev = 4 * C.mass * L0**2 / (math.pi * C.hbar)
+    x = np.linspace(-L0 / 2, L0 / 2, 2001)
+    full = half = route = 0.0
+    for gauss in (GaussianParams(d=1.0), GaussianParams(d=1.0, x0=10.0, p0=0.5)):
+        psi0 = evolve_theta_general(gauss, static, C, 0.0, x)
+        psi_rev = evolve_theta_general(gauss, static, C, t_rev, x)
+        psi_half = evolve_theta_general(gauss, static, C, t_rev / 2, x)
+        summed = evolve_sum(expansion_coefficients(gauss, static, C), static, C, t_rev, x)
+        full = max(full, float(np.max(np.abs(psi_rev - psi0))))
+        half = max(half, float(np.max(np.abs(np.abs(psi_half) - np.abs(psi0[::-1])))))
+        route = max(route, float(np.max(np.abs(summed - psi_rev))))
+    elapsed = time.perf_counter() - t0
+    _report(capsys, 15, "static-box-revivals",
+            full <= 1e-14 and half <= 1e-13 and route <= 1e-10,
+            f"L0 = 100, centred and x0 = 10, p0 = 0.5: full {full:.1e} (tol 1e-14), "
+            f"half {half:.1e} (tol 1e-13), sum route {route:.1e} (tol 1e-10)",
+            elapsed, 2.0)

@@ -349,6 +349,30 @@ class TestEvolve:
         res = run_cli("evolve", "--config", cfg, "--out", str(tmp_path))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("route_keys, packet, message", [
+        ("evolve.route=cycle\ntrajectory.kind=linear\n", "",
+         "evolve.route=cycle needs trajectory.kind=reversing_linear"),
+        ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "gaussian.x0=3\n",
+         "evolve.route=theta_centered needs gaussian.x0 = gaussian.p0 = 0"),
+        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\n", "gaussian.p0=0.5\n",
+         "evolve.route=unconfined_approx needs gaussian.x0 = gaussian.p0 = 0"),
+        ("evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n",
+         "gaussian.x0=3\n",
+         "evolve.cycle_route=closed needs gaussian.x0 = gaussian.p0 = 0"),
+    ])
+    def test_route_mismatch_names_its_keys(self, tmp_path, route_keys, packet, message):
+        cfg = write_cfg(
+            tmp_path,
+            route_keys + "trajectory.L0=100\ntrajectory.q=2\ngaussian.d=1\n"
+            + packet + "time.t=1\n",
+        )
+        out = tmp_path / "out"
+        res = run_cli("evolve", "--config", cfg, "--out", str(out))
+        assert res.returncode == 2
+        assert f"config error: {message}" in res.stderr
+        assert res.stdout == ""
+        assert not list(out.glob("*.csv"))
+
 
 class TestCycle:
     def test_full_cycle_closes(self, tmp_path):
