@@ -95,12 +95,14 @@ def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
     return n
 
 
-def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[float]:
+def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
+               pre_turn: bool = False) -> list[float]:
     """The times under ``key``, a comma list when it ends in ``_list``, each
     checked against the trajectory's window [0, t_max] so that a bad one
     names its key.  An absent key reads ``default``, if one is given;
     "period" stands for the trajectory's period, which the CSV stamp leaves
-    out.
+    out.  With ``pre_turn`` a reversing wall's times must also come before
+    its turn T/2, where the closed forms stop.
     """
     if default == "period" and not cfg.has(key):
         _require(traj.period is not None, "trajectory", f"has no period; set {key}")
@@ -114,6 +116,9 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[fl
             traj._check(t)
         except DomainError as exc:
             raise ConfigError(f"{key}: {exc}") from None
+        if pre_turn and isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
+            raise ConfigError(f"{key}: t = {t} is at or past the turn T/2 = {traj.T / 2}; "
+                              "only evolve.route=cycle runs past it")
     return times
 
 
@@ -178,6 +183,10 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     (t,) = _get_times(cfg, "basis.t", traj, 1.0)
+    # the residual probe below reads the solutions at t +- 2e-3
+    t_hi = math.inf if traj.t_max is None else traj.t_max - 2e-3
+    _require(2e-3 <= t <= t_hi, "basis.t",
+             f"must lie in [0.002, {t_hi:g}]: the residual probe reads t +- 0.002")
     n_max = _get_count(cfg, "basis.n_max", 20, 1)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
@@ -218,7 +227,8 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     gauss = build_gaussian(cfg)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj,
+                       pre_turn=route != "cycle")
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
 
     def require_centred(key):
@@ -278,7 +288,8 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
         baseline = traj.inner
     else:
         baseline = LinearWall(L0=traj.length(0.0), q=0.0)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj,
+                       pre_turn=True)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     rows, lines = [], []
     for t in times:
@@ -388,7 +399,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
-    (T,) = _get_times(cfg, "time.t", traj, "period")
+    (T,) = _get_times(cfg, "time.t", traj, "period", pre_turn=True)
     _require(T > 0, "time.t", "must be positive")
     n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
     spec = _solver_spec(cfg, T / n_steps, box=True)
@@ -409,7 +420,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
-    (t,) = _get_times(cfg, "time.t", traj, 2.0)
+    (t,) = _get_times(cfg, "time.t", traj, 2.0, pre_turn=True)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
     n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)

@@ -1,6 +1,6 @@
 """Independent finite-difference checks of the analytic propagation routes.
 
-Two solvers, sharing one Crank-Nicolson engine:
+Two solvers, both run by one Crank-Nicolson engine (``_cn_engine``):
 
 * ``evolve_fixed_frame`` integrates the moving-box problem after the
   dilation y = x L0 / L(t), where the walls sit still and the price is a
@@ -10,7 +10,8 @@ Two solvers, sharing one Crank-Nicolson engine:
            - (L'(t)/2L(t)) (Y P + P Y).
 
 * ``unconfined_tdlo_propagate`` integrates the wall-free dynamics under
-  the same compensating quadratic potential on a large static box.
+  the same compensating quadratic potential on a large static box: the
+  same H~ with the wall at rest, L = L0 and L' = 0.
 
 Neither touches the theta-function or spectral-sum machinery, so agreement
 with those routes is a real cross-check rather than a tautology.
@@ -129,32 +130,68 @@ def _step_count(t_final: float, dt: float) -> int:
     return n
 
 
-def _cn_run(psi, dt, n_steps, hbar, tridiag_at, norm_of, edge_check=None,
-            check_every=500):
-    """March interior values with Crank-Nicolson, coefficients at mid-step.
+#: steps between the norm-drift and edge checks (the last step is always checked)
+_CHECK_EVERY = 250
 
-    tridiag_at(t_mid) returns (diag, upper, lower) of the Hermitian H on the
-    interior grid; each step solves
-    (I + i dt H/2hbar) psi_new = (I - i dt H/2hbar) psi
-    with LAPACK gtsv, the routine scipy's solve_banded uses for one band on
-    each side.  A non-finite system, a singular one, or a norm drift
-    beyond 1e-6 raises ConvergenceError.
+
+def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
+    """Crank-Nicolson march of ``vals`` between Dirichlet walls at y[0], y[-1].
+
+    The Hamiltonian is the fixed-frame one at reference size L0,
+
+        H(t) = s^2 K + (m/2) (Omega^2 / s^2) y^2 + (L'/L) D,   s = L0 / L,
+
+    with (L, L', Omega^2) = frame(t) read at each mid-step, K the three-point
+    kinetic term P^2/2m and D = -(YP + PY)/2 in the symmetrized
+    central-difference form, which keeps the bands Hermitian.  At L = L0,
+    L' = 0 it is the static-box K + (m/2) Omega^2 y^2.  K, y^2 and the
+    dilation pair y_j + y_{j+1} are built once; each step fills the bands
+    and solves (I + i dt H/2hbar) psi_new = (I - i dt H/2hbar) psi with
+    LAPACK gtsv, the routine scipy's solve_banded uses for one band on each
+    side.  A non-finite or singular system raises ConvergenceError naming
+    its step; every ``_CHECK_EVERY`` steps and at the end, a norm drift
+    beyond 1e-6 raises too, and ``edge_check(psi, t)`` runs on the interior
+    values.  Returns the values with the walls put back.
     """
     from scipy.linalg.lapack import zgtsv  # scipy is needed by the CN runs only
 
-    n = psi.size
+    hbar, m = constants.hbar, constants.mass
+    dy = y[1] - y[0]
+    kin = hbar**2 / (m * dy**2)
+    if dt * kin / hbar > 20.0:
+        warnings.warn(
+            "dt resolves less than a radian of the grid-scale kinetic phase; "
+            "result will be smooth but inaccurate",
+            StepSizeWarning,
+        )
+    yi = y[1:-1]
+    y2 = yi * yi
+    ipair = 1j * (yi[:-1] + yi[1:])
+    psi = vals[1:-1].astype(complex)
+
+    def norm_of(v):
+        return math.sqrt(dy * float(np.sum(np.abs(v) ** 2)))
+
     # gtsv overwrites its bands with the LU factors, so they are refilled
     # every step
-    d = np.empty(n, dtype=complex)
-    du = np.empty(n - 1, dtype=complex)
-    dl = np.empty(n - 1, dtype=complex)
+    d = np.empty(psi.size, dtype=complex)
+    du = np.empty(psi.size - 1, dtype=complex)
+    dl = np.empty(psi.size - 1, dtype=complex)
     norm0 = norm_of(psi)
     half = 0.5j * dt / hbar
     for k in range(n_steps):
-        diag, up, lo = tridiag_at((k + 0.5) * dt)
-        np.multiply(half, diag, out=d)
-        np.multiply(half, up, out=du)
-        np.multiply(half, lo, out=dl)
+        L, lp, w2 = frame((k + 0.5) * dt)
+        s2 = (L0 / L) ** 2
+        np.multiply(y2, 0.5 * m * w2 / s2, out=d)
+        d += kin * s2
+        d *= half
+        off = -0.5 * kin * s2
+        # the dilation term: +-i (hbar L' / 4 L dy) (y_j + y_{j+1})
+        np.multiply(ipair, hbar * lp / (4.0 * L * dy), out=dl)
+        np.add(off, dl, out=du)
+        np.subtract(off, dl, out=dl)
+        du *= half
+        dl *= half
         rhs = psi - d * psi
         rhs[:-1] -= du * psi[1:]
         rhs[1:] -= dl * psi[:-1]
@@ -169,7 +206,7 @@ def _cn_run(psi, dt, n_steps, hbar, tridiag_at, norm_of, edge_check=None,
             raise ConvergenceError(f"singular Crank-Nicolson system at step {k + 1}")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of zgtsv")
-        if (k + 1) % check_every == 0 or k + 1 == n_steps:
+        if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n_steps:
             drift = abs(norm_of(psi) - norm0)
             if not drift <= 1e-6:
                 raise ConvergenceError(
@@ -177,7 +214,7 @@ def _cn_run(psi, dt, n_steps, hbar, tridiag_at, norm_of, edge_check=None,
                 )
             if edge_check is not None:
                 edge_check(psi, (k + 1) * dt)
-    return psi
+    return np.concatenate(([0.0], psi, [0.0]))
 
 
 def evolve_fixed_frame(
@@ -216,40 +253,12 @@ def evolve_fixed_frame(
         raise DomainError("initial state must vanish at the fixed-domain walls")
 
     n_steps = _step_count(t_final, spec.dt)
-    hbar, m = constants.hbar, constants.mass
     traj = fmap.traj
     traj._check(t_final)
-    L0 = fmap.L0
-    dy = psi0_tilde.spacing
-    yi = y[1:-1].copy()
-    yi2 = yi * yi
-    pair = yi[:-1] + yi[1:]
-    kin = hbar**2 / (m * dy**2)
-    if spec.dt * kin / hbar > 20.0:
-        warnings.warn(
-            "dt resolves less than a radian of the grid-scale kinetic phase; "
-            "result will be smooth but inaccurate",
-            StepSizeWarning,
-        )
-    use_tdlo = spec.potential == "tdlo"
-
-    def tridiag_at(t_mid):
-        L = traj.length(t_mid)
-        lp = traj.velocity(t_mid)
-        s2 = (L0 / L) ** 2
-        diag = np.full(yi.size, kin * s2, dtype=complex)
-        if use_tdlo:
-            diag += (0.5 * m * traj.omega_squared(t_mid) / s2) * yi2
-        off = -0.5 * kin * s2
-        drift = (hbar * lp / (4.0 * L * dy)) * pair
-        return diag, off + 1j * drift, off - 1j * drift
-
-    def norm_of(v):
-        return math.sqrt(dy * float(np.sum(np.abs(v) ** 2)))
-
-    out = _cn_run(vals[1:-1].astype(complex), spec.dt, n_steps, hbar,
-                  tridiag_at, norm_of)
-    full = np.concatenate(([0.0], out, [0.0]))
+    w2 = traj.omega_squared if spec.potential == "tdlo" else lambda t: 0.0
+    full = _cn_engine(y, vals, fmap.L0,
+                      lambda t: (traj.length(t), traj.velocity(t), w2(t)),
+                      spec.dt, n_steps, constants)
     return WaveFunctionGrid(positions=y, values=full, time=t_final)
 
 
@@ -273,34 +282,13 @@ def unconfined_tdlo_propagate(
         raise DomainError("unconfined run needs spec.x_min/x_max")
     n_steps = _step_count(t_final, spec.dt)
     traj._check(t_final)
-    hbar, m = constants.hbar, constants.mass
     x = np.linspace(spec.x_min, spec.x_max, spec.n_points + 1)
     vals = initial_gaussian(gauss, constants, x)
     peak0 = float(np.max(np.abs(vals)))
     if max(abs(vals[0]), abs(vals[-1])) > 1e-12 * peak0:
         raise DomainError("initial Gaussian already touches the artificial box")
 
-    dx = x[1] - x[0]
-    xi = x[1:-1].copy()
-    xi2 = xi * xi
-    kin = hbar**2 / (m * dx**2)
-    if spec.dt * kin / hbar > 20.0:
-        warnings.warn(
-            "dt resolves less than a radian of the grid-scale kinetic phase; "
-            "result will be smooth but inaccurate",
-            StepSizeWarning,
-        )
-    off_arr = np.full(xi.size - 1, -0.5 * kin, dtype=complex)
-    use_tdlo = spec.potential == "tdlo"
-
-    def tridiag_at(t_mid):
-        diag = np.full(xi.size, kin, dtype=complex)
-        if use_tdlo:
-            diag += 0.5 * m * traj.omega_squared(t_mid) * xi2
-        return diag, off_arr, off_arr
-
-    def norm_of(v):
-        return math.sqrt(dx * float(np.sum(np.abs(v) ** 2)))
+    w2 = traj.omega_squared if spec.potential == "tdlo" else lambda t: 0.0
 
     def edge_check(v, t_now):
         edge = max(abs(v[0]), abs(v[-1]))
@@ -312,7 +300,7 @@ def unconfined_tdlo_propagate(
                 "enlarge spec.x_min/x_max"
             )
 
-    out = _cn_run(vals[1:-1].astype(complex), spec.dt, n_steps, hbar,
-                  tridiag_at, norm_of, edge_check=edge_check, check_every=250)
-    full = np.concatenate(([0.0], out, [0.0]))
+    # the static box is the fixed frame with the wall at rest
+    full = _cn_engine(x, vals, 1.0, lambda t: (1.0, 0.0, w2(t)), spec.dt, n_steps,
+                      constants, edge_check=edge_check)
     return WaveFunctionGrid(positions=x, values=full, time=t_final)

@@ -104,34 +104,30 @@ def _exp_reduced(re_part, im_part):
 def _sum_engine(kind, kappa_re, kappa_im, w_re, w_im, e0_re, e0_im, n_max):
     """Sum the ``kind`` series at parameter kappa, argument w, with every
     term multiplied by exp(e0).  All exponent pieces arrive as extended
-    floats; Kahan compensation handles the final double accumulation."""
+    floats; Kahan compensation handles the final double accumulation.
+
+    The three kinds are one characteristic series over m = 2n + alpha,
+    alpha = 1 for theta_2 and 0 otherwise: the pair of terms
+    e^{i pi kappa m^2/4} e^{+-i m w}, one single term at m = 0, and for
+    theta_4 the sign (-1)^{m/2}, negative when m = 2 (mod 4).
+    """
     shape = np.broadcast(w_re, w_im).shape
     total = np.zeros(shape, dtype=complex)
     comp = np.zeros_like(total)
     pk_re = _PI_LD * kappa_re
     pk_im = _PI_LD * kappa_im
-    if kind == 2:
-        for n in range(n_max + 1):
-            c2 = _LD(2 * n + 1) ** 2 / 4  # (n + 1/2)^2, exactly
-            a = 2 * n + 1
+    for m in range(1 if kind == 2 else 0, 2 * n_max + 2, 2):
+        if m == 0:
+            term = _exp_reduced(e0_re, e0_im)
+        else:
+            c2 = _LD(m) ** 2 / 4  # (n + alpha/2)^2, exactly
             re_base = e0_re - pk_im * c2
             im_base = e0_im + pk_re * c2
-            term = _exp_reduced(re_base - a * w_im, im_base + a * w_re)
-            term = term + _exp_reduced(re_base + a * w_im, im_base - a * w_re)
-            total, comp = _kahan_add(total, comp, term)
-    else:
-        sign_flip = kind == 4
-        total += _exp_reduced(e0_re, e0_im)
-        for n in range(1, n_max + 1):
-            c2 = _LD(n) ** 2
-            a = 2 * n
-            re_base = e0_re - pk_im * c2
-            im_base = e0_im + pk_re * c2
-            term = _exp_reduced(re_base - a * w_im, im_base + a * w_re)
-            term = term + _exp_reduced(re_base + a * w_im, im_base - a * w_re)
-            if sign_flip and n % 2 == 1:
+            term = _exp_reduced(re_base - m * w_im, im_base + m * w_re)
+            term = term + _exp_reduced(re_base + m * w_im, im_base - m * w_re)
+            if kind == 4 and m % 4 == 2:
                 term = -term
-            total, comp = _kahan_add(total, comp, term)
+        total, comp = _kahan_add(total, comp, term)
     return total
 
 

@@ -222,6 +222,63 @@ class TestConfigErrors:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("evolve", "evolve.route=sum\ntime.t_list=1,3"),
+            ("evolve", "evolve.route=theta_centered\ntime.t=2"),
+            ("evolve", "evolve.route=theta_general\ntime.t=3"),
+            ("evolve", "evolve.route=unconfined_approx\ntime.t=3"),
+            ("locality", "time.t_list=1,3"),
+            ("oracle-compare", "time.t=3"),
+            ("fig2", "time.t=3"),
+        ],
+        ids=["evolve-sum", "evolve-theta_centered", "evolve-theta_general",
+             "evolve-unconfined_approx", "locality", "oracle-compare", "fig2"],
+    )
+    def test_time_past_the_turn_names_its_key(self, tmp_path, command, line):
+        # the closed forms stop at the reversing wall's turn T/2 = 2
+        cfg = write_cfg(
+            tmp_path,
+            "trajectory.kind=reversing_linear\ntrajectory.L0=100\ntrajectory.q=2\n"
+            f"trajectory.T=4\ngaussian.d=1\n{line}\n",
+        )
+        out = tmp_path / "out"
+        res = run_cli(command, "--config", cfg, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        key = line.split("\n")[-1].split("=")[0]
+        assert f"config error: {key}: t = " in res.stderr
+        assert "is at or past the turn T/2 = 2" in res.stderr
+        assert "evolve.route=cycle" in res.stderr
+        assert "evolve_cycle_reversing" not in res.stderr
+        assert res.stdout == ""
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (BREATHING, "basis.t=0"),
+            (BREATHING, "basis.t=0.001"),
+            # the closing wall's window ends at t_max = 99
+            ("trajectory.kind=linear\ntrajectory.L0=100\ntrajectory.q=-1\n", "basis.t=98.999"),
+        ],
+        ids=["t=0", "t=0.001", "closing-wall-t=98.999"],
+    )
+    def test_basis_time_leaves_room_for_the_residual_probe(self, tmp_path, text, line):
+        cfg = write_cfg(tmp_path, text + line + "\nbasis.n_max=2\n")
+        out = tmp_path / "out"
+        res = run_cli("basis-check", "--config", cfg, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "config error: basis.t must lie in [0.002, " in res.stderr
+        assert res.stdout == ""
+        assert not list(out.glob("*.csv"))
+
+    def test_basis_time_at_the_probe_edge_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, BREATHING + "basis.t=0.002\nbasis.n_max=2\n")
+        res = run_cli("basis-check", "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "basis_check.csv").exists()
+
+    @pytest.mark.parametrize(
         "command, line", [("phase", "time.T=0"), ("fig2", "time.t=0"), ("oracle-compare", "time.t=0")]
     )
     def test_zero_duration_names_its_key(self, tmp_path, command, line):

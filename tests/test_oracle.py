@@ -230,16 +230,37 @@ def test_unconfined_validation():
 
 
 def capture_cn_calls(monkeypatch):
-    """Record the arguments of every _cn_run call, then run it as usual."""
+    """Record the arguments of every _cn_engine call, then run it as usual."""
     calls = []
-    real = oracle._cn_run
+    real = oracle._cn_engine
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_cn_run", spy)
+    monkeypatch.setattr(oracle, "_cn_engine", spy)
     return calls
+
+
+def documented_bands(y, L0, frame, constants):
+    """(diag, upper, lower) of H(t) on the interior of y, written out from the
+    Hamiltonian in ``_cn_engine``'s docstring: s^2 K + (m/2)(Omega^2/s^2) y^2
+    + (L'/L) D with s = L0/L, the symmetrized dilation term adding
+    +-i (hbar L'/4 L dy)(y_j + y_{j+1}) above and below the diagonal."""
+    hbar, m = constants.hbar, constants.mass
+    dy = y[1] - y[0]
+    yi = y[1:-1]
+    kin = hbar**2 / (m * dy**2)
+
+    def tridiag_at(t_mid):
+        L, lp, w2 = frame(t_mid)
+        s2 = (L0 / L) ** 2
+        diag = kin * s2 + (0.5 * m * w2 / s2) * (yi * yi)
+        off = -0.5 * kin * s2
+        drift = (hbar * lp / (4.0 * L * dy)) * (yi[:-1] + yi[1:])
+        return diag, off + 1j * drift, off - 1j * drift
+
+    return tridiag_at
 
 
 def solve_banded_reference(psi, dt, n_steps, hbar, tridiag_at):
@@ -269,65 +290,85 @@ def test_cn_step_is_bit_identical_to_solve_banded(monkeypatch):
     y = np.linspace(-5.0, 5.0, N + 1)
     g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(GaussianParams(d=0.5), C, y), time=0.0)
     out = evolve_fixed_frame(g0, FrameMap(traj=traj), SolverSpec(n_points=N, dt=2e-3), 0.6, C)
-    (psi0, dt, n_steps, hbar, tridiag_at, _), _ = calls[0]
-    assert n_steps == 300
-    ref = solve_banded_reference(psi0, dt, n_steps, hbar, tridiag_at)
+    (y_run, vals, L0, frame, dt, n_steps, constants), _ = calls[0]
+    assert n_steps == 300 and L0 == 10.0
+    assert frame(0.3) == (traj.length(0.3), traj.velocity(0.3), traj.omega_squared(0.3))
+    bands = documented_bands(y_run, L0, frame, constants)
+    ref = solve_banded_reference(vals[1:-1].astype(complex), dt, n_steps, C.hbar, bands)
+    assert np.array_equal(out.values[1:-1], ref)
+
+
+def test_unconfined_run_is_the_fixed_frame_at_rest(monkeypatch):
+    # the static box: L = L0 = 1 and L' = 0 at every step, Omega^2 from the
+    # wall, and the same bands as the fixed frame bit for bit
+    calls = capture_cn_calls(monkeypatch)
+    traj = SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0)
+    spec = SolverSpec(n_points=256, dt=1e-2, x_min=-12.0, x_max=12.0)
+    out = unconfined_tdlo_propagate(GaussianParams(d=1.0, p0=0.4), traj, spec, 0.5, C)
+    (x, vals, L0, frame, dt, n_steps, constants), _ = calls[0]
+    assert L0 == 1.0 and n_steps == 50
+    assert frame(0.3) == (1.0, 0.0, traj.omega_squared(0.3))
+    bands = documented_bands(x, L0, frame, constants)
+    ref = solve_banded_reference(vals[1:-1].astype(complex), dt, n_steps, C.hbar, bands)
     assert np.array_equal(out.values[1:-1], ref)
 
 
 def small_system(n=16):
-    """A static free-particle system on n interior points."""
-    diag = np.full(n, 2.0, dtype=complex)
-    off = np.full(n - 1, -1.0, dtype=complex)
-    psi = np.exp(-((np.arange(n) - n / 2) ** 2) / 4.0).astype(complex)
-
-    def norm_of(v):
-        return math.sqrt(float(np.sum(np.abs(v) ** 2)))
-
-    return psi, diag, off, norm_of
+    """A grid with n interior points at unit spacing (hbar = m = 1 in C) and
+    a Gaussian that vanishes at its walls."""
+    y = np.arange(n + 2, dtype=float) - (n + 1) / 2
+    vals = np.exp(-(y**2) / 4.0).astype(complex)
+    vals[[0, -1]] = 0.0
+    return y, vals
 
 
-@pytest.mark.parametrize("band", [0, 1, 2])
+def at_rest(t):
+    return (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_cn_non_finite_band_raises(band, bad):
-    psi, diag, off, norm_of = small_system()
+def test_cn_non_finite_band_raises(entry, bad):
+    # a non-finite L (all bands), L' (off-diagonals) or Omega^2 (diagonal);
+    # numpy scalars, so that L = inf divides to inf/NaN in the bands
+    y, vals = small_system()
 
-    def tridiag_at(t_mid):
-        bands = [diag, off, off]
+    def frame(t_mid):
+        values = [np.float64(v) for v in at_rest(t_mid)]
         if t_mid > 0.02:  # from the third step on
-            bands[band] = bands[band].copy()
-            bands[band][3] = bad
-        return tuple(bands)
+            values[entry] = np.float64(bad)
+        return tuple(values)
 
     with pytest.raises(ConvergenceError, match="non-finite .* at step 3"), \
-            np.errstate(invalid="ignore"):
-        oracle._cn_run(psi, 0.01, 10, 1.0, tridiag_at, norm_of)
+            np.errstate(invalid="ignore", divide="ignore"):
+        oracle._cn_engine(y, vals, 1.0, frame, 0.01, 10, C)
 
 
 def test_cn_non_finite_state_raises():
-    psi, diag, off, norm_of = small_system()
-    psi[5] = math.nan
+    y, vals = small_system()
+    vals[5] = math.nan
     with pytest.raises(ConvergenceError, match="at step 1"), np.errstate(invalid="ignore"):
-        oracle._cn_run(psi, 0.01, 10, 1.0, lambda t: (diag, off, off), norm_of)
+        oracle._cn_engine(y, vals, 1.0, at_rest, 0.01, 10, C)
 
 
 def test_cn_singular_system_raises():
-    # with dt = hbar = 1 the diagonal 2i makes 1 + (i/2) diag vanish
-    psi, _, off, norm_of = small_system()
-    diag = np.full(psi.size, 2.0j)
-    zero = np.zeros_like(off)
+    # two interior points at y = +-1/2 with dy = dt = hbar = m = 1: the
+    # complex Omega^2 = -4 + 16i puts 1/2 + 2i on the diagonal, so
+    # 1 + (i/2) H = (i/4) [[1, -1], [-1, 1]], exactly singular
+    y = np.array([-1.5, -0.5, 0.5, 1.5])
+    vals = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
     with pytest.raises(ConvergenceError, match="singular .* at step 1"):
-        oracle._cn_run(psi, 1.0, 3, 1.0, lambda t: (diag, zero, zero), norm_of)
+        oracle._cn_engine(y, vals, 1.0, lambda t: (1.0, 0.0, -4.0 + 16.0j), 1.0, 3, C)
 
 
 def test_cn_norm_gate_fails_on_nan_drift():
     # finite amplitudes whose squares overflow: both norms are inf and the
     # drift inf - inf is NaN, which must not pass the gate
-    psi, diag, off, norm_of = small_system()
-    psi *= 1e160
+    y, vals = small_system()
+    vals *= 1e160
     with pytest.raises(ConvergenceError, match="norm drifted by nan"), \
             np.errstate(over="ignore", invalid="ignore"):
-        oracle._cn_run(psi, 0.01, 4, 1.0, lambda t: (diag, off, off), norm_of)
+        oracle._cn_engine(y, vals, 1.0, at_rest, 0.01, 4, C)
 
 
 def test_unconfined_edge_gate_fails_on_nan(monkeypatch):
