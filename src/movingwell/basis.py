@@ -18,6 +18,15 @@ solution of the plain box problem; for accelerating walls the quadratic
 term is the price of keeping a closed form.  ``schrodinger_residual``
 measures both statements numerically.
 
+A packet is a sum of these modes with constant coefficients c_n.
+``_mode_sum`` evaluates it without a trig call per mode: per family it
+forms w = e^{i step pi x / L} once and runs Horner's rule on the unit
+circle in w and its conjugate, one complex multiply-add per point and
+mode.  Horner's rule is backward stable, so with |w| = 1 the error stays
+of order n eps sum |c_n| (Higham, Accuracy and Stability of Numerical
+Algorithms, section 5.1), the same order as forming each sin/cos from its
+rounded argument.
+
 For the reversing trajectory the two constant-speed legs carry different
 solution families; ``basis_solution`` returns the family of whichever leg
 contains t, with the contraction family's phase clock tau_eff restarted at
@@ -99,6 +108,12 @@ def _box_of(idx: BasisIndex) -> str:
     return _MODE_FAMILY[idx.sector][0]
 
 
+def _chirp_rate(constants: PhysicalConstants, L, v):
+    """m v / (2 hbar L), the x^2 chirp rate of a box of size L whose wall
+    moves at speed v."""
+    return constants.mass * v / (2.0 * constants.hbar * L)
+
+
 def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: float, tau: float, x):
     """Pieces of mode ``idx`` in a box of size L whose wall moves at speed v.
 
@@ -108,25 +123,62 @@ def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: floa
     """
     k = math.pi * idx.nu / L
     trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
-    rate = constants.mass * v / (2.0 * constants.hbar * L)
-    return rate, _clock_phase(idx, constants, tau), k, trig
+    return _chirp_rate(constants, L, v), _clock_phase(idx.nu, constants, tau), k, trig
 
 
-def _clock_phase(idx: BasisIndex, constants: PhysicalConstants, tau: float) -> float:
-    """hbar pi^2 nu^2 tau / (2 m), the phase mode idx carries at clock tau."""
-    return constants.hbar * math.pi**2 * idx.nu**2 * tau / (2.0 * constants.mass)
+def _clock_phase(nu: int, constants: PhysicalConstants, tau: float) -> float:
+    """hbar pi^2 nu^2 tau / (2 m), the phase mode nu carries at clock tau."""
+    return constants.hbar * math.pi**2 * nu**2 * tau / (2.0 * constants.mass)
 
 
-def _mode_sum(terms, constants: PhysicalConstants, L: float, v: float, tau: float, x, sector: str):
-    """sum c psi_idx over (BasisIndex, c) pairs on one leg of the wall (box
-    size L, wall speed v, phase clock tau); sqrt(2/L), the chirp and the box
-    mask are shared by all modes and applied once to sum c e^{-i phase} trig.
+def _mode_sum(coeffs, constants: PhysicalConstants, L: float, v: float, tau: float, x, sector: str):
+    """sum_n c_n psi_n over the mode families of box ``sector`` on one leg of
+    the wall (box size L, wall speed v, phase clock tau).
+
+    ``coeffs`` holds one array per family of ``_FAMILIES[sector]``, indexed
+    by n.  With theta = pi x / L, a family's trig sum is the half-sum (cos)
+    or half-difference over i (sin) of
+
+        e^{+-i lead theta} sum_{n >= first} a_n w^{+-(n - first)},
+
+    a_n = c_n e^{-i phase_nu}, w = e^{i step theta}, lead = step first +
+    shift.  Horner's rule evaluates both signs at once: one complex
+    multiply-add per point and mode, after one or two complex exponentials
+    per point, with an error of order n eps sum |a_n| (see the module
+    docstring).  A family whose coefficients all vanish is skipped.
+    sqrt(2/L), the chirp and the box mask are applied once.
     """
-    rate, total = 0.0, np.zeros(x.shape, dtype=complex)
-    for idx, c in terms:
-        rate, phase, _, trig = _mode_parts(idx, constants, L, v, tau, x)
-        total += c * cmath.exp(-1j * phase) * trig
-    out = math.sqrt(2.0 / L) * np.exp(1j * rate * x**2) * total
+    units = {}
+
+    def unit(nu):
+        """Rows e^{+i nu theta} and e^{-i nu theta}."""
+        if nu not in units:
+            e = np.exp(1j * (math.pi * nu / L) * x)
+            units[nu] = np.stack([e, e.conj()])
+        return units[nu]
+
+    total = np.zeros(x.shape, dtype=complex)
+    for family, c in zip(_FAMILIES[sector], coeffs):
+        kept = np.flatnonzero(c[family.first :])
+        if not kept.size:
+            continue
+        values = c.tolist()
+        amps = [
+            values[n] * cmath.exp(-1j * _clock_phase(family.step * n + family.shift, constants, tau))
+            for n in range(family.first, family.first + kept[-1] + 1)
+        ]
+        w = unit(family.step)
+        p = np.full(w.shape, amps[-1])
+        q = np.empty_like(p)
+        # the products go to a second buffer: an aliased in-place complex
+        # multiply rounds a one-point array differently from a longer one
+        for a in reversed(amps[:-1]):
+            np.multiply(p, w, out=q)
+            q += a
+            p, q = q, p
+        up, down = unit(family.step * family.first + family.shift) * p
+        total += (up - down) / 2j if family.sine else (up + down) / 2
+    out = math.sqrt(2.0 / L) * np.exp(1j * _chirp_rate(constants, L, v) * x**2) * total
     return np.where(_in_box(x, L, sector), out, 0.0)
 
 

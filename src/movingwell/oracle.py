@@ -43,7 +43,8 @@ EDGE_GATE = 1e-10
 
 
 class StepSizeWarning(UserWarning):
-    """dt is coarse against the fastest resolved Hamiltonian scale.
+    """dt is coarse against the fastest resolved Hamiltonian scale, or the
+    grid against the chirp the moving wall imprints.
 
     Crank-Nicolson stays stable regardless; accuracy is what suffers.
     """
@@ -132,6 +133,12 @@ def _step_count(t_final: float, dt: float) -> int:
 
 #: steps between the norm-drift and edge checks (the last step is always checked)
 _CHECK_EVERY = 250
+#: radians the fixed-frame chirp may advance per grid cell at the farthest
+#: grid point before StepSizeWarning.  At 0.5 rad the three-point kinetic
+#: term understates a plane wave's energy by 2%; over about 2,000 random
+#: fixed-frame runs at n = 256 the share with a relative error above 0.1
+#: was 0-2% below 0.3 rad, 5-7% from 0.3 to 0.75 rad and 22% beyond
+_CHIRP_PER_CELL = 0.5
 
 
 def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
@@ -152,6 +159,12 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
     its step; every ``_CHECK_EVERY`` steps and at the end, a norm drift
     beyond 1e-6 raises too, and ``edge_check(psi, t)`` runs on the interior
     values.  Returns the values with the walls put back.
+
+    The state carries the lab-frame chirp as e^{i m L L' y^2 / (2 hbar L0^2)},
+    whose phase advances by dy m |L L'| |y| / (hbar L0^2) per cell at y.
+    The first step at which that exceeds ``_CHIRP_PER_CELL`` at the
+    farthest grid point emits one StepSizeWarning.  It is a necessary
+    condition only: the kinetic phase error also grows with t.
     """
     from scipy.linalg.lapack import zgtsv  # scipy is needed by the CN runs only
 
@@ -164,6 +177,9 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
             "result will be smooth but inaccurate",
             StepSizeWarning,
         )
+    # chirp phase per cell at the farthest point, per unit |L L'|
+    chirp_per_cell = dy * m * max(abs(y[0]), abs(y[-1])) / (hbar * L0**2)
+    chirp_warned = False
     yi = y[1:-1]
     y2 = yi * yi
     ipair = 1j * (yi[:-1] + yi[1:])
@@ -181,6 +197,15 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
     half = 0.5j * dt / hbar
     for k in range(n_steps):
         L, lp, w2 = frame((k + 0.5) * dt)
+        chirp = chirp_per_cell * abs(L * lp)
+        # a non-finite frame is left to the ConvergenceError below
+        if not chirp_warned and _CHIRP_PER_CELL < chirp < math.inf:
+            warnings.warn(
+                f"the wall chirp advances {chirp:.3g} rad per grid cell at "
+                f"t = {(k + 0.5) * dt:.6g}, above {_CHIRP_PER_CELL}; refine n_points",
+                StepSizeWarning,
+            )
+            chirp_warned = True
         s2 = (L0 / L) ** 2
         np.multiply(y2, 0.5 * m * w2 / s2, out=d)
         d += kin * s2

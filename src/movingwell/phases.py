@@ -39,6 +39,7 @@ from .basis import (
     BasisIndex,
     _box_interval,
     _box_of,
+    _chirp_rate,
     _clock_phase,
     _leg,
     instantaneous_energy,
@@ -95,7 +96,7 @@ def total_phase(
 
     The mode's explicit time dependence is the factor exp(-i mu(t)).
     """
-    return _clock_phase(idx, constants, traj.tau(T))
+    return _clock_phase(idx.nu, constants, traj.tau(T))
 
 
 def energy_expectation(
@@ -143,7 +144,7 @@ def _h_density(idx, traj, constants, ts, u):
     scale = 0.5 * (hi - lo)
     x = scale * u + 0.5 * (hi + lo)
     k = math.pi * idx.nu / L
-    alpha = m * v / (2.0 * hbar * L)
+    alpha = _chirp_rate(constants, L, v)
     trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
     # per row the bracket times 2/L is a + b x^2
     kin = hbar**2 / (2.0 * m)

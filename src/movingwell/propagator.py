@@ -45,9 +45,9 @@ from .basis import (
     _FAMILIES,
     BasisIndex,
     _box_interval,
+    _chirp_rate,
     _in_box,
     _leg,
-    _mode_parts,
     _mode_sum,
 )
 from .core import (
@@ -97,10 +97,17 @@ class SpectralExpansion:
     tail_tol: float
     family: str = "initial"
 
+    def family_coeffs(self) -> tuple[np.ndarray, ...]:
+        """The coefficient arrays, one per mode family of the sector in
+        ``_FAMILIES`` order, each indexed by n."""
+        return tuple(
+            self.even_coeffs if family.sector == "even" else self.odd_coeffs
+            for family in _FAMILIES[self.sector]
+        )
+
     def modes(self):
         """Yield (BasisIndex, coefficient) for every retained mode."""
-        for family in _FAMILIES[self.sector]:
-            coeffs = self.even_coeffs if family.sector == "even" else self.odd_coeffs
+        for family, coeffs in zip(_FAMILIES[self.sector], self.family_coeffs()):
             for n in range(family.first, self.n_max + 1):
                 if coeffs[n] != 0.0:
                     yield BasisIndex(family.sector, n), coeffs[n]
@@ -163,10 +170,9 @@ class _PacketState:
 
 def _gaussian_machinery(gauss, traj, constants) -> _PacketState:
     """The packet in the initial family."""
-    hbar, m = constants.hbar, constants.mass
     L0 = traj.length(0.0)
     v0 = traj.velocity(0.0)
-    a = 1.0 / (4.0 * gauss.d**2) + 1j * m * v0 / (2.0 * hbar * L0)
+    a = 1.0 / (4.0 * gauss.d**2) + 1j * _chirp_rate(constants, L0, v0)
     beta = gauss.x0 / (2.0 * gauss.d**2) + 1j * gauss.p0 / constants.hbar
     norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * cmath.sqrt(math.pi / a)
     return _PacketState(norm, a, beta, L_ref=L0, tau0=0.0)
@@ -186,7 +192,7 @@ def _post_turn_state(gauss, traj, constants) -> _PacketState:
     s_h = 1.0 + 1j * hbar * t_half / (2.0 * m * gauss.d**2)
     n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
     a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
-    a_tot = a_f - 1j * m * traj.q / (2.0 * hbar * L_h)
+    a_tot = a_f - 1j * _chirp_rate(constants, L_h, traj.q)
     norm = n_f * cmath.sqrt(math.pi / a_tot)
     return _PacketState(norm, a_tot, 0.0, L_ref=L_h, tau0=traj.tau(t_half))
 
@@ -260,13 +266,12 @@ def _evaluate(
     (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} and keeps the values beyond the
     walls: the form has no walls left.
     """
-    hbar, m = constants.hbar, constants.mass
     L = traj.length(t)
     kappa = _nome(state, traj, constants, t)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     z = math.pi * xa / L
     chirp = np.exp(
-        1j * m * traj.velocity(t) * xa**2 / (2.0 * hbar * L) + _exponent(state)(0.0)
+        1j * _chirp_rate(constants, L, traj.velocity(t)) * xa**2 + _exponent(state)(0.0)
     )
     pre = state.norm / math.sqrt(state.L_ref * L)
     if wall_free:
@@ -416,7 +421,9 @@ def evolve_sum(
             "point; use evolve_cycle_reversing"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mode_sum(expansion.modes(), constants, *_leg(traj, t), xa, expansion.sector)
+    out = _mode_sum(
+        expansion.family_coeffs(), constants, *_leg(traj, t), xa, expansion.sector
+    )
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -561,12 +568,13 @@ def contraction_coefficients(
         # the initial family evaluated AT the turn: basis_solution has
         # already switched there, so sum the pre-turn leg explicitly
         pre = _mode_sum(
-            start.modes(), constants, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric"
+            start.family_coeffs(), constants, L_h, traj.q, traj.tau(traj.T / 2), xg,
+            "symmetric",
         )
         # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
         # trig with their clock at zero; the conjugate chirp and the
         # trapezoid weights go into the projected samples once
-        rate = _mode_parts(BasisIndex("even", 0), constants, L_h, -traj.q, 0.0, 0.0)[0]
+        rate = _chirp_rate(constants, L_h, -traj.q)
         g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
         g[[0, -1]] *= 0.5
         # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,

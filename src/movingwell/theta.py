@@ -69,12 +69,13 @@ def truncation_bound(kappa: complex, z=0.0, tol: float = 1e-15, cap: int = 10**6
 
     Term n of any of the three series is bounded by
     2 exp(-pi Im(kappa) n^2 + 2 n |Im z|), so N is the larger root of the
-    exponent crossing ln(tol), rounded up.  Raises ConvergenceError when N
-    would exceed ``cap``.
+    exponent crossing ln(tol), rounded up; entries of z that are not finite
+    are left out, since their terms are not finite at any N.  Raises
+    ConvergenceError when N would exceed ``cap``.
     """
     kappa = _validate(2, kappa, tol, cap)
     b = kappa.imag
-    zi = float(np.max(np.abs(np.asarray(z, dtype=complex).imag), initial=0.0))
+    zi = _finite_max(np.abs(np.asarray(z, dtype=complex).imag))
     log_tol = math.log(tol)
     # larger root of  pi b n^2 - 2 zi n + log_tol = 0
     disc = zi * zi - math.pi * b * log_tol
@@ -86,6 +87,18 @@ def truncation_bound(kappa: complex, z=0.0, tol: float = 1e-15, cap: int = 10**6
             "Im kappa is too small for direct summation"
         )
     return n
+
+
+def _finite_max(values) -> float:
+    """The largest finite entry of ``values``, 0 when there is none."""
+    return float(np.max(values, where=np.isfinite(values), initial=0.0))
+
+
+def _nearest(u):
+    """The integers nearest to u, with 0 where u is not finite: a NaN entry
+    takes no shift, and every other entry reduces as it would without it."""
+    k = np.rint(u)
+    return np.where(np.isfinite(k), k, 0.0)
 
 
 def _kahan_add(total, comp, term):
@@ -185,7 +198,7 @@ def _reduce(kind: int, z: np.ndarray, kappa: complex):
             kind = 7 - kind
         done = kr * kr + ki * ki >= 1
         # any integer shift is exact, so j and n may be rounded in doubles
-        j = np.rint(wi.astype(float) / (math.pi * float(ki))) if done else 0
+        j = _nearest(wi.astype(float) / (math.pi * float(ki))) if done else 0
         if np.any(j):
             j = j.astype(_LD)
             pkr, pki = _PI_LD * kr, _PI_LD * ki
@@ -194,7 +207,7 @@ def _reduce(kind: int, z: np.ndarray, kappa: complex):
             er = er + j * (pki * j + 2 * wi)
             # s^j = e^{i pi j} for theta_4
             ei = ei - j * (pkr * j + 2 * wr - (_PI_LD if kind == 4 else 0))
-        n = np.rint(wr.astype(float) / math.pi)
+        n = _nearest(wr.astype(float) / math.pi)
         if n.any():
             n = n.astype(_LD)
             wr = wr - n * _PI_LD
@@ -226,7 +239,8 @@ def theta(kind: int, z, kappa: complex, tol: float = 1e-15, cap: int = 10**6):
     Im kappa >= sqrt(3)/2, so about 5 terms reach 1e-15 whatever t is.
     ConvergenceError is raised when the term count would exceed ``cap`` or
     the reduction would exceed ``_STEP_CAP`` steps (which takes Im kappa
-    far below any packet's, e.g. 1e-200).
+    far below any packet's, e.g. 1e-200).  An entry of z that is NaN gives
+    NaN, and the other entries come out as they would without it.
     """
     kappa = _validate(kind, kappa, tol, cap)
     z_in = np.asarray(z, dtype=complex)
@@ -234,7 +248,7 @@ def theta(kind: int, z, kappa: complex, tol: float = 1e-15, cap: int = 10**6):
     kind_r, kr, ki, wr, wi, er, ei, front = _reduce(kind, np.atleast_1d(z_in), kappa)
     front = complex(front)
     tol_r = min(max(tol / abs(front), 1e-300), 0.5)
-    w_probe = 1j * float(np.max(np.abs(wi), initial=0.0))
+    w_probe = 1j * _finite_max(np.abs(wi))
     n_max = truncation_bound(complex(float(kr), float(ki)), w_probe, tol_r, cap)
     out = front * _sum_engine(kind_r, kr, ki, wr, wi, er, ei, n_max)
     return complex(out[0]) if scalar else out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,39 @@ def test_step_size_warning():
     g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(GaussianParams(d=1.0), C, y), time=0.0)
     with pytest.warns(StepSizeWarning):
         evolve_fixed_frame(g0, fmap, SolverSpec(n_points=N, dt=0.3), 0.6, C)
+
+
+@pytest.mark.parametrize("n_points, warns", [(256, True), (512, True), (1024, False)])
+def test_unresolved_wall_chirp_warns_once(n_points, warns):
+    # a breathing single wall whose chirp m L L' y / (hbar L0^2) reaches
+    # 1.41, 0.71 and 0.35 rad per cell at y = L0 on these grids; the runs
+    # end 1.42, 1.60 and 1.16 (relative L2) away from the theta form
+    gauss = GaussianParams(d=1.77, x0=29.8, p0=-0.70)
+    traj = SmoothPeriodicWall(L0=50.3, q=0.143, omega=1.68)
+    fmap = FrameMap(traj=traj)
+    y = np.linspace(0.0, fmap.L0, n_points + 1)
+    g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(gauss, C, y), time=0.0)
+    spec = SolverSpec(n_points=n_points, dt=3.3 / (200 * n_points // 256))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        evolve_fixed_frame(g0, fmap, spec, 3.3, C)
+    chirp = [w for w in record if "chirp" in str(w.message)]
+    assert len(chirp) == int(warns)
+    assert all(w.category is StepSizeWarning for w in chirp)
+
+
+def test_shipped_oracle_wall_is_chirp_resolved():
+    # configs/oracle.cfg: L0 = 100, q = 2 to t = 2 on 4,096 cells, 0.025 rad
+    # per cell at the end; a coarse dt keeps the run short and may earn the
+    # kinetic-phase warning, never the chirp one
+    traj = LinearWall(L0=100.0, q=2.0)
+    fmap = FrameMap(traj=traj)
+    y = np.linspace(-50.0, 50.0, 4097)
+    g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(GaussianParams(d=1.0), C, y), time=0.0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        evolve_fixed_frame(g0, fmap, SolverSpec(n_points=4096, dt=0.05), 2.0, C)
+    assert not [w for w in record if "chirp" in str(w.message)]
 
 
 def test_solver_spec_validation():

@@ -168,6 +168,26 @@ def test_validation():
         jacobi_transform(4, 0.0, 1j)
 
 
+@pytest.mark.parametrize("kappa", [0.2 + 2j, 0.3 + 0.05j, -7.9 + 0.004j])
+@pytest.mark.parametrize("kind", [2, 3, 4])
+def test_nan_argument_gives_nan_there_and_leaves_the_rest(kind, kappa):
+    # kappa = 0.2 + 2i is in the fundamental domain; the other two take
+    # S-steps, which used to mix the NaN into Im w and make the term-count
+    # probe raise "cannot convert float NaN to integer"
+    rng = np.random.default_rng(kind)
+    for z in (rng.uniform(-3, 3, 6) + 0j, rng.uniform(-3, 3, 6) + 0.2j * rng.uniform(-1, 1, 6)):
+        clean = theta(kind, z, kappa)
+        for bad in (complex(math.nan, 0.0), complex(0.4, math.nan), complex(math.inf, 0.0)):
+            with_bad = np.insert(z, 2, bad)
+            # inf - inf inside the reduction is numpy's "invalid value"
+            with np.errstate(invalid="ignore"):
+                out = theta(kind, with_bad, kappa)
+            assert np.isnan(out[2])
+            assert np.array_equal(np.delete(out, 2), clean)
+    assert np.isnan(theta(kind, math.nan, kappa))
+    assert truncation_bound(kappa, [0.1j, complex(0.0, math.nan)]) == truncation_bound(kappa, 0.1j)
+
+
 def test_theta2_is_odd_about_half_period_and_even_in_z():
     kappa = 0.1 + 0.6j
     for z in [0.3, 1.1, 2.0]:
