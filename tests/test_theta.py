@@ -1,5 +1,6 @@
 import importlib
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,13 @@ from movingwell.theta import jacobi_transform, theta, truncation_bound
 
 # the package re-exports the function theta under the submodule's name
 theta_module = importlib.import_module("movingwell.theta")
+
+# any numpy RuntimeWarning (overflow, inf - inf, ...) fails a theta test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+C = PhysicalConstants()
+LD = np.longdouble
+PI_LD = LD("3.14159265358979323846264338327950288")
 
 
 def mp_theta(kind, z, kappa, dps=40):
@@ -168,23 +176,25 @@ def test_validation():
         jacobi_transform(4, 0.0, 1j)
 
 
-@pytest.mark.parametrize("kappa", [0.2 + 2j, 0.3 + 0.05j, -7.9 + 0.004j])
+@pytest.mark.parametrize("kappa", [0.2 + 2j, 0.3 + 0.05j, -7.9 + 0.004j, 0.3 + 0.01j, 2 + 1j])
 @pytest.mark.parametrize("kind", [2, 3, 4])
 def test_nan_argument_gives_nan_there_and_leaves_the_rest(kind, kappa):
-    # kappa = 0.2 + 2i is in the fundamental domain; the other two take
-    # S-steps, which used to mix the NaN into Im w and make the term-count
-    # probe raise "cannot convert float NaN to integer"
+    # kappa = 0.2 + 2i is in the fundamental domain; the others take S- or
+    # T-steps, which used to mix the NaN into Im w and make the term-count
+    # probe raise "cannot convert float NaN to integer", and to warn of
+    # inf - inf from the reduction (0.3 + 0.01i) and the phase (2 + i)
     rng = np.random.default_rng(kind)
+    bads = (complex(math.nan, 0.0), complex(0.4, math.nan), complex(math.inf, 0.0),
+            complex(-math.inf, 0.0), complex(0.0, math.inf))
     for z in (rng.uniform(-3, 3, 6) + 0j, rng.uniform(-3, 3, 6) + 0.2j * rng.uniform(-1, 1, 6)):
         clean = theta(kind, z, kappa)
-        for bad in (complex(math.nan, 0.0), complex(0.4, math.nan), complex(math.inf, 0.0)):
-            with_bad = np.insert(z, 2, bad)
-            # inf - inf inside the reduction is numpy's "invalid value"
-            with np.errstate(invalid="ignore"):
-                out = theta(kind, with_bad, kappa)
+        for bad in bads:
+            out = theta(kind, np.insert(z, 2, bad), kappa)
             assert np.isnan(out[2])
             assert np.array_equal(np.delete(out, 2), clean)
     assert np.isnan(theta(kind, math.nan, kappa))
+    if kind != 4:
+        assert np.isnan(jacobi_transform(kind, math.inf, kappa))
     assert truncation_bound(kappa, [0.1j, complex(0.0, math.nan)]) == truncation_bound(kappa, 0.1j)
 
 
@@ -276,15 +286,16 @@ def test_packet_rows_sum_at_most_five_terms(monkeypatch):
 
 
 def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
-    # the same engine with _LD and its constants rebound to float64, as on
+    # the same engine with _LD and its constant rebound to float64, as on
     # platforms whose longdouble is plain double, on the draws of
-    # test_transform_regime_real_argument.  Measured there: 1.1e-13 (1.5e-13
-    # over 1,560 draws), against 6e-16 in extended precision; the bound
-    # keeps a 4x margin.  The lower assertion records that extended
-    # precision is still needed to meet that test's 5e-15.
+    # test_transform_regime_real_argument.  The two-part 2 pi of the phase
+    # reduction is in doubles already, so this runs the whole reduction and
+    # summation in doubles.  Measured there: 3.9e-14 (1.07e-13 over 1,560
+    # draws), against 3.9e-16 in extended precision.  The lower assertion
+    # records that extended precision is still needed to meet that test's
+    # 5e-15.
     monkeypatch.setattr(theta_module, "_LD", np.float64)
     monkeypatch.setattr(theta_module, "_PI_LD", np.float64(math.pi))
-    monkeypatch.setattr(theta_module, "_TWO_PI_LD", np.float64(2 * math.pi))
     worst = 0.0
     for kind in (2, 3, 4):
         rng = np.random.default_rng(250 + kind)
@@ -294,3 +305,139 @@ def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
             ref = mp_theta(kind, z, kappa, dps=60)
             worst = max(worst, abs(theta(kind, z, kappa) - ref) / max(1.0, abs(ref)))
     assert 5e-15 < worst <= 5e-13
+
+
+def _free_packet(gauss, centre, p, s, y):
+    # the packet of width d centred at ``centre`` with momentum p, phase
+    # e^{i p y / hbar}, freely evolved for a time s; y in extended precision
+    spread = 1 + 1j * C.hbar * s / (2 * C.mass * gauss.d**2)
+    v = p / C.mass
+    return ((2 * PI_LD) ** LD(-0.25) / np.sqrt(gauss.d * spread)
+            * np.exp(-(y - centre - v * s) ** 2 / (4 * gauss.d**2 * spread)
+                     + 1j * p * (y - v * s / 2) / C.hbar))
+
+
+def _fractional_revival(gauss, L, lo, x, p, q, s):
+    # the box [lo, lo + L] at t = T_rev p/q + s: the initial packet's odd,
+    # 2L-periodic extension in q copies shifted by 2 L k / q and weighted by
+    # Gauss sums (Aronstein and Stroud, PRA 55, 4526 (1997)), each image
+    # then evolved freely for s
+    def extension(y):
+        out = 0
+        for j in range(-2, 3):
+            mirror = 2 * lo - 2 * L * j
+            out = out + (np.exp(-2j * LD(gauss.p0) * L * j / C.hbar)
+                         * _free_packet(gauss, gauss.x0 + 2 * L * j, gauss.p0, s, y))
+            out = out - (np.exp(1j * LD(gauss.p0) * mirror / C.hbar)
+                         * _free_packet(gauss, mirror - gauss.x0, -gauss.p0, s, y))
+        return out
+
+    n = np.arange(q)
+    total = 0
+    for k in range(q):
+        a_k = np.exp(-2j * PI_LD * ((n * n * p + n * k) % q) / q).mean()
+        total = total + a_k * extension(x.astype(LD) + LD(2 * L * k) / q)
+    return total
+
+
+@pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
+def test_fractional_revivals_against_gauss_sums(sector):
+    # at t = T_rev p/q the static box holds q mirrored, shifted copies of the
+    # packet, and kappa sits next to the rational point -8 p/q, where the
+    # reduction takes its longest T/S chains.  The double t misses p/q by a
+    # few ulps, which moves psi by up to 7e-12 at p/q ~ 40; the oracle is
+    # therefore taken at the time the nome encodes, Re kappa = -8 t / T_rev.
+    # Measured worst over these cases: 1.73e-14 of the sup, set by the
+    # rounding of z = pi x / L and of the offset C (the bracket alone is
+    # within 5e-16 of mpmath); the bound keeps a 3x margin.
+    worst = 0.0
+    for L0 in (60.0, 100.0):
+        wall = LinearWall(L0=L0, q=0.0)
+        t_rev = 4 * C.mass * L0**2 / (math.pi * C.hbar)
+        if sector == "symmetric":
+            lo = -L0 / 2
+            packets = (GaussianParams(d=1.0), GaussianParams(d=0.8, x0=L0 / 6, p0=0.7))
+        else:
+            lo = 0.0
+            packets = (GaussianParams(d=1.0, x0=L0 / 2),
+                       GaussianParams(d=1.3, x0=L0 / 3, p0=-0.5))
+        x = np.linspace(lo, lo + L0, 801)
+        for gauss in packets:
+            for q in range(3, 9):
+                for p in (1, q - 1, 5 * q + 1):
+                    t = t_rev * p / q
+                    kappa = propagator.theta_nome(gauss, wall, C, t)
+                    s = float(Fraction(-kappa.real) / 8 - Fraction(p, q)) * t_rev
+                    ref = _fractional_revival(gauss, L0, lo, x, p, q, s)
+                    ours = propagator.evolve_theta_general(gauss, wall, C, t, x, sector=sector)
+                    err = float(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+                    worst = max(worst, err)
+    assert worst <= 5e-14, worst
+
+
+def test_engine_cost_does_not_grow_with_the_term_count(monkeypatch):
+    # the first term (or pair) and the two ratios g are the only
+    # transcendental calls on the grid: every later term is a product, and
+    # the phase is reduced by rint, not by an extended-precision np.mod
+    points = 64
+    terms, calls, mods = [], [], []
+    engine = theta_module._sum_engine
+
+    def counting_engine(kind, *args):
+        terms.append(args[-1])
+        return engine(kind, *args)
+
+    monkeypatch.setattr(theta_module, "_sum_engine", counting_engine)
+    for name in ("exp", "sin", "cos"):
+        original = getattr(np, name)
+
+        def counting(arg, *rest, _name=name, _original=original, **kw):
+            if np.size(arg) >= points:
+                calls[-1].append(_name)
+            return _original(arg, *rest, **kw)
+
+        monkeypatch.setattr(np, name, counting)
+    for name in ("mod", "remainder", "fmod"):
+        original = getattr(np, name)
+
+        def recording(arg, *rest, _original=original, **kw):
+            mods.append(np.asarray(arg).dtype)
+            return _original(arg, *rest, **kw)
+
+        monkeypatch.setattr(np, name, recording)
+    x = np.linspace(-1.5, 1.5, points)
+    for kind in (2, 3, 4):
+        counts = []
+        # one term at 20i, four at 0.45 + 0.9i; Im z = pi Im kappa takes a
+        # quasi-period step, so that e0 is an array at both
+        for kappa in (20j, 0.45 + 0.9j):
+            calls.append([])
+            theta(kind, x + 1j * math.pi * kappa.imag, kappa)
+            counts.append(sorted(calls[-1]))
+        assert terms[-2] == 1 and terms[-1] >= 4
+        assert counts[0] == counts[1]
+        assert len(counts[0]) == (8 if kind == 2 else 7)
+    assert np.longdouble not in mods
+
+
+@pytest.mark.parametrize("kind, z, kappa", [(3, -0.5 + 40.4j, 0.62 + 0.84j),
+                                             (2, -1.5 - 26.2j, -0.94 + 0.55j),
+                                             (3, 0.3 + 44j, 0.1 + 0.9j)])
+def test_jacobi_transform_far_from_the_real_axis(kind, z, kappa, monkeypatch):
+    # the dual series has no bound on Im w of its own, and |theta| reaches
+    # 1e172-1e297 here.  w = z / kappa is shifted by its quasi-period first,
+    # which the recurrence needs: unshifted, its ratio g reaches e^27-e^44
+    # and at the first two points the partial products overflow although
+    # the series does not.  The shift also keeps the series short: 5, 6
+    # and 4 terms here, against 21 and 31 unshifted at the first two.
+    terms = []
+    engine = theta_module._sum_engine
+
+    def counting(kind, *args):
+        terms.append(args[-1])
+        return engine(kind, *args)
+
+    monkeypatch.setattr(theta_module, "_sum_engine", counting)
+    ref = mp_theta(kind, z, kappa, dps=60)
+    assert jacobi_transform(kind, z, kappa) == pytest.approx(ref, rel=1e-12)
+    assert terms[0] <= 6
