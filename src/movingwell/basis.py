@@ -27,11 +27,11 @@ of order n eps sum |c_n| (Higham, Accuracy and Stability of Numerical
 Algorithms, section 5.1), the same order as forming each sin/cos from its
 rounded argument.
 
-For the reversing trajectory the two constant-speed legs carry different
-solution families; ``basis_solution`` returns the family of whichever leg
-contains t, with the contraction family's phase clock tau_eff restarted at
-the turning point.  ``reversal_mismatch_ratio`` quantifies the jump between
-the families at the turn.
+A wall with a finite ``turn`` (the reversing wall, also rescaled) carries
+different solution families on its two legs; ``basis_solution`` returns
+the family of whichever leg contains t, with the contraction family's
+clock tau_eff restarted at the turn.  ``reversal_mismatch_ratio``
+quantifies the jump between the families there.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    PhysicalConstants,
-    ReversingLinearWall,
-    WallTrajectory,
-)
+from .core import DomainError, PhysicalConstants, WallTrajectory
 
 #: a family of modes: labels n >= first, nu = step n + shift, sin or cos
 _Family = namedtuple("_Family", "sector first step shift sine")
@@ -213,12 +208,21 @@ def instantaneous_energy(idx: BasisIndex, L: float, constants: PhysicalConstants
 
 
 def _leg(traj: WallTrajectory, t: float) -> tuple[float, float, float]:
-    """Box size, wall speed and phase clock of the family that holds t; a
-    reversing wall's contraction leg zeroes its clock at the turn."""
+    """Box size, wall speed and phase clock of the family that holds t; the
+    contraction leg zeroes its clock at the wall's turn."""
     tau = traj.tau(t)
-    if isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
-        tau = tau - traj.tau(traj.T / 2)
+    if t >= traj.turn:
+        tau = tau - traj.tau(traj.turn)
     return traj.length(t), traj.velocity(t), tau
+
+
+def _turn_leg(traj: WallTrajectory) -> tuple[float, float, float]:
+    """Box size, wall speed and clock of the initial family at the turn,
+    which belongs to the contraction leg: L(turn), -L'(turn), tau(turn)."""
+    turn = traj.turn
+    if math.isinf(turn):
+        raise DomainError("the wall never turns: it has no contraction family")
+    return traj.length(turn), -traj.velocity(turn), traj.tau(turn)
 
 
 def basis_solution(
@@ -314,31 +318,28 @@ def schrodinger_residual(
 
 def reversal_mismatch_ratio(
     idx: BasisIndex,
-    traj: ReversingLinearWall,
+    traj: WallTrajectory,
     constants: PhysicalConstants,
     x,
 ):
     """Jump between the expansion and contraction families at the turn.
 
-    Both legs of a reversing wall carry exact solutions; at t = T/2 the
+    Both legs of a wall that turns carry exact solutions; at the turn the
     pointwise quotient (expansion value) / (contraction value) is
 
-        exp(i m q x^2 / (hbar L_h)) exp(-i hbar pi^2 nu^2 tau(T/2) / (2 m)),
+        exp(i m q x^2 / (hbar L_h)) exp(-i hbar pi^2 nu^2 tau_h / (2 m)),
 
-    with L_h the box size at the turn.  The trig factors cancel, so the
-    quotient is well defined except at interior nodes, where it is 0/0 and
-    a DomainError is raised.  A packet expanded in one family must absorb
-    this factor before re-expansion in the other.
+    with L_h, q and tau_h the box size, expansion speed and clock at the
+    turn.  The trig factors cancel, so the quotient is well defined except
+    at interior nodes, where it is 0/0 and a DomainError is raised.  A
+    packet expanded in one family must absorb this factor before
+    re-expansion in the other.
     """
-    if not isinstance(traj, ReversingLinearWall):
-        raise DomainError("reversal_mismatch_ratio needs a ReversingLinearWall")
+    L_h, v_h, tau_h = _turn_leg(traj)
     xa, scalar = _as_array(x)
-    L_h = traj.half_length
     if not np.all(_in_box(xa, L_h, _box_of(idx))):
         raise DomainError("x outside the box at the turning point")
-    rate, phase_h, _, trig = _mode_parts(
-        idx, constants, L_h, traj.q, traj.tau(traj.T / 2), xa
-    )
+    rate, phase_h, _, trig = _mode_parts(idx, constants, L_h, v_h, tau_h, xa)
     if np.any(np.abs(trig) < 1e-9):
         raise DomainError("mode has a node at a requested x; the ratio is 0/0 there")
     # the contraction family's chirp is the conjugate of the expansion one's

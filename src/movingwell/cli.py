@@ -41,7 +41,6 @@ from .core import (
     ConvergenceError,
     DomainError,
     LinearWall,
-    ReversingLinearWall,
     ScaledWall,
     WaveFunctionGrid,
 )
@@ -101,8 +100,8 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
     checked against the trajectory's window [0, t_max] so that a bad one
     names its key.  An absent key reads ``default``, if one is given;
     "period" stands for the trajectory's period, which the CSV stamp leaves
-    out.  With ``pre_turn`` a reversing wall's times must also come before
-    its turn T/2, where the closed forms stop.
+    out.  With ``pre_turn`` the times must also come before the wall's
+    turn, where the closed forms stop.
     """
     if default == "period" and not cfg.has(key):
         _require(traj.period is not None, "trajectory", f"has no period; set {key}")
@@ -116,8 +115,8 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
             traj._check(t)
         except DomainError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        if pre_turn and isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
-            raise ConfigError(f"{key}: t = {t} is at or past the turn T/2 = {traj.T / 2}; "
+        if pre_turn and t >= traj.turn:
+            raise ConfigError(f"{key}: t = {t} is at or past the turn T/2 = {traj.turn}; "
                               "only evolve.route=cycle runs past it")
     return times
 
@@ -143,6 +142,12 @@ def _solver_spec(cfg: ScenarioConfig, dt: float, box: bool = False) -> SolverSpe
     hi = cfg.get_float("solver.x_max", 40.0)
     _require(lo < hi, "solver.x_min", "must lie below solver.x_max")
     return SolverSpec(n_points=n, dt=dt, x_min=lo, x_max=hi)
+
+
+def _rel_l2(psi, ref, x) -> float:
+    """||psi - ref|| / ||ref|| in L2 over the grid x, by the trapezoid rule."""
+    num, den = (float(np.trapezoid(np.abs(f) ** 2, x)) for f in (psi - ref, ref))
+    return math.sqrt(num) / math.sqrt(den)
 
 
 def _wave_csv(name: str, x, psi, *stamp):
@@ -217,6 +222,9 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     return [("basis_check.csv", ["check", "label", "value"], rows)], [line], ok
 
 
+#: the trajectories that turn, the only ones a cycle runs on
+_NEEDS_TURN = "needs trajectory.kind=reversing_linear, or kind=scaled with that inner"
+
 _ROUTES = ("sum", "theta_centered", "theta_general", "unconfined_approx", "cycle")
 
 
@@ -250,8 +258,7 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
         require_centred("evolve.route=unconfined_approx")
         job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
     else:
-        _require(isinstance(traj, ReversingLinearWall), "evolve.route=cycle",
-                 "needs trajectory.kind=reversing_linear")
+        _require(not math.isinf(traj.turn), "evolve.route=cycle", _NEEDS_TURN)
         cycle_route = cfg.get_str(
             "evolve.cycle_route", "closed", choices=("closed", "reexpansion")
         )
@@ -312,17 +319,16 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     """Full expand-reverse-contract cycle of the reversing wall."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    if not isinstance(traj, ReversingLinearWall):
-        raise ConfigError("cycle needs trajectory.kind=reversing_linear")
+    _require(not math.isinf(traj.turn), "cycle", _NEEDS_TURN)
     gauss = build_gaussian(cfg)
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
-    (t,) = _get_times(cfg, "time.t", traj, traj.T)
+    (t,) = _get_times(cfg, "time.t", traj, traj.t_max)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     closed = evolve_cycle_reversing(gauss, traj, constants, t, x, route="closed")
     reexp = evolve_cycle_reversing(gauss, traj, constants, t, x, route="reexpansion")
     static = evolve_theta_general(
-        gauss, LinearWall(L0=traj.L0, q=0.0), constants, t, x
+        gauss, LinearWall(L0=traj.length(0.0), q=0.0), constants, t, x
     )
     route_diff = float(np.max(np.abs(closed - reexp)))
     static_diff = float(np.max(np.abs(closed - static)))
@@ -331,7 +337,7 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
         _wave_csv("cycle_reexpansion.csv", x, reexp),
     ]
     line = f"cycle: t={t:g} route_diff={route_diff:.3e} static_diff={static_diff:.3e}"
-    ok = route_diff <= route_tol and (t < traj.T or static_diff <= static_tol)
+    ok = route_diff <= route_tol and (t < traj.t_max or static_diff <= static_tol)
     return csvs, [line], ok
 
 
@@ -406,9 +412,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
     x = unconf.positions
     conf = evolve_theta_general(gauss, traj, constants, T, x)
-    num = math.sqrt(float(np.trapezoid(np.abs(unconf.values - conf) ** 2, x)))
-    den = math.sqrt(float(np.trapezoid(np.abs(conf) ** 2, x)))
-    rel = num / den
+    rel = _rel_l2(unconf.values, conf, x)
     rows = zip(x, np.abs(conf) ** 2, np.abs(unconf.values) ** 2)
     header = ["x", "abs2_confined", "abs2_unconfined"]
     line = f"fig2: t={T:g} rel_l2={rel:.3e} tol={tol:.1e}"
@@ -439,12 +443,9 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
         time=t,
     )
     ref = to_fixed_frame(lab, fmap, t)
-    diff = num.values - ref.values
-    rel = math.sqrt(float(np.trapezoid(np.abs(diff) ** 2, y))) / math.sqrt(
-        float(np.trapezoid(np.abs(ref.values) ** 2, y))
-    )
+    rel = _rel_l2(num.values, ref.values, y)
     rows = zip(y, num.values.real, num.values.imag, ref.values.real, ref.values.imag,
-               np.abs(diff))
+               np.abs(num.values - ref.values))
     header = ["y", "re_num", "im_num", "re_ref", "im_ref", "abs_diff"]
     line = f"oracle-compare: t={t:g} rel_l2={rel:.3e} tol={tol:.1e}"
     return [("oracle_compare.csv", header, rows)], [line], rel <= tol

@@ -80,10 +80,14 @@ class WallTrajectory:
     [0, t_max].  ``omega_squared`` is the squared frequency of the effective
     harmonic term in the fixed-frame Hamiltonian; the generic expression
     -L''(t)/L(t) is overridden only where a tidier closed form exists.
+    ``turn`` is the instant where L' reverses and the mode family changes;
+    a subclass sets it as it sets ``t_max``, and it is inf otherwise.
     """
 
     #: end of the validity window; None means unbounded
     t_max: float | None = None
+    #: where L' reverses and the mode family changes; inf when it never does
+    turn: float = math.inf
 
     def _check(self, t: float) -> None:
         if t < 0:
@@ -172,7 +176,7 @@ class ReversingLinearWall(WallTrajectory):
 
     The velocity jumps from +q to -q at t = T/2, so the motion is cyclic in
     L but not in L'.  Scalar evaluation uses the half-open convention: the
-    switch time itself belongs to the contraction leg.
+    switch time itself, ``turn`` = T/2, belongs to the contraction leg.
     """
 
     L0: float
@@ -188,9 +192,10 @@ class ReversingLinearWall(WallTrajectory):
         if self.L0 + self.q * self.T / 2 <= 0:
             raise DomainError("wall collapses before the turning point")
         object.__setattr__(self, "t_max", self.T)
+        object.__setattr__(self, "turn", self.T / 2)
 
     def _expanding(self, t: float) -> bool:
-        return t < self.T / 2
+        return t < self.turn
 
     def length(self, t: float) -> float:
         self._check(t)
@@ -298,8 +303,8 @@ class ScaledWall(WallTrajectory):
     """Trajectory obtained by scaling all lengths of ``inner`` by k > 0.
 
     L(t) = k * inner.L(t), so tau scales by k^{-2} and omega_squared is
-    unchanged.  Used for checking how solutions transform under a global
-    change of length unit.
+    unchanged; the turn, if any, stays where it is.  Used for checking how
+    solutions transform under a global change of length unit.
     """
 
     inner: WallTrajectory
@@ -310,6 +315,7 @@ class ScaledWall(WallTrajectory):
             raise DomainError("scale factor k must be positive")
         _require_finite(k=self.k)
         object.__setattr__(self, "t_max", self.inner.t_max)
+        object.__setattr__(self, "turn", self.inner.turn)
 
     @property
     def L0(self) -> float:

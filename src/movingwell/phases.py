@@ -41,7 +41,6 @@ from .basis import (
     _box_of,
     _chirp_rate,
     _clock_phase,
-    _leg,
     instantaneous_energy,
 )
 from .core import (
@@ -75,12 +74,15 @@ def _gl_nodes(n: int):
 
 
 def _cycle_time(traj: WallTrajectory, T: float | None, what: str = "") -> float:
-    """T, or the trajectory's period when T is None.  A quantity named by
-    ``what`` is defined only when the wall closes a cycle over [0, T]."""
+    """T, or the trajectory's period when T is None; it must be positive.
+    A quantity named by ``what`` is defined only when the wall closes a
+    cycle over [0, T]."""
     if T is None:
         T = traj.period
         if T is None:
             raise DomainError("trajectory has no period; pass T explicitly")
+    if T <= 0:
+        raise DomainError("T must be positive")
     if what and not traj.is_cyclic(T):
         raise DomainError(f"trajectory is not cyclic over [0, {T}]; {what} undefined")
     return T
@@ -138,7 +140,7 @@ def _h_density(idx, traj, constants, ts, u):
                                       + (m/2) Omega^2 x^2].
     """
     hbar, m = constants.hbar, constants.mass
-    legs = np.array([(*_leg(traj, t)[:2], traj.omega_squared(t)) for t in ts])
+    legs = np.array([(traj.length(t), traj.velocity(t), traj.omega_squared(t)) for t in ts])
     L, v, w2 = legs.T[:, :, None]
     lo, hi = _box_interval(L, _box_of(idx))
     scale = 0.5 * (hi - lo)
@@ -174,8 +176,6 @@ def dynamical_phase(
     pieces on either side.
     """
     T = _cycle_time(traj, T)
-    if T <= 0:
-        raise DomainError("T must be positive")
     if time_nodes < 2 or space_nodes < 2:
         raise DomainError("need at least 2 quadrature nodes in each direction")
 
@@ -215,8 +215,6 @@ def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
     adaptive quadrature.
     """
     T = _cycle_time(traj, T)
-    if T <= 0:
-        raise DomainError("T must be positive")
     traj._check(T)
     if isinstance(traj, ScaledWall):
         return traj.k**2 * wall_action_integral(traj.inner, T)

@@ -49,6 +49,7 @@ from .basis import (
     _in_box,
     _leg,
     _mode_sum,
+    _turn_leg,
 )
 from .core import (
     ConvergenceError,
@@ -56,7 +57,6 @@ from .core import (
     GaussianParams,
     LocalizationWarning,
     PhysicalConstants,
-    ReversingLinearWall,
     ScaledWall,
     TruncationWarning,
     WallTrajectory,
@@ -151,16 +151,15 @@ class _PacketState:
 
     ``norm`` is the packet's norm prefactor, (2 pi)^{-1/4} d^{-1/2}
     sqrt(pi/a) for the initial family, ``a`` the coefficient of x^2 in its
-    exponent, ``beta`` the coefficient of x, ``L_ref`` the box size at which
-    the family was projected and ``tau0`` the phase clock tau at that
-    instant.
+    exponent, ``beta`` the coefficient of x and ``L_ref`` the box size at
+    which the family was projected, where its phase clock (``basis._leg``)
+    reads zero.
     """
 
     norm: complex
     a: complex
     beta: complex
     L_ref: float
-    tau0: float
 
     @property
     def offset(self) -> complex:
@@ -175,26 +174,29 @@ def _gaussian_machinery(gauss, traj, constants) -> _PacketState:
     a = 1.0 / (4.0 * gauss.d**2) + 1j * _chirp_rate(constants, L0, v0)
     beta = gauss.x0 / (2.0 * gauss.d**2) + 1j * gauss.p0 / constants.hbar
     norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * cmath.sqrt(math.pi / a)
-    return _PacketState(norm, a, beta, L_ref=L0, tau0=0.0)
+    return _PacketState(norm, a, beta, L_ref=L0)
 
 
 def _post_turn_state(gauss, traj, constants) -> _PacketState:
-    """The packet at the turn of a reversing wall, in the contraction family.
+    """A centred packet at the wall's turn, in the contraction family.
 
     It is taken as the freely spread Gaussian, exact up to the same
     exponentially small wall tails as the unconfined form: width factor
-    s_h = 1 + i hbar (T/2) / (2 m d^2), and the free-spread exponent
-    1/(4 d^2 s_h) less the contraction family's chirp i m q / (2 hbar L_h).
+    s_h = 1 + i hbar t_h / (2 m d^2) at the turn t_h, and the free-spread
+    exponent 1/(4 d^2 s_h) less the contraction family's chirp
+    i m q / (2 hbar L_h).
     """
+    if gauss.x0 != 0.0 or gauss.p0 != 0.0:
+        raise DomainError("the closed contraction route needs x0 = p0 = 0")
+    _initial_gate(gauss, traj.length(0.0), "symmetric")
     hbar, m = constants.hbar, constants.mass
-    L_h = traj.half_length
-    t_half = traj.T / 2
-    s_h = 1.0 + 1j * hbar * t_half / (2.0 * m * gauss.d**2)
+    L_h, v_h, _ = _turn_leg(traj)
+    s_h = 1.0 + 1j * hbar * traj.turn / (2.0 * m * gauss.d**2)
     n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
     a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
-    a_tot = a_f - 1j * _chirp_rate(constants, L_h, traj.q)
+    a_tot = a_f - 1j * _chirp_rate(constants, L_h, v_h)
     norm = n_f * cmath.sqrt(math.pi / a_tot)
-    return _PacketState(norm, a_tot, 0.0, L_ref=L_h, tau0=traj.tau(t_half))
+    return _PacketState(norm, a_tot, 0.0, L_ref=L_h)
 
 
 def _exponent(state: _PacketState):
@@ -220,9 +222,10 @@ def _exponent(state: _PacketState):
     return exponent
 
 
-def _nome(state: _PacketState, traj, constants, t: float) -> complex:
+def _nome(state: _PacketState, constants, tau: float) -> complex:
+    """kappa at phase clock tau of the state's family."""
     return 1j * math.pi / (state.a * state.L_ref**2) - (
-        2.0 * math.pi * constants.hbar * (traj.tau(t) - state.tau0) / constants.mass
+        2.0 * math.pi * constants.hbar * tau / constants.mass
     )
 
 
@@ -266,13 +269,11 @@ def _evaluate(
     (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} and keeps the values beyond the
     walls: the form has no walls left.
     """
-    L = traj.length(t)
-    kappa = _nome(state, traj, constants, t)
+    L, v, tau = _leg(traj, t)
+    kappa = _nome(state, constants, tau)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     z = math.pi * xa / L
-    chirp = np.exp(
-        1j * _chirp_rate(constants, L, traj.velocity(t)) * xa**2 + _exponent(state)(0.0)
-    )
+    chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state)(0.0))
     pre = state.norm / math.sqrt(state.L_ref * L)
     if wall_free:
         out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * z**2 / (math.pi * kappa)))
@@ -291,10 +292,12 @@ def theta_nome(
     """The nome parameter kappa(t) entering every theta-form propagator.
 
     Im kappa > 0 for all t: the packet's finite width keeps the series
-    convergent, though Im kappa shrinks as tau grows.
+    convergent, though Im kappa shrinks as tau grows.  Like the closed
+    forms it follows the initial family, so it stops at the wall's turn.
     """
+    _forbid_post_turn(traj, t)
     state = _gaussian_machinery(gauss, traj, constants)
-    return _nome(state, traj, constants, t)
+    return _nome(state, constants, _leg(traj, t)[2])
 
 
 def _coefficients(state: _PacketState):
@@ -404,21 +407,15 @@ def evolve_sum(
 ):
     """Evolve by summing the retained modes of one solution family.
 
-    An "initial"-family expansion on a reversing wall is only valid up to
-    the turning point; past it the walls move in the other family, so this
-    raises DomainError and defers to ``evolve_cycle_reversing``.
+    An "initial"-family expansion is only valid up to the wall's turn;
+    past it the walls move in the other family, so this raises DomainError
+    and defers to ``evolve_cycle_reversing``.
     """
-    reversing = isinstance(traj, ReversingLinearWall)
-    if expansion.family == "contraction":
-        if not reversing or t < traj.T / 2:
-            raise DomainError(
-                "contraction-family coefficients only apply to a reversing "
-                "wall at or after its turning point"
-            )
-    elif reversing and t >= traj.T / 2:
+    if (expansion.family == "contraction") != (t >= traj.turn):
         raise DomainError(
-            "initial-family coefficients stop being valid at the turning "
-            "point; use evolve_cycle_reversing"
+            f"{expansion.family}-family coefficients do not hold at t = {t}: the "
+            "initial family stops at the wall's turning point and the contraction "
+            "family starts there; use evolve_cycle_reversing"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = _mode_sum(
@@ -428,7 +425,7 @@ def evolve_sum(
 
 
 def _forbid_post_turn(traj: WallTrajectory, t: float) -> None:
-    if isinstance(traj, ReversingLinearWall) and t >= traj.T / 2:
+    if t >= traj.turn:
         raise DomainError(
             "theta-form propagators follow the pre-turn family; use "
             "evolve_cycle_reversing beyond the turning point"
@@ -450,10 +447,7 @@ def evolve_theta_centered(
     """
     if gauss.x0 != 0.0 or gauss.p0 != 0.0:
         raise DomainError("evolve_theta_centered needs x0 = p0 = 0")
-    _forbid_post_turn(traj, t)
-    _initial_gate(gauss, traj.length(0.0), "symmetric")
-    state = _gaussian_machinery(gauss, traj, constants)
-    return _evaluate(state, traj, constants, t, x, tol=tol)
+    return evolve_theta_general(gauss, traj, constants, t, x, tol=tol)
 
 
 def evolve_theta_general(
@@ -526,14 +520,14 @@ def evolve_unconfined_approx(
 
 def contraction_coefficients(
     gauss: GaussianParams,
-    traj: ReversingLinearWall,
+    traj: WallTrajectory,
     constants: PhysicalConstants,
     route: str = "closed",
     tail_tol: float = 1e-14,
     n_limit: int = 20000,
     grid_points: int = 2**15,
 ) -> SpectralExpansion:
-    """Coefficients of the packet in the post-turn family at t = T/2.
+    """Coefficients of the packet in the post-turn family at the wall's turn.
 
     route "closed": treats the packet at the turn as the freely spread
     Gaussian (exact up to the same exponentially small wall tails as the
@@ -546,16 +540,11 @@ def contraction_coefficients(
     nu come from one length-2N FFT of the weighted samples, and the cos
     and sin families are their half-sum and half-difference.
     """
-    if not isinstance(traj, ReversingLinearWall):
-        raise DomainError("contraction_coefficients needs a ReversingLinearWall")
+    L_h, v_h, tau_h = _turn_leg(traj)
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-    L_h = traj.half_length
 
     if route == "closed":
-        if gauss.x0 != 0.0 or gauss.p0 != 0.0:
-            raise DomainError("the closed contraction route needs x0 = p0 = 0")
-        _initial_gate(gauss, traj.L0, "symmetric")
         state = _post_turn_state(gauss, traj, constants)
         even, odd, n_max = _truncated_expansion(
             state, "symmetric", n_limit, "contraction expansion"
@@ -567,14 +556,11 @@ def contraction_coefficients(
         xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
         # the initial family evaluated AT the turn: basis_solution has
         # already switched there, so sum the pre-turn leg explicitly
-        pre = _mode_sum(
-            start.family_coeffs(), constants, L_h, traj.q, traj.tau(traj.T / 2), xg,
-            "symmetric",
-        )
+        pre = _mode_sum(start.family_coeffs(), constants, L_h, v_h, tau_h, xg, "symmetric")
         # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
         # trig with their clock at zero; the conjugate chirp and the
         # trapezoid weights go into the projected samples once
-        rate = _chirp_rate(constants, L_h, -traj.q)
+        rate = _chirp_rate(constants, L_h, -v_h)
         g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
         g[[0, -1]] *= 0.5
         # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
@@ -610,7 +596,7 @@ def contraction_coefficients(
 
 def evolve_cycle_reversing(
     gauss: GaussianParams,
-    traj: ReversingLinearWall,
+    traj: WallTrajectory,
     constants: PhysicalConstants,
     t: float,
     x,
@@ -623,15 +609,16 @@ def evolve_cycle_reversing(
     turn on, route "closed" resums the analytically projected contraction
     coefficients into a theta_2 at the nome parameter
 
-        kappa_c(t) = i pi / (a_tot L_h^2) - 2 pi hbar (tau(t) - tau(T/2)) / m,
+        kappa_c(t) = i pi / (a_tot L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m,
 
-    while route "reexpansion" sums the numerically projected modes.
+    t_h the wall's turn, while route "reexpansion" sums the numerically
+    projected modes.
     """
-    if not isinstance(traj, ReversingLinearWall):
-        raise DomainError("evolve_cycle_reversing needs a ReversingLinearWall")
+    if math.isinf(traj.turn):
+        raise DomainError("evolve_cycle_reversing needs a wall that turns")
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-    if t < traj.T / 2:
+    if t < traj.turn:
         if route == "closed":
             return evolve_theta_centered(gauss, traj, constants, t, x, tol=tol)
         expansion = expansion_coefficients(gauss, traj, constants)
@@ -640,10 +627,6 @@ def evolve_cycle_reversing(
     if route == "reexpansion":
         contraction = contraction_coefficients(gauss, traj, constants, route=route)
         return evolve_sum(contraction, traj, constants, t, x)
-
-    if gauss.x0 != 0.0 or gauss.p0 != 0.0:
-        raise DomainError("the closed cycle route needs x0 = p0 = 0")
-    _initial_gate(gauss, traj.L0, "symmetric")
     state = _post_turn_state(gauss, traj, constants)
     return _evaluate(state, traj, constants, t, x, tol=tol)
 

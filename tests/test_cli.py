@@ -28,6 +28,10 @@ BREATHING = (
     "trajectory.omega=1\ngaussian.d=1\n"
 )
 
+#: the reversing wall, bare and at four times its size; both turn at T/2 = 2
+REVERSING = "trajectory.kind=reversing_linear\n"
+SCALED_REVERSING = "trajectory.kind=scaled\ntrajectory.inner=reversing_linear\ntrajectory.k=4\n"
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -222,24 +226,28 @@ class TestConfigErrors:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, line",
+        "command, line, wall",
         [
-            ("evolve", "evolve.route=sum\ntime.t_list=1,3"),
-            ("evolve", "evolve.route=theta_centered\ntime.t=2"),
-            ("evolve", "evolve.route=theta_general\ntime.t=3"),
-            ("evolve", "evolve.route=unconfined_approx\ntime.t=3"),
-            ("locality", "time.t_list=1,3"),
-            ("oracle-compare", "time.t=3"),
-            ("fig2", "time.t=3"),
+            ("evolve", "evolve.route=sum\ntime.t_list=1,3", REVERSING),
+            ("evolve", "evolve.route=theta_centered\ntime.t=2", REVERSING),
+            ("evolve", "evolve.route=theta_general\ntime.t=3", REVERSING),
+            ("evolve", "evolve.route=unconfined_approx\ntime.t=3", REVERSING),
+            ("locality", "time.t_list=1,3", REVERSING),
+            ("oracle-compare", "time.t=3", REVERSING),
+            ("fig2", "time.t=3", REVERSING),
+            ("evolve", "evolve.route=theta_general\ntime.t=3", SCALED_REVERSING),
+            ("locality", "time.t_list=1,3", SCALED_REVERSING),
         ],
         ids=["evolve-sum", "evolve-theta_centered", "evolve-theta_general",
-             "evolve-unconfined_approx", "locality", "oracle-compare", "fig2"],
+             "evolve-unconfined_approx", "locality", "oracle-compare", "fig2",
+             "scaled-evolve-theta_general", "scaled-locality"],
     )
-    def test_time_past_the_turn_names_its_key(self, tmp_path, command, line):
-        # the closed forms stop at the reversing wall's turn T/2 = 2
+    def test_time_past_the_turn_names_its_key(self, tmp_path, command, line, wall):
+        # the closed forms stop at the reversing wall's turn T/2 = 2, which
+        # a rescaling of the wall leaves where it is
         cfg = write_cfg(
             tmp_path,
-            "trajectory.kind=reversing_linear\ntrajectory.L0=100\ntrajectory.q=2\n"
+            f"{wall}trajectory.L0=100\ntrajectory.q=2\n"
             f"trajectory.T=4\ngaussian.d=1\n{line}\n",
         )
         out = tmp_path / "out"
@@ -439,6 +447,19 @@ class TestCycle:
         assert "route_diff" in res.stdout and "static_diff" in res.stdout
         assert (tmp_path / "cycle_closed.csv").exists()
         assert (tmp_path / "cycle_reexpansion.csv").exists()
+
+    def test_scaled_reversing_wall_closes(self, tmp_path):
+        # four times the box and the wall speed: the cycle still ends at
+        # t_max = 4 on the static box of the scaled wall
+        cfg = write_cfg(
+            tmp_path,
+            SCALED_REVERSING + "trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\n"
+            "gaussian.d=1\n",
+        )
+        res = run_cli("cycle", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("cycle: t=4 route_diff=")
+        assert res.stderr == ""
 
 
 class TestPhase:

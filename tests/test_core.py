@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import movingwell
 from movingwell.core import (
     DomainError,
     GaussianParams,
@@ -45,10 +48,8 @@ def sample_times(traj, n=25):
 def test_velocity_is_length_derivative(traj):
     for t in sample_times(traj):
         h = 1e-6 * max(1.0, t)
-        if isinstance(traj, ReversingLinearWall):
-            # skip the kink where L' is discontinuous
-            if abs(t - traj.T / 2) < 2 * h:
-                continue
+        if abs(t - traj.turn) < 2 * h:  # skip the kink where L' is discontinuous
+            continue
         fd = central_diff(traj.length, t, h)
         assert fd == pytest.approx(traj.velocity(t), abs=1e-5 * (1 + abs(fd)))
 
@@ -57,9 +58,8 @@ def test_velocity_is_length_derivative(traj):
 def test_acceleration_is_velocity_derivative(traj):
     for t in sample_times(traj):
         h = 1e-5 * max(1.0, t)
-        if isinstance(traj, ReversingLinearWall):
-            if abs(t - traj.T / 2) < 2 * h:
-                continue
+        if abs(t - traj.turn) < 2 * h:
+            continue
         fd = central_diff(traj.velocity, t, h)
         assert fd == pytest.approx(traj.acceleration(t), abs=2e-4 * (1 + abs(fd)))
 
@@ -68,8 +68,7 @@ def test_acceleration_is_velocity_derivative(traj):
 def test_tau_matches_quadrature(traj):
     for t in sorted(sample_times(traj, n=8)):
         # tell quad where the integrand has a kink
-        pts = [traj.T / 2] if isinstance(traj, ReversingLinearWall) else None
-        pts = [p for p in (pts or []) if p < t] or None
+        pts = [traj.turn] if traj.turn < t else None
         val, err = quad(lambda s: traj.length(s) ** -2, 0.0, t, limit=200, points=pts)
         assert traj.tau(t) == pytest.approx(val, rel=1e-9, abs=1e-15)
 
@@ -216,3 +215,16 @@ def test_localization_diagnostic_values():
     )
     with pytest.raises(DomainError):
         localization_diagnostic(g, c, -1.0, 100.0)
+
+
+@pytest.mark.parametrize("module", ["basis.py", "propagator.py", "cli.py"])
+def test_only_the_trajectory_says_where_it_turns(module):
+    # basis, propagator and cli read WallTrajectory.turn: no class checks
+    # for the reversing wall and no T / 2 of their own
+    tree = ast.parse((Path(movingwell.__file__).parent / module).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            assert "ReversingLinearWall" not in ast.unparse(node.args[1]), node.lineno
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            halving = isinstance(node.right, ast.Constant) and node.right.value == 2
+            assert not (halving and ast.unparse(node.left).split(".")[-1] == "T"), node.lineno

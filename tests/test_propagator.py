@@ -15,6 +15,7 @@ from movingwell.basis import (
     _leg,
     _mode_sum,
     basis_solution,
+    reversal_mismatch_ratio,
 )
 from movingwell.core import (
     DomainError,
@@ -400,6 +401,8 @@ def test_theta_forms_refuse_post_turn_times():
         evolve_theta_centered(G1, traj, C, 2.5, 0.0)
     with pytest.raises(DomainError):
         evolve_theta_general(G1, traj, C, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        theta_nome(G1, traj, C, 2.0)
 
 
 def test_contraction_routes_cross_validate():
@@ -510,6 +513,43 @@ def test_cycle_validation():
         evolve_cycle_reversing(
             GaussianParams(d=1.0, x0=5.0), traj, C, 3.0, 0.0, route="closed"
         )
+
+
+def test_a_unit_rescaling_of_the_reversing_wall_changes_nothing():
+    # the turn belongs to the trajectory, so the bare wall and the same
+    # wall scaled by 1 take the same branches and give the same bits
+    rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    scaled = ScaledWall(inner=rev, k=1.0)
+    assert scaled.turn == rev.turn == 2.0
+    x = np.linspace(-10.0, 10.0, 41)
+    for route in ("closed", "reexpansion"):
+        for t in (1.0, 2.0, 3.0, 4.0):
+            assert np.array_equal(
+                evolve_cycle_reversing(G1, scaled, C, t, x, route=route),
+                evolve_cycle_reversing(G1, rev, C, t, x, route=route),
+            )
+        ours = contraction_coefficients(G1, scaled, C, route=route)
+        bare = contraction_coefficients(G1, rev, C, route=route)
+        assert (ours.n_max, ours.captured_norm) == (bare.n_max, bare.captured_norm)
+        assert np.array_equal(ours.even_coeffs, bare.even_coeffs)
+        assert np.array_equal(ours.odd_coeffs, bare.odd_coeffs)
+    xr = np.linspace(-5.0, 5.0, 21)  # the nodes of ("even", 3) lie at |x| > 7
+    idx = BasisIndex("even", 3)
+    assert np.array_equal(
+        reversal_mismatch_ratio(idx, scaled, C, xr), reversal_mismatch_ratio(idx, rev, C, xr)
+    )
+    for t in (1.0, 2.0, 3.0, 4.0):
+        assert _leg(scaled, t) == _leg(rev, t)
+    # past the turn the initial family no longer holds, for either wall
+    initial = expansion_coefficients(G1, rev, C)
+    for traj in (rev, scaled):
+        for t in (2.0, 3.0):
+            with pytest.raises(DomainError):
+                evolve_theta_general(G1, traj, C, t, x)
+            with pytest.raises(DomainError):
+                evolve_sum(initial, traj, C, t, x)
+            with pytest.raises(DomainError):
+                theta_nome(G1, traj, C, t)
 
 
 def test_locality_wall_speed_is_invisible_early():
