@@ -86,6 +86,16 @@ class BasisIndex:
         return _MODE_FAMILY[self.sector][1].sine
 
 
+def _level_index(nu: int) -> BasisIndex:
+    """Box level nu of the symmetric box as a BasisIndex: the mode of the
+    family whose labels step n + shift (n >= first) include nu."""
+    for family in _FAMILIES["symmetric"]:
+        n, rest = divmod(nu - family.shift, family.step)
+        if not rest and n >= family.first:
+            return BasisIndex(family.sector, n)
+    raise DomainError(f"the symmetric box has no level nu = {nu}")
+
+
 def _box_interval(L: float, sector: str) -> tuple[float, float]:
     """Edges of a box of size L: [0, L] (single wall) or [-L/2, L/2]."""
     if sector not in _FAMILIES:

@@ -25,6 +25,7 @@ from .basis import (
     _FAMILIES,
     BasisIndex,
     _box_interval,
+    _level_index,
     basis_solution,
     schrodinger_residual,
 )
@@ -52,13 +53,13 @@ from .oracle import (
     unconfined_tdlo_propagate,
 )
 from .phases import (
-    _level_index,
     dynamical_phase,
     fig_mode_phases,
     geometric_phase,
     total_phase,
 )
 from .propagator import (
+    WIDTH_WARN,
     evolve_cycle_reversing,
     evolve_sum,
     evolve_theta_centered,
@@ -208,14 +209,15 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
         dev = float(np.max(np.abs(gram - np.eye(len(idxs)))))
         worst_gram = max(worst_gram, dev)
         rows.append((0, float(code), dev))
-    # residual halves twice as fast as dt: second-order evolution check
+    # residual halves twice as fast as dt: second-order evolution check, on
+    # levels nu = 3 and 4, one in each family
     ratios = []
-    for sector, n in (("even", 1), ("odd", 2)):
-        idx = BasisIndex(sector, n)
+    for nu in (3, 4):
+        idx = _level_index(nu)
         r1 = schrodinger_residual(idx, traj, constants, t, potential="tdlo", dt=2e-3)
         r2 = schrodinger_residual(idx, traj, constants, t, potential="tdlo", dt=1e-3)
         ratios.append(r1 / r2)
-        rows.append((1, float(n), r1 / r2))
+        rows.append((1, float(idx.n), r1 / r2))
     ok = worst_gram <= gram_tol and all(3.0 < r < 5.0 for r in ratios)
     listed = ",".join(f"{r:.2f}" for r in ratios)
     line = f"basis-check: gram_dev={worst_gram:.3e} residual_ratios={listed}"
@@ -290,7 +292,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     gauss = build_gaussian(cfg)
     sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
     tol = cfg.get_float("tolerances.locality_tol", 1e-10)
-    warn_ratio = cfg.get_float("tolerances.localization_warn", 0.1)
+    warn_ratio = cfg.get_float("tolerances.localization_warn", WIDTH_WARN)
     if isinstance(traj, ScaledWall):
         baseline = traj.inner
     else:

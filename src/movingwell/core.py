@@ -8,15 +8,22 @@ the rescaled time
     tau(t) = integral_0^t L(s)^{-2} ds.
 
 All trajectory subclasses provide closed forms for these; nothing here is
-computed by numerical differentiation or quadrature.
+computed by numerical differentiation, and quadrature only backs the wall
+action integral of L'^2 - L L'' where a trajectory has no closed form.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: the package's directory: frames whose code lives here are not the caller
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 class DomainError(ValueError):
@@ -33,6 +40,16 @@ class LocalizationWarning(UserWarning):
 
 class TruncationWarning(UserWarning):
     """A truncated mode sum left more norm in the tail than requested."""
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn on behalf of the first caller outside the package, so that the
+    warning names the user's line however deep in the package it arose and
+    Python's default filter shows it once per such line."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _require_finite(**values: float) -> None:
@@ -82,6 +99,8 @@ class WallTrajectory:
     -L''(t)/L(t) is overridden only where a tidier closed form exists.
     ``turn`` is the instant where L' reverses and the mode family changes;
     a subclass sets it as it sets ``t_max``, and it is inf otherwise.
+    ``wall_action`` integrates L'^2 - L L'' by quadrature unless the
+    subclass knows its closed form.
     """
 
     #: end of the validity window; None means unbounded
@@ -109,6 +128,20 @@ class WallTrajectory:
 
     def omega_squared(self, t: float) -> float:
         return -self.acceleration(t) / self.length(t)
+
+    def wall_action(self, T: float) -> float:
+        """integral_0^T (L'^2 - L L'') dt by adaptive quadrature; subclasses
+        with a closed form override it."""
+        # imported here so that the closed forms never load scipy
+        from scipy.integrate import quad
+
+        val, _ = quad(
+            lambda s: self.velocity(s) ** 2 - self.length(s) * self.acceleration(s),
+            0.0,
+            T,
+            limit=200,
+        )
+        return val
 
     @property
     def period(self) -> float | None:
@@ -165,6 +198,9 @@ class LinearWall(WallTrajectory):
     def omega_squared(self, t: float) -> float:
         self._check(t)
         return 0.0
+
+    def wall_action(self, T: float) -> float:
+        return self.q**2 * T
 
 
 @dataclass(frozen=True)
@@ -223,6 +259,14 @@ class ReversingLinearWall(WallTrajectory):
     def omega_squared(self, t: float) -> float:
         self._check(t)
         return 0.0
+
+    def wall_action(self, T: float) -> float:
+        """q^2 T, plus the impulsive 2 q L(turn) of the velocity jump once T
+        reaches the turn."""
+        base = self.q**2 * T
+        if T >= self.turn:
+            base += 2.0 * self.q * self.half_length
+        return base
 
     @property
     def half_length(self) -> float:
@@ -293,6 +337,18 @@ class SmoothPeriodicWall(WallTrajectory):
         c = math.cos(w * t)
         return q * w**2 * (q * (c2 - 5.0) - 4.0 * c) / (8.0 * u**2)
 
+    def wall_action(self, T: float) -> float:
+        """pi q^2 omega L0^2 (1+q) / (2 (1-q^2)^{3/2}) per whole period;
+        quadrature over any other span."""
+        cycles = T / self.period
+        if abs(cycles - round(cycles)) < 1e-12 and round(cycles) >= 1:
+            q, w, L0 = self.q, self.omega, self.L0
+            per_cycle = (
+                math.pi * q**2 * w * L0**2 * (1.0 + q) / (2.0 * (1.0 - q**2) ** 1.5)
+            )
+            return round(cycles) * per_cycle
+        return super().wall_action(T)
+
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
@@ -335,6 +391,10 @@ class ScaledWall(WallTrajectory):
 
     def omega_squared(self, t: float) -> float:
         return self.inner.omega_squared(t)
+
+    def wall_action(self, T: float) -> float:
+        # every length scales by k, so L'^2 - L L'' scales by k^2
+        return self.k**2 * self.inner.wall_action(T)
 
     @property
     def period(self) -> float | None:

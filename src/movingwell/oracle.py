@@ -20,7 +20,6 @@ with those routes is a real cross-check rather than a tautology.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     PhysicalConstants,
     WallTrajectory,
     WaveFunctionGrid,
+    _warn,
 )
 from .propagator import initial_gaussian
 
@@ -172,7 +172,7 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
     dy = y[1] - y[0]
     kin = hbar**2 / (m * dy**2)
     if dt * kin / hbar > 20.0:
-        warnings.warn(
+        _warn(
             "dt resolves less than a radian of the grid-scale kinetic phase; "
             "result will be smooth but inaccurate",
             StepSizeWarning,
@@ -200,7 +200,7 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
         chirp = chirp_per_cell * abs(L * lp)
         # a non-finite frame is left to the ConvergenceError below
         if not chirp_warned and _CHIRP_PER_CELL < chirp < math.inf:
-            warnings.warn(
+            _warn(
                 f"the wall chirp advances {chirp:.3g} rad per grid cell at "
                 f"t = {(k + 0.5) * dt:.6g}, above {_CHIRP_PER_CELL}; refine n_points",
                 StepSizeWarning,

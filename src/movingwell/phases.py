@@ -41,15 +41,13 @@ from .basis import (
     _box_of,
     _chirp_rate,
     _clock_phase,
+    _level_index,
     instantaneous_energy,
 )
 from .core import (
     ConvergenceError,
     DomainError,
-    LinearWall,
     PhysicalConstants,
-    ReversingLinearWall,
-    ScaledWall,
     SmoothPeriodicWall,
     WallTrajectory,
 )
@@ -207,42 +205,14 @@ def dynamical_phase(
 def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
     """integral_0^T (L'^2 - L L'') dt, the trajectory factor of gamma.
 
-    Closed forms: a breathing wall over whole periods gives
-    pi q^2 omega L0^2 (1+q) / (2 (1-q^2)^{3/2}) per period; rescaling all
-    lengths by k multiplies the integral by k^2; a constant-speed wall
-    gives q^2 T.  A reversing wall's velocity jump at T/2 contributes the
-    impulsive term 2 q L(T/2) on top of q^2 T.  Anything else goes to
-    adaptive quadrature.
+    Each trajectory evaluates it (``WallTrajectory.wall_action``): in closed
+    form for constant-speed and reversing walls (the turn's velocity jump
+    adds an impulsive term), breathing walls over whole periods and
+    rescaled walls (a factor k^2), by adaptive quadrature otherwise.
     """
     T = _cycle_time(traj, T)
     traj._check(T)
-    if isinstance(traj, ScaledWall):
-        return traj.k**2 * wall_action_integral(traj.inner, T)
-    if isinstance(traj, LinearWall):
-        return traj.q**2 * T
-    if isinstance(traj, ReversingLinearWall):
-        base = traj.q**2 * T
-        if T >= traj.T / 2:
-            base += 2.0 * traj.q * traj.half_length
-        return base
-    if isinstance(traj, SmoothPeriodicWall):
-        cycles = T / traj.period
-        if abs(cycles - round(cycles)) < 1e-12 and round(cycles) >= 1:
-            q, w, L0 = traj.q, traj.omega, traj.L0
-            per_cycle = (
-                math.pi * q**2 * w * L0**2 * (1.0 + q) / (2.0 * (1.0 - q**2) ** 1.5)
-            )
-            return round(cycles) * per_cycle
-    # imported here so that the closed forms above never load scipy
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda s: traj.velocity(s) ** 2 - traj.length(s) * traj.acceleration(s),
-        0.0,
-        T,
-        limit=200,
-    )
-    return val
+    return traj.wall_action(T)
 
 
 def geometric_phase(
@@ -295,13 +265,6 @@ def phase_decomposition(
     return PhaseDecomposition(
         mu=mu, delta=delta, gamma=gamma, gamma_mod_2pi=gamma % (2.0 * math.pi)
     )
-
-
-def _level_index(nu: int) -> BasisIndex:
-    """Box level nu of the symmetric box as a BasisIndex."""
-    if nu % 2 == 1:
-        return BasisIndex("even", (nu - 1) // 2)
-    return BasisIndex("odd", nu // 2)
 
 
 def fig_mode_phases(

@@ -23,6 +23,12 @@ packet in the symmetric box collapses it to theta_2(z, kappa).  Every
 closed form (centred, general, wall-free, post-turn cycle) builds one
 record of its packet in a mode family and hands it to one evaluator.
 
+The other route sums the modes themselves.  A ``SpectralExpansion`` holds
+one coefficient array per mode family of its box, in ``basis._FAMILIES``
+order (cos then sin for the symmetric box, sin alone for the single wall),
+the layout ``basis._mode_sum`` reads; the largest label and the captured
+norm follow from the arrays.  No module but ``basis`` names a family.
+
 Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
 each validates the other.
@@ -36,12 +42,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import (
+    _BOX_SECTORS,
     _FAMILIES,
     BasisIndex,
     _box_interval,
@@ -61,6 +67,7 @@ from .core import (
     TruncationWarning,
     WallTrajectory,
     ComparisonReport,
+    _warn,
     localization_diagnostic,
 )
 from .theta import theta
@@ -81,33 +88,39 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 class SpectralExpansion:
     """Mode coefficients of a packet in one solution family.
 
-    For the ``symmetric`` sector, ``even_coeffs[n]`` multiplies mode
-    ("even", n) and ``odd_coeffs[n]`` multiplies ("odd", n); entry 0 of
-    ``odd_coeffs`` is structurally zero.  For ``single_wall`` only
-    ``odd_coeffs`` is used, indexed by ("single_wall", n).  ``family`` is
-    "initial" for expansions anchored at t = 0 and "contraction" for
-    coefficients in the post-turn family of a reversing wall.
+    ``coeffs`` holds one array per mode family of box ``sector``, in
+    ``basis._FAMILIES`` order, all of one length: ``coeffs[i][n]``
+    multiplies mode n of family i, and entries below the family's first
+    label are structurally zero.  ``family`` is "initial" for expansions
+    anchored at t = 0 and "contraction" for coefficients in the post-turn
+    family of a wall that turns.  ``n_max``, the largest label kept, and
+    ``captured_norm``, the sum of |c|^2, follow from the arrays.
     """
 
     sector: str
-    even_coeffs: np.ndarray | None
-    odd_coeffs: np.ndarray
-    n_max: int
-    captured_norm: float
-    tail_tol: float
+    coeffs: tuple[np.ndarray, ...]
     family: str = "initial"
+    n_max: int = field(init=False)
+    captured_norm: float = field(init=False)
 
-    def family_coeffs(self) -> tuple[np.ndarray, ...]:
-        """The coefficient arrays, one per mode family of the sector in
-        ``_FAMILIES`` order, each indexed by n."""
-        return tuple(
-            self.even_coeffs if family.sector == "even" else self.odd_coeffs
-            for family in _FAMILIES[self.sector]
-        )
+    def __post_init__(self) -> None:
+        if self.sector not in _FAMILIES:
+            raise DomainError(f"sector must be one of {_BOX_SECTORS}, got {self.sector!r}")
+        if self.family not in ("initial", "contraction"):
+            raise DomainError(f"family must be 'initial' or 'contraction', got {self.family!r}")
+        count = len(_FAMILIES[self.sector])
+        arrays = tuple(np.asarray(c, dtype=complex) for c in self.coeffs)
+        # one 1-d shape for all: a 0-d or 2-d first array fails the test too
+        if len(arrays) != count or {a.shape for a in arrays} != {(arrays[0].size,)}:
+            raise DomainError(f"the {self.sector} sector needs {count} 1-d arrays of one length")
+        object.__setattr__(self, "coeffs", arrays)
+        object.__setattr__(self, "n_max", arrays[0].size - 1)
+        captured = float(sum(np.sum(np.abs(c) ** 2) for c in arrays))
+        object.__setattr__(self, "captured_norm", captured)
 
     def modes(self):
         """Yield (BasisIndex, coefficient) for every retained mode."""
-        for family, coeffs in zip(_FAMILIES[self.sector], self.family_coeffs()):
+        for family, coeffs in zip(_FAMILIES[self.sector], self.coeffs):
             for n in range(family.first, self.n_max + 1):
                 if coeffs[n] != 0.0:
                     yield BasisIndex(family.sector, n), coeffs[n]
@@ -137,11 +150,10 @@ def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
             f"(limit {TAIL_GATE:.0e}); it cannot be represented in the box"
         )
     if gauss.d / L0 > WIDTH_WARN:
-        warnings.warn(
+        _warn(
             f"packet width d = {gauss.d} is {gauss.d / L0:.2f} of the box; "
             "wall effects set in early",
             LocalizationWarning,
-            stacklevel=3,
         )
 
 
@@ -326,7 +338,7 @@ def _coefficients(state: _PacketState):
 def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: str):
     """Coefficients of ``state`` on the mode families of box ``sector``,
     each grown until it produces three consecutive terms below 1e-13 of the
-    largest one: (even or None, odd, largest n), zero-padded to one length.
+    largest one: one array per family, zero-padded to one length.
     """
     families = _FAMILIES[sector]
     coefficient = _coefficients(state)
@@ -353,14 +365,8 @@ def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: s
                 runs[name] = 0
         n += 1
 
-    n_max = max(len(v) for v in coeffs.values()) - 1
-    arrays = {
-        name: np.asarray(v + [0.0] * (n_max + 1 - len(v)), dtype=complex)
-        for name, v in coeffs.items()
-    }
-    even = arrays.pop("even", None)
-    (odd,) = arrays.values()
-    return even, odd, n_max
+    size = max(map(len, coeffs.values()))
+    return tuple(np.asarray(v + [0.0] * (size - len(v)), dtype=complex) for v in coeffs.values())
 
 
 def expansion_coefficients(
@@ -382,20 +388,16 @@ def expansion_coefficients(
     """
     _initial_gate(gauss, traj.length(0.0), sector)
     state = _gaussian_machinery(gauss, traj, constants)
-    even, odd, n_max = _truncated_expansion(state, sector, n_limit, "mode expansion")
-    captured = float(sum(np.sum(np.abs(c) ** 2) for c in (even, odd) if c is not None))
-
+    coeffs = _truncated_expansion(state, sector, n_limit, "mode expansion")
+    expansion = SpectralExpansion(sector, coeffs)
+    captured = expansion.captured_norm
     if 1.0 - captured > tail_tol:
-        warnings.warn(
+        _warn(
             f"retained modes capture {captured:.16f} of unit norm "
             f"(deficit above tail_tol = {tail_tol:.1e})",
             TruncationWarning,
-            stacklevel=2,
         )
-    return SpectralExpansion(
-        sector=sector, even_coeffs=even, odd_coeffs=odd, n_max=n_max,
-        captured_norm=captured, tail_tol=tail_tol,
-    )
+    return expansion
 
 
 def evolve_sum(
@@ -418,9 +420,7 @@ def evolve_sum(
             "family starts there; use evolve_cycle_reversing"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mode_sum(
-        expansion.family_coeffs(), constants, *_leg(traj, t), xa, expansion.sector
-    )
+    out = _mode_sum(expansion.coeffs, constants, *_leg(traj, t), xa, expansion.sector)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -508,11 +508,10 @@ def evolve_unconfined_approx(
     _initial_gate(gauss, L0, "symmetric")
     ratio = localization_diagnostic(gauss, constants, t, L0)
     if ratio > WIDTH_WARN:
-        warnings.warn(
+        _warn(
             f"free spread is {ratio:.3f} of the box at t = {t}; the "
             "wall-free approximation is breaking down",
             LocalizationWarning,
-            stacklevel=2,
         )
     state = _gaussian_machinery(gauss, traj, constants)
     return _evaluate(state, traj, constants, t, x, wall_free=True)
@@ -546,9 +545,7 @@ def contraction_coefficients(
 
     if route == "closed":
         state = _post_turn_state(gauss, traj, constants)
-        even, odd, n_max = _truncated_expansion(
-            state, "symmetric", n_limit, "contraction expansion"
-        )
+        coeffs = _truncated_expansion(state, "symmetric", n_limit, "contraction expansion")
     else:
         start = expansion_coefficients(
             gauss, traj, constants, sector="symmetric", tail_tol=tail_tol
@@ -556,7 +553,7 @@ def contraction_coefficients(
         xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
         # the initial family evaluated AT the turn: basis_solution has
         # already switched there, so sum the pre-turn leg explicitly
-        pre = _mode_sum(start.family_coeffs(), constants, L_h, v_h, tau_h, xg, "symmetric")
+        pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, "symmetric")
         # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
         # trig with their clock at zero; the conjugate chirp and the
         # trapezoid weights go into the projected samples once
@@ -568,30 +565,27 @@ def contraction_coefficients(
         # times (-+i)^nu; cos and sin are the half-sum and half-difference
         spectrum = np.fft.fft(g, 2 * grid_points)
         n_fit = max(2 * start.n_max + 8, 16)
-        even, odd = np.zeros((2, n_fit + 1), dtype=complex)
-        for family, coeffs in zip(_FAMILIES["symmetric"], (even, odd)):
+        projected = np.zeros((len(_FAMILIES["symmetric"]), n_fit + 1), dtype=complex)
+        for family, row in zip(_FAMILIES["symmetric"], projected):
             nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
             up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
             down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
-            coeffs[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
+            row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
         # trim with the usual floor
-        biggest = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))), 1e-300)
-        floor = _COEFF_FLOOR * biggest
-        kept = np.flatnonzero((np.abs(even) >= floor) | (np.abs(odd) >= floor))
+        mags = np.abs(projected)
+        floor = _COEFF_FLOOR * max(float(np.max(mags)), 1e-300)
+        kept = np.flatnonzero(np.any(mags >= floor, axis=0))
         n_max = int(kept[-1]) if kept.size else 0
-        even, odd = even[: n_max + 1], odd[: n_max + 1]
+        coeffs = tuple(projected[:, : n_max + 1])
 
-    captured = float(np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2))
+    contraction = SpectralExpansion("symmetric", coeffs, family="contraction")
+    captured = contraction.captured_norm
     if 1.0 - captured > max(tail_tol, 1e-10):
-        warnings.warn(
+        _warn(
             f"contraction-family modes capture {captured:.12f} of unit norm",
             TruncationWarning,
-            stacklevel=2,
         )
-    return SpectralExpansion(
-        sector="symmetric", even_coeffs=even, odd_coeffs=odd, n_max=n_max,
-        captured_norm=captured, tail_tol=tail_tol, family="contraction",
-    )
+    return contraction
 
 
 def evolve_cycle_reversing(

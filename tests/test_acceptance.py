@@ -47,7 +47,7 @@ from movingwell import (
 )
 from movingwell.core import WaveFunctionGrid
 from movingwell.oracle import FrameMap
-from movingwell.phases import _level_index
+from movingwell.basis import _level_index
 
 C = PhysicalConstants()
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

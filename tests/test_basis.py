@@ -1,13 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import movingwell
 from movingwell.basis import (
     _FAMILIES,
     BasisIndex,
     _box_interval,
     _in_box,
+    _level_index,
     basis_solution,
     instantaneous_eigenstate,
     instantaneous_energy,
@@ -58,6 +62,39 @@ def test_sector_table_drives_labels_and_boxes():
             assert _in_box(x, 10.0, box).tolist() == [True, True, False, False, False]
     assert _box_interval(10.0, "symmetric") == (-5.0, 5.0)
     assert _box_interval(10.0, "single_wall") == (0.0, 10.0)
+
+
+def test_level_index_inverts_the_family_table():
+    # box level nu of the symmetric box: cos modes carry the odd levels,
+    # sin modes the even ones
+    for nu in range(1, 40):
+        idx = _level_index(nu)
+        assert idx.nu == nu
+        assert idx.is_sine == (nu % 2 == 0)
+    assert _level_index(1) == BasisIndex("even", 0)
+    assert _level_index(4) == BasisIndex("odd", 2)
+    for nu in (0, -1, -2):
+        with pytest.raises(DomainError):
+            _level_index(nu)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(movingwell.__file__).parent.glob("*.py"))
+)
+def test_only_the_family_table_names_a_family(module):
+    # the mode families are named in basis._FAMILIES and nowhere else in
+    # the package; every other module reads them from that table
+    tree = ast.parse((Path(movingwell.__file__).parent / module).read_text())
+    table = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "_FAMILIES" for target in node.targets
+        ):
+            table.update(map(id, ast.walk(node)))
+    assert module == "basis.py" or not table
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in ("even", "odd"):
+            assert id(node) in table, f"{module}:{node.lineno}"
 
 
 @pytest.mark.parametrize("sector", ["even", "odd", "radial"])

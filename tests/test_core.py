@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,21 @@ from movingwell.core import (
     SmoothPeriodicWall,
     WaveFunctionGrid,
     localization_diagnostic,
+)
+from movingwell.oracle import (
+    FrameMap,
+    SolverSpec,
+    evolve_fixed_frame,
+    unconfined_tdlo_propagate,
+)
+from movingwell.propagator import (
+    contraction_coefficients,
+    evolve_cycle_reversing,
+    evolve_theta_centered,
+    evolve_theta_general,
+    evolve_unconfined_approx,
+    expansion_coefficients,
+    initial_gaussian,
 )
 
 RNG = np.random.default_rng(20240613)
@@ -217,10 +233,10 @@ def test_localization_diagnostic_values():
         localization_diagnostic(g, c, -1.0, 100.0)
 
 
-@pytest.mark.parametrize("module", ["basis.py", "propagator.py", "cli.py"])
+@pytest.mark.parametrize("module", ["basis.py", "propagator.py", "cli.py", "phases.py"])
 def test_only_the_trajectory_says_where_it_turns(module):
-    # basis, propagator and cli read WallTrajectory.turn: no class checks
-    # for the reversing wall and no T / 2 of their own
+    # basis, propagator, cli and phases read WallTrajectory.turn: no class
+    # checks for the reversing wall and no T / 2 of their own
     tree = ast.parse((Path(movingwell.__file__).parent / module).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
@@ -228,3 +244,48 @@ def test_only_the_trajectory_says_where_it_turns(module):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             halving = isinstance(node.right, ast.Constant) and node.right.value == 2
             assert not (halving and ast.unparse(node.left).split(".")[-1] == "T"), node.lineno
+
+
+#: d/L0 = 0.101: inside the tail gate, wide enough to warn
+_WIDE = GaussianParams(d=10.1)
+_REV = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+_C = PhysicalConstants()
+
+
+def _coarse_cn_start():
+    y = np.linspace(-50.0, 50.0, 1025)
+    values = initial_gaussian(GaussianParams(d=1.0), _C, y)
+    return WaveFunctionGrid(positions=y, values=values, time=0.0)
+
+
+#: calls whose warnings arise in the package, most of them below one public
+#: route or more; each warning must name the calling line in this file
+_WARNING_CALLS = {
+    "theta_general": lambda: evolve_theta_general(_WIDE, LinearWall(100.0, 1.0), _C, 1.0, 0.0),
+    "theta_centered": lambda: evolve_theta_centered(_WIDE, LinearWall(100.0, 1.0), _C, 1.0, 0.0),
+    "unconfined": lambda: evolve_unconfined_approx(
+        GaussianParams(d=1.0), LinearWall(100.0, 1.0), _C, 30.0, 0.0
+    ),
+    "expansion": lambda: expansion_coefficients(_WIDE, LinearWall(100.0, 1.0), _C),
+    "cycle_before_turn": lambda: evolve_cycle_reversing(_WIDE, _REV, _C, 1.0, 0.0),
+    "cycle_after_turn": lambda: evolve_cycle_reversing(_WIDE, _REV, _C, 3.0, 0.0),
+    "reexpansion": lambda: contraction_coefficients(_WIDE, _REV, _C, route="reexpansion"),
+    "fixed_frame_dt": lambda: evolve_fixed_frame(
+        _coarse_cn_start(), FrameMap(traj=LinearWall(100.0, 0.0)),
+        SolverSpec(n_points=1024, dt=0.3), 0.6, _C,
+    ),
+    "unconfined_cn_dt": lambda: unconfined_tdlo_propagate(
+        GaussianParams(d=1.0), LinearWall(100.0, 0.0),
+        SolverSpec(n_points=1024, dt=0.3, x_min=-40.0, x_max=40.0), 0.6, _C,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WARNING_CALLS))
+def test_warnings_name_the_callers_line(name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _WARNING_CALLS[name]()
+    assert caught
+    for w in caught:
+        assert w.filename == __file__, (w.category.__name__, w.filename, w.lineno)

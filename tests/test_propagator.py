@@ -70,9 +70,8 @@ def test_coefficients_match_quadrature_projection():
     for idx in [BasisIndex("even", 0), BasisIndex("even", 17), BasisIndex("odd", 9)]:
         mode = basis_solution(idx, SMOOTH, C, 0.0, x)
         ref = np.trapezoid(psi0 * np.conj(mode), x)
-        got = (
-            ex.even_coeffs[idx.n] if idx.sector == "even" else ex.odd_coeffs[idx.n]
-        )
+        even, odd = ex.coeffs
+        got = (even if idx.sector == "even" else odd)[idx.n]
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -85,7 +84,7 @@ def test_coefficients_match_quadrature_single_wall():
     for n in [1, 25, 60]:
         mode = basis_solution(BasisIndex("single_wall", n), lin, C, 0.0, x)
         ref = np.trapezoid(psi0 * np.conj(mode), x)
-        assert ex.odd_coeffs[n] == pytest.approx(ref, rel=1e-8, abs=1e-12)
+        assert ex.coeffs[0][n] == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 def test_centered_coefficients_closed_form():
@@ -101,8 +100,8 @@ def test_centered_coefficients_closed_form():
             * math.sqrt(d / L0)
             * math.exp(-(math.pi * nu * d / L0) ** 2)
         )
-        assert ex.even_coeffs[n] == pytest.approx(expect, rel=1e-13)
-    assert np.all(ex.odd_coeffs == 0.0)
+        assert ex.coeffs[0][n] == pytest.approx(expect, rel=1e-13)
+    assert np.all(ex.coeffs[1] == 0.0)
 
 
 def test_captured_norm_is_complete():
@@ -119,6 +118,32 @@ def test_far_offset_packet_captures_its_norm_without_warning():
         warnings.simplefilter("error", TruncationWarning)
         ex = expansion_coefficients(g, LinearWall(L0=50.0, q=3.0), C, sector="single_wall")
     assert abs(1.0 - ex.captured_norm) <= 5e-15
+
+
+def test_expansion_record_derives_its_size_and_norm():
+    ex = propagator.SpectralExpansion("symmetric", ([0.6, 0.0, 0.0], [0.0, 0.8j, 0.0]))
+    assert ex.n_max == 2
+    assert ex.captured_norm == pytest.approx(1.0, abs=1e-15)
+    assert ex.family == "initial"
+    assert [(idx.sector, idx.n) for idx, _ in ex.modes()] == [("even", 0), ("odd", 1)]
+    one = propagator.SpectralExpansion("single_wall", (np.array([0.0, 1.0]),))
+    assert (one.n_max, one.captured_norm) == (1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "sector, coeffs, family",
+    [
+        ("bogus", ([1.0],), "initial"),
+        ("symmetric", ([1.0], [0.0]), "bogus"),
+        ("symmetric", ([1.0],), "initial"),
+        ("single_wall", ([0.0, 1.0], [0.0, 1.0]), "contraction"),
+        ("symmetric", ([1.0, 0.0], [0.0]), "initial"),
+    ],
+    ids=["sector", "family", "too-few-arrays", "too-many-arrays", "ragged"],
+)
+def test_expansion_record_rejects_what_it_cannot_hold(sector, coeffs, family):
+    with pytest.raises(DomainError):
+        propagator.SpectralExpansion(sector, coeffs, family=family)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.37, -2.9, 41.0])
@@ -390,9 +415,9 @@ def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
         front * np.exp(-((math.pi * (2 * n + 1) / traj.half_length) ** 2) / (4.0 * state.a))
         for n in range(con.n_max + 1)
     ]
-    assert np.array_equal(con.even_coeffs, np.array(expect))
-    assert np.all(con.odd_coeffs == 0.0)
-    assert con.odd_coeffs.shape == con.even_coeffs.shape
+    assert np.array_equal(con.coeffs[0], np.array(expect))
+    assert np.all(con.coeffs[1] == 0.0)
+    assert con.coeffs[1].shape == con.coeffs[0].shape
 
 
 def test_theta_forms_refuse_post_turn_times():
@@ -410,9 +435,9 @@ def test_contraction_routes_cross_validate():
     closed = contraction_coefficients(G1, traj, C, route="closed")
     numeric = contraction_coefficients(G1, traj, C, route="reexpansion")
     n = min(closed.n_max, numeric.n_max)
-    assert np.max(np.abs(closed.even_coeffs[: n + 1] - numeric.even_coeffs[: n + 1])) < 1e-12
+    assert np.max(np.abs(closed.coeffs[0][: n + 1] - numeric.coeffs[0][: n + 1])) < 1e-12
     # centred packet: odd projections vanish
-    assert np.max(np.abs(numeric.odd_coeffs)) < 1e-13
+    assert np.max(np.abs(numeric.coeffs[1])) < 1e-13
     assert closed.captured_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -423,7 +448,7 @@ def _trapezoid_contraction(gauss, traj, grid_points=2**15):
     L_h = traj.half_length
     xg = np.linspace(-L_h / 2, L_h / 2, grid_points + 1)
     pre = _mode_sum(
-        start.family_coeffs(), C, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric"
+        start.coeffs, C, L_h, traj.q, traj.tau(traj.T / 2), xg, "symmetric"
     )
     rate = -C.mass * traj.q / (2.0 * C.hbar * L_h)
     weighted = math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
@@ -450,8 +475,8 @@ def test_reexpansion_fft_projection_matches_trapezoid_sums(gauss):
     assert ours.n_max == n_max
     assert ours.captured_norm == pytest.approx(captured, abs=1e-14)
     biggest = max(np.max(np.abs(even)), np.max(np.abs(odd)))
-    assert np.max(np.abs(ours.even_coeffs - even)) <= 1e-14 * biggest
-    assert np.max(np.abs(ours.odd_coeffs - odd)) <= 1e-14 * biggest
+    assert np.max(np.abs(ours.coeffs[0] - even)) <= 1e-14 * biggest
+    assert np.max(np.abs(ours.coeffs[1] - odd)) <= 1e-14 * biggest
     if gauss.x0 != 0.0:
         assert np.max(np.abs(odd)) > 0.1 * biggest
 
@@ -531,8 +556,8 @@ def test_a_unit_rescaling_of_the_reversing_wall_changes_nothing():
         ours = contraction_coefficients(G1, scaled, C, route=route)
         bare = contraction_coefficients(G1, rev, C, route=route)
         assert (ours.n_max, ours.captured_norm) == (bare.n_max, bare.captured_norm)
-        assert np.array_equal(ours.even_coeffs, bare.even_coeffs)
-        assert np.array_equal(ours.odd_coeffs, bare.odd_coeffs)
+        assert np.array_equal(ours.coeffs[0], bare.coeffs[0])
+        assert np.array_equal(ours.coeffs[1], bare.coeffs[1])
     xr = np.linspace(-5.0, 5.0, 21)  # the nodes of ("even", 3) lie at |x| > 7
     idx = BasisIndex("even", 3)
     assert np.array_equal(
