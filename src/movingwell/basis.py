@@ -220,10 +220,10 @@ def instantaneous_energy(idx: BasisIndex, L: float, constants: PhysicalConstants
 def _leg(traj: WallTrajectory, t: float) -> tuple[float, float, float]:
     """Box size, wall speed and phase clock of the family that holds t; the
     contraction leg zeroes its clock at the wall's turn."""
-    tau = traj.tau(t)
+    L, v, _, tau, _ = traj.kinematics(t)
     if t >= traj.turn:
         tau = tau - traj.tau(traj.turn)
-    return traj.length(t), traj.velocity(t), tau
+    return L, v, tau
 
 
 def _turn_leg(traj: WallTrajectory) -> tuple[float, float, float]:
@@ -232,7 +232,8 @@ def _turn_leg(traj: WallTrajectory) -> tuple[float, float, float]:
     turn = traj.turn
     if math.isinf(turn):
         raise DomainError("the wall never turns: it has no contraction family")
-    return traj.length(turn), -traj.velocity(turn), traj.tau(turn)
+    L, v, _, tau, _ = traj.kinematics(turn)
+    return L, -v, tau
 
 
 def basis_solution(
@@ -306,19 +307,19 @@ def schrodinger_residual(
             f"n_points = {n_points} cannot resolve nu = {idx.nu}; need at least {8 * idx.nu}"
         )
     hbar, m = constants.hbar, constants.mass
-    L = traj.length(t)
+    L, v, _, _, w2 = traj.kinematics(t)
     grid = np.linspace(*_box_interval(L, _box_of(idx)), n_points + 1)
     xa = grid[4:-4]
     # the wall must not cross the retained points within the stencil window
     margin = 4 * (grid[1] - grid[0])
-    if abs(traj.velocity(t)) * dt >= margin:
+    if abs(v) * dt >= margin:
         raise DomainError("dt too large: the wall crosses interior grid points")
     psi_p = basis_solution(idx, traj, constants, t + dt, xa)
     psi_m = basis_solution(idx, traj, constants, t - dt, xa)
     psi, psi_xx = _solution_and_second_derivative(idx, traj, constants, t, xa)
     h_psi = -(hbar**2) / (2.0 * m) * psi_xx
     if potential == "tdlo":
-        h_psi = h_psi + 0.5 * m * traj.omega_squared(t) * xa**2 * psi
+        h_psi = h_psi + 0.5 * m * w2 * xa**2 * psi
     lhs = 1j * hbar * (psi_p - psi_m) / (2.0 * dt)
     denom = float(np.linalg.norm(h_psi))
     if denom == 0.0:

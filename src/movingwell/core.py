@@ -1,15 +1,17 @@
 """Shared datatypes: physical constants, wall trajectories, grids, diagnostics.
 
 Everything downstream (basis solutions, theta-function propagators, the
-finite-difference oracle) works in terms of a :class:`WallTrajectory`, which
-packages the wall position L(t) together with its first two derivatives and
-the rescaled time
+finite-difference oracle) works in terms of a :class:`WallTrajectory`, whose
+``kinematics(t)`` gives the wall at one instant: the position L(t), its
+first two derivatives, the induced oscillator Omega^2 = -L''/L and the
+rescaled time
 
     tau(t) = integral_0^t L(s)^{-2} ds.
 
-All trajectory subclasses provide closed forms for these; nothing here is
-computed by numerical differentiation, and quadrature only backs the wall
-action integral of L'^2 - L L'' where a trajectory has no closed form.
+Each trajectory subclass supplies these in one closed-form pass,
+``_kinematics(t)``; nothing here is computed by numerical differentiation,
+and quadrature only backs the wall action integral of L'^2 - L L'' where a
+trajectory has no closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +58,7 @@ def _warn(message: str, category: type[Warning]) -> None:
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +92,28 @@ class GaussianParams:
         _require_finite(d=self.d, x0=self.x0, p0=self.p0)
 
 
+class Kinematics(NamedTuple):
+    """The wall at one instant: L, L', L'', tau and Omega^2 = -L''/L."""
+
+    L: float
+    v: float
+    a: float
+    tau: float
+    w2: float
+
+
 class WallTrajectory:
     """Base class for wall motions L(t).
 
-    Subclasses supply ``length``, ``velocity``, ``acceleration`` and ``tau``
-    as closed-form scalar functions of t, plus the validity window
-    [0, t_max].  ``omega_squared`` is the squared frequency of the effective
-    harmonic term in the fixed-frame Hamiltonian; the generic expression
-    -L''(t)/L(t) is overridden only where a tidier closed form exists.
-    ``turn`` is the instant where L' reverses and the mode family changes;
-    a subclass sets it as it sets ``t_max``, and it is inf otherwise.
-    ``wall_action`` integrates L'^2 - L L'' by quadrature unless the
-    subclass knows its closed form.
+    A subclass supplies ``_kinematics(t)``: L, L', L'', tau and the squared
+    frequency Omega^2 = -L''/L of the effective harmonic term in the
+    fixed-frame Hamiltonian, all in closed form at one t, plus the validity
+    window [0, t_max].  ``kinematics`` checks t once and returns them;
+    ``length``, ``velocity``, ``acceleration``, ``tau`` and ``omega_squared``
+    each read one field.  ``turn`` is the instant where L' reverses and the
+    mode family changes; a subclass sets it as it sets ``t_max``, and it is
+    inf otherwise.  ``wall_action`` integrates L'^2 - L L'' by quadrature
+    unless the subclass knows its closed form.
     """
 
     #: end of the validity window; None means unbounded
@@ -109,25 +122,34 @@ class WallTrajectory:
     turn: float = math.inf
 
     def _check(self, t: float) -> None:
+        _require_finite(t=t)
         if t < 0:
             raise DomainError(f"t = {t} is negative")
         if self.t_max is not None and t > self.t_max * (1 + 1e-12):
             raise DomainError(f"t = {t} exceeds t_max = {self.t_max}")
 
-    def length(self, t: float) -> float:
+    def _kinematics(self, t: float) -> Kinematics:
         raise NotImplementedError
+
+    def kinematics(self, t: float) -> Kinematics:
+        """(L, L', L'', tau, Omega^2) at t, after one check of the window."""
+        self._check(t)
+        return self._kinematics(t)
+
+    def length(self, t: float) -> float:
+        return self.kinematics(t).L
 
     def velocity(self, t: float) -> float:
-        raise NotImplementedError
+        return self.kinematics(t).v
 
     def acceleration(self, t: float) -> float:
-        raise NotImplementedError
+        return self.kinematics(t).a
 
     def tau(self, t: float) -> float:
-        raise NotImplementedError
+        return self.kinematics(t).tau
 
     def omega_squared(self, t: float) -> float:
-        return -self.acceleration(t) / self.length(t)
+        return self.kinematics(t).w2
 
     def wall_action(self, T: float) -> float:
         """integral_0^T (L'^2 - L L'') dt by adaptive quadrature; subclasses
@@ -135,12 +157,11 @@ class WallTrajectory:
         # imported here so that the closed forms never load scipy
         from scipy.integrate import quad
 
-        val, _ = quad(
-            lambda s: self.velocity(s) ** 2 - self.length(s) * self.acceleration(s),
-            0.0,
-            T,
-            limit=200,
-        )
+        def integrand(s: float) -> float:
+            L, v, a, _, _ = self.kinematics(s)
+            return v**2 - L * a
+
+        val, _ = quad(integrand, 0.0, T, limit=200)
         return val
 
     @property
@@ -150,9 +171,8 @@ class WallTrajectory:
 
     def is_cyclic(self, T: float, rtol: float = 1e-9) -> bool:
         """True when both L and L' return to their t=0 values at t=T."""
-        self._check(T)
-        L0, L1 = self.length(0.0), self.length(T)
-        v0, v1 = self.velocity(0.0), self.velocity(T)
+        L0, v0, *_ = self.kinematics(0.0)
+        L1, v1, *_ = self.kinematics(T)
         scale_v = max(abs(v0), abs(v1), 1e-30)
         return (
             abs(L1 - L0) <= rtol * abs(L0)
@@ -178,26 +198,10 @@ class LinearWall(WallTrajectory):
         if self.q < 0:
             object.__setattr__(self, "t_max", 0.99 * self.L0 / abs(self.q))
 
-    def length(self, t: float) -> float:
-        self._check(t)
-        return self.L0 + self.q * t
-
-    def velocity(self, t: float) -> float:
-        self._check(t)
-        return self.q
-
-    def acceleration(self, t: float) -> float:
-        self._check(t)
-        return 0.0
-
-    def tau(self, t: float) -> float:
-        # integral of (L0 + q s)^{-2}: exact also in the q -> 0 limit
-        self._check(t)
-        return t / (self.L0 * (self.L0 + self.q * t))
-
-    def omega_squared(self, t: float) -> float:
-        self._check(t)
-        return 0.0
+    def _kinematics(self, t: float) -> Kinematics:
+        L = self.L0 + self.q * t
+        # tau = integral of (L0 + q s)^{-2}: exact also in the q -> 0 limit
+        return Kinematics(L, self.q, 0.0, t / (self.L0 * L), 0.0)
 
     def wall_action(self, T: float) -> float:
         return self.q**2 * T
@@ -230,35 +234,15 @@ class ReversingLinearWall(WallTrajectory):
         object.__setattr__(self, "t_max", self.T)
         object.__setattr__(self, "turn", self.T / 2)
 
-    def _expanding(self, t: float) -> bool:
-        return t < self.turn
-
-    def length(self, t: float) -> float:
-        self._check(t)
-        if self._expanding(t):
-            return self.L0 + self.q * t
-        return self.L0 + self.q * (self.T - t)
-
-    def velocity(self, t: float) -> float:
-        self._check(t)
-        return self.q if self._expanding(t) else -self.q
-
-    def acceleration(self, t: float) -> float:
-        self._check(t)
-        return 0.0
-
-    def tau(self, t: float) -> float:
-        self._check(t)
+    def _kinematics(self, t: float) -> Kinematics:
         L0, q, T = self.L0, self.q, self.T
-        if self._expanding(t):
-            return t / (L0 * (L0 + q * t))
+        if t < self.turn:
+            L = L0 + q * t
+            return Kinematics(L, q, 0.0, t / (L0 * L), 0.0)
+        L = L0 + q * (T - t)
         tau_half = T / (L0 * (2 * L0 + q * T))
         # contraction leg: integral of (L0 + q(T-s))^{-2} from T/2 to t
-        return tau_half + (2 * t - T) / ((2 * L0 + q * T) * (L0 + q * (T - t)))
-
-    def omega_squared(self, t: float) -> float:
-        self._check(t)
-        return 0.0
+        return Kinematics(L, -q, 0.0, tau_half + (2 * t - T) / ((2 * L0 + q * T) * L), 0.0)
 
     def wall_action(self, T: float) -> float:
         """q^2 T, plus the impulsive 2 q L(turn) of the velocity jump once T
@@ -280,7 +264,9 @@ class SmoothPeriodicWall(WallTrajectory):
 
     Requires |q| < 1.  L(0) = L0, and the motion repeats with period
     2 pi / omega.  tau has the closed form (t + (q/omega) sin(omega t)) /
-    (L0^2 (1+q)).
+    (L0^2 (1+q)), and Omega^2 = -L''/L simplifies to
+    q omega^2 (q (cos 2 omega t - 5) - 4 cos omega t) / (8 u^2) with
+    u = 1 + q cos(omega t).
     """
 
     L0: float
@@ -296,46 +282,19 @@ class SmoothPeriodicWall(WallTrajectory):
             raise DomainError("omega must be positive")
         _require_finite(L0=self.L0, omega=self.omega)
 
-    def _u(self, t: float) -> float:
-        return 1.0 + self.q * math.cos(self.omega * t)
-
-    def length(self, t: float) -> float:
-        self._check(t)
-        return self.L0 * math.sqrt((1.0 + self.q) / self._u(t))
-
-    def velocity(self, t: float) -> float:
-        self._check(t)
-        q, w = self.q, self.omega
-        u = self._u(t)
-        return 0.5 * self.L0 * math.sqrt(1.0 + q) * q * w * math.sin(w * t) * u ** -1.5
-
-    def acceleration(self, t: float) -> float:
-        self._check(t)
-        q, w = self.q, self.omega
-        u = self._u(t)
+    def _kinematics(self, t: float) -> Kinematics:
+        L0, q, w = self.L0, self.q, self.omega
         s, c = math.sin(w * t), math.cos(w * t)
-        return (
-            0.5
-            * self.L0
-            * math.sqrt(1.0 + q)
-            * q
-            * w**2
-            * (c * u**-1.5 + 1.5 * q * s**2 * u**-2.5)
+        u = 1.0 + q * c
+        # 0.5 L0 sqrt(1+q) q leads both L' and L'', in the same order
+        lead = 0.5 * L0 * math.sqrt(1.0 + q) * q
+        return Kinematics(
+            L0 * math.sqrt((1.0 + q) / u),
+            lead * w * s * u**-1.5,
+            lead * w**2 * (c * u**-1.5 + 1.5 * q * s**2 * u**-2.5),
+            (t + (q / w) * s) / (L0**2 * (1.0 + q)),
+            q * w**2 * (q * (math.cos(2 * w * t) - 5.0) - 4.0 * c) / (8.0 * u**2),
         )
-
-    def tau(self, t: float) -> float:
-        self._check(t)
-        q, w = self.q, self.omega
-        return (t + (q / w) * math.sin(w * t)) / (self.L0**2 * (1.0 + q))
-
-    def omega_squared(self, t: float) -> float:
-        # -L''/L simplified; kept explicit because it is cheap and exact
-        self._check(t)
-        q, w = self.q, self.omega
-        u = self._u(t)
-        c2 = math.cos(2 * w * t)
-        c = math.cos(w * t)
-        return q * w**2 * (q * (c2 - 5.0) - 4.0 * c) / (8.0 * u**2)
 
     def wall_action(self, T: float) -> float:
         """pi q^2 omega L0^2 (1+q) / (2 (1-q^2)^{3/2}) per whole period;
@@ -377,20 +336,11 @@ class ScaledWall(WallTrajectory):
     def L0(self) -> float:
         return self.k * self.inner.length(0.0)
 
-    def length(self, t: float) -> float:
-        return self.k * self.inner.length(t)
-
-    def velocity(self, t: float) -> float:
-        return self.k * self.inner.velocity(t)
-
-    def acceleration(self, t: float) -> float:
-        return self.k * self.inner.acceleration(t)
-
-    def tau(self, t: float) -> float:
-        return self.inner.tau(t) / self.k**2
-
-    def omega_squared(self, t: float) -> float:
-        return self.inner.omega_squared(t)
+    def _kinematics(self, t: float) -> Kinematics:
+        # the window is the inner one, so the check in kinematics covers both
+        L, v, a, tau, w2 = self.inner._kinematics(t)
+        k = self.k
+        return Kinematics(k * L, k * v, k * a, tau / k**2, w2)
 
     def wall_action(self, T: float) -> float:
         # every length scales by k, so L'^2 - L L'' scales by k^2
@@ -401,7 +351,7 @@ class ScaledWall(WallTrajectory):
         return self.inner.period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunctionGrid:
     """A complex wave function sampled on a uniform position grid at one time."""
 

@@ -280,10 +280,13 @@ def evolve_fixed_frame(
     n_steps = _step_count(t_final, spec.dt)
     traj = fmap.traj
     traj._check(t_final)
-    w2 = traj.omega_squared if spec.potential == "tdlo" else lambda t: 0.0
-    full = _cn_engine(y, vals, fmap.L0,
-                      lambda t: (traj.length(t), traj.velocity(t), w2(t)),
-                      spec.dt, n_steps, constants)
+    tdlo = spec.potential == "tdlo"
+
+    def frame(t):
+        L, v, _, _, w2 = traj.kinematics(t)
+        return L, v, w2 if tdlo else 0.0
+
+    full = _cn_engine(y, vals, fmap.L0, frame, spec.dt, n_steps, constants)
     return WaveFunctionGrid(positions=y, values=full, time=t_final)
 
 

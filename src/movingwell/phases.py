@@ -113,9 +113,7 @@ def energy_expectation(
     The L'^2 piece is kinetic energy carried by the chirp; the L L'' piece
     is the expectation of the compensating quadratic potential.
     """
-    L = traj.length(t)
-    Lp = traj.velocity(t)
-    Lpp = traj.acceleration(t)
+    L, Lp, Lpp, _, _ = traj.kinematics(t)
     level = instantaneous_energy(idx, L, constants)
     shape = 1.0 - 6.0 / (math.pi**2 * idx.nu**2)
     return level + (constants.mass / 24.0) * shape * (Lp**2 - L * Lpp)
@@ -138,8 +136,7 @@ def _h_density(idx, traj, constants, ts, u):
                                       + (m/2) Omega^2 x^2].
     """
     hbar, m = constants.hbar, constants.mass
-    legs = np.array([(traj.length(t), traj.velocity(t), traj.omega_squared(t)) for t in ts])
-    L, v, w2 = legs.T[:, :, None]
+    L, v, _, _, w2 = np.array([traj.kinematics(t) for t in ts]).T[:, :, None]
     lo, hi = _box_interval(L, _box_of(idx))
     scale = 0.5 * (hi - lo)
     x = scale * u + 0.5 * (hi + lo)

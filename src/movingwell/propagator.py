@@ -84,7 +84,7 @@ _COEFF_RUN = 3
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralExpansion:
     """Mode coefficients of a packet in one solution family.
 
@@ -413,6 +413,7 @@ def evolve_sum(
     past it the walls move in the other family, so this raises DomainError
     and defers to ``evolve_cycle_reversing``.
     """
+    leg = _leg(traj, t)
     if (expansion.family == "contraction") != (t >= traj.turn):
         raise DomainError(
             f"{expansion.family}-family coefficients do not hold at t = {t}: the "
@@ -420,7 +421,7 @@ def evolve_sum(
             "family starts there; use evolve_cycle_reversing"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mode_sum(expansion.coeffs, constants, *_leg(traj, t), xa, expansion.sector)
+    out = _mode_sum(expansion.coeffs, constants, *leg, xa, expansion.sector)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -8,9 +8,11 @@ import pytest
 from scipy.integrate import quad
 
 import movingwell
+from movingwell.basis import BasisIndex, basis_solution
 from movingwell.core import (
     DomainError,
     GaussianParams,
+    Kinematics,
     LinearWall,
     PhysicalConstants,
     ReversingLinearWall,
@@ -25,9 +27,12 @@ from movingwell.oracle import (
     evolve_fixed_frame,
     unconfined_tdlo_propagate,
 )
+from movingwell.phases import dynamical_phase, total_phase
 from movingwell.propagator import (
+    SpectralExpansion,
     contraction_coefficients,
     evolve_cycle_reversing,
+    evolve_sum,
     evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
@@ -94,6 +99,61 @@ def test_omega_squared_consistent_with_generic_form(traj):
     for t in sample_times(traj, n=10):
         generic = -traj.acceleration(t) / traj.length(t)
         assert traj.omega_squared(t) == pytest.approx(generic, rel=1e-12, abs=1e-15)
+
+
+#: the accessors that read one field of ``WallTrajectory.kinematics``
+_ACCESSORS = {
+    "length": "L",
+    "velocity": "v",
+    "acceleration": "a",
+    "tau": "tau",
+    "omega_squared": "w2",
+}
+
+_SCALED_REVERSING = ScaledWall(inner=ReversingLinearWall(L0=100.0, q=2.0, T=4.0), k=3.0)
+
+
+@pytest.mark.parametrize(
+    "traj", all_trajectories() + [_SCALED_REVERSING], ids=lambda tr: type(tr).__name__
+)
+def test_accessors_read_their_kinematics_field(traj):
+    times = list(sample_times(traj)) + [0.0]
+    if math.isfinite(traj.turn):
+        # both legs next to the turn, and the turn itself
+        times += [math.nextafter(traj.turn, 0.0), traj.turn, traj.turn + 1e-9]
+    for t in times:
+        kin = traj.kinematics(t)
+        assert type(kin) is Kinematics
+        for accessor, field_name in _ACCESSORS.items():
+            assert getattr(traj, accessor)(t) == getattr(kin, field_name), (accessor, t)
+
+
+def test_only_the_base_class_owns_the_accessors():
+    # a trajectory supplies _kinematics; the accessors and the window check
+    # live once, on WallTrajectory
+    tree = ast.parse((Path(movingwell.__file__).parent / "core.py").read_text())
+    checks = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+            if cls.name != "WallTrajectory":
+                assert fn.name not in _ACCESSORS, (cls.name, fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._check":
+                    checks.append((cls.name, fn.name))
+    assert checks == [("WallTrajectory", "kinematics")]
+
+
+def test_array_records_compare_by_identity():
+    x = np.linspace(0.0, 1.0, 5)
+    makers = [
+        lambda: WaveFunctionGrid(positions=x, values=np.ones(5), time=0.0),
+        lambda: SpectralExpansion("symmetric", ([1.0, 0.0], [0.0, 0.0])),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b, a}) == 2
 
 
 def test_smooth_periodic_frozen_values():
@@ -289,3 +349,29 @@ def test_warnings_name_the_callers_line(name):
     assert caught
     for w in caught:
         assert w.filename == __file__, (w.category.__name__, w.filename, w.lineno)
+
+
+_IDX = BasisIndex("even", 0)
+
+#: public routes that read the wall at a caller's time
+_TIME_ROUTES = {
+    "kinematics": lambda traj, t: traj.kinematics(t),
+    "basis_solution": lambda traj, t: basis_solution(_IDX, traj, _C, t, 0.0),
+    "evolve_sum": lambda traj, t: evolve_sum(
+        SpectralExpansion("symmetric", ([1.0, 0.0], [0.0, 0.0])), traj, _C, t, 0.0
+    ),
+    "total_phase": lambda traj, t: total_phase(_IDX, traj, _C, t),
+    "dynamical_phase": lambda traj, t: dynamical_phase(
+        _IDX, traj, _C, t, time_nodes=2, space_nodes=2, check=False
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_TIME_ROUTES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("traj", all_trajectories(), ids=lambda tr: type(tr).__name__)
+def test_non_finite_times_are_rejected(traj, bad, route):
+    # a DomainError that names t and its value, never a NaN result, a bare
+    # math domain error or a message about some other condition
+    with pytest.raises(DomainError, match=f"t must be finite, got {bad}"):
+        _TIME_ROUTES[route](traj, bad)
