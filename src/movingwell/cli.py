@@ -6,7 +6,7 @@ line otherwise) and whether their checks held.  ``main`` writes the CSVs,
 stamped with the resolved configuration, and the plot scripts, then prints
 the lines, all once the command has finished: a run that fails midway
 writes and prints nothing.  Exit codes: 0 success, 2 configuration
-problems, 3 a numerical threshold was violated (or, under --strict, a
+problems, 3 a numerical tolerance was violated (or, under --strict, a
 warning was emitted).
 """
 
@@ -59,7 +59,7 @@ from .phases import (
     total_phase,
 )
 from .propagator import (
-    WIDTH_WARN,
+    LOCALITY_TOL,
     evolve_cycle_reversing,
     evolve_sum,
     evolve_theta_centered,
@@ -291,8 +291,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
-    tol = cfg.get_float("tolerances.locality_tol", 1e-10)
-    warn_ratio = cfg.get_float("tolerances.localization_warn", WIDTH_WARN)
+    tol = cfg.get_float("tolerances.locality_tol", LOCALITY_TOL)
     if isinstance(traj, ScaledWall):
         baseline = traj.inner
     else:
@@ -302,18 +301,15 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     rows, lines = [], []
     for t in times:
-        rep = locality_compare(
-            gauss, constants, traj, baseline, t, x,
-            threshold=warn_ratio, tol=tol, sector=sector,
-        )
-        rows.append((t, rep.sup_error, rep.l2_error, rep.localization_ratio,
+        rep = locality_compare(gauss, constants, traj, baseline, t, x, tol=tol, sector=sector)
+        rows.append((t, rep.sup_error, rep.l2_error, rep.wall_amplitude,
                      {"pass": 0.0, "warn": 1.0, "fail": 2.0}[rep.verdict]))
         lines.append(
             f"locality: t={t:g} sup_error={rep.sup_error:.3e} "
-            f"l2_error={rep.l2_error:.3e} spread_ratio={rep.localization_ratio:.3f} "
+            f"l2_error={rep.l2_error:.3e} wall_amplitude={rep.wall_amplitude:.3e} "
             f"verdict={rep.verdict}"
         )
-    header = ["t", "sup_error", "l2_error", "localization_ratio", "verdict_code"]
+    header = ["t", "sup_error", "l2_error", "wall_amplitude", "verdict_code"]
     return [("locality.csv", header, rows)], lines, all(r[4] != 2.0 for r in rows)
 
 

@@ -387,29 +387,16 @@ class WaveFunctionGrid:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of comparing two wave functions on a common grid."""
+    """Outcome of comparing two wave functions on a common grid.
+
+    ``sup_error`` and ``l2_error`` measure their difference;
+    ``wall_amplitude`` is what the walls add to the two, summed sup
+    |psi - psi_wall-free|, and bounds ``sup_error`` whenever the wall-free
+    parts agree.  ``verdict`` is "warn" once ``wall_amplitude`` exceeds
+    the tolerance, else "pass" or "fail" by ``sup_error``.
+    """
 
     sup_error: float
     l2_error: float
-    localization_ratio: float
+    wall_amplitude: float
     verdict: str  # "pass" | "fail" | "warn"
-
-
-def localization_diagnostic(
-    gauss: GaussianParams,
-    constants: PhysicalConstants,
-    t: float,
-    L0: float,
-) -> float:
-    """Free-spreading width of the packet at time t, relative to the box size.
-
-    Returns sigma(t)/L0 with sigma(t) = sqrt(d^2 + (hbar t / (2 d m))^2),
-    the standard deviation a free Gaussian of initial width d would have.
-    Values well below 1 mean the packet cannot feel the walls yet.
-    """
-    if t < 0:
-        raise DomainError("t must be non-negative")
-    if L0 <= 0:
-        raise DomainError("L0 must be positive")
-    spread = gauss.d**2 + (constants.hbar * t / (2.0 * gauss.d * constants.mass)) ** 2
-    return math.sqrt(spread) / L0

@@ -35,7 +35,11 @@ each validates the other.
 
 All propagators require the initial packet to sit well inside the box:
 the Gaussian mass beyond the walls must not exceed 1e-6 (DomainError), and
-a width above a tenth of the box earns a LocalizationWarning.
+a width above a tenth of the box earns a LocalizationWarning.  Whether the
+packet has met a wall later on is measured, not guessed: the bracket's
+leading modular term is the packet with no walls, so psi minus it is what
+the walls add, and that term decides the locality verdict and the
+wall-free route's warning.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .core import (
     WallTrajectory,
     ComparisonReport,
     _warn,
-    localization_diagnostic,
 )
 from .theta import theta
 
@@ -76,6 +79,8 @@ from .theta import theta
 TAIL_GATE = 1e-6
 #: packet width / box size ratio above which wall effects are imminent
 WIDTH_WARN = 0.1
+#: largest wall term |psi - psi_wall-free| that still counts as no wall contact
+LOCALITY_TOL = 1e-10
 #: coefficients below this fraction of the largest one are negligible
 _COEFF_FLOOR = 1e-13
 #: how many consecutive negligible coefficients end the expansion
@@ -277,9 +282,11 @@ def _evaluate(
     """psi(x, t) = norm / sqrt(L_ref L) e^{i m x^2 L'/(2 hbar L) + E} B, zero
     outside the box, with B the theta bracket at z = pi x / L and kappa(t).
 
-    ``wall_free`` swaps theta_2 for its modular leading term
-    (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} and keeps the values beyond the
-    walls: the form has no walls left.
+    ``wall_free`` swaps B for the leading modular term of its first theta,
+    (-i kappa)^{-1/2} e^{-i (z-C)^2/(pi kappa)} with the packet offset C,
+    and keeps the values beyond the walls: in either sector this is the
+    packet under the same L''/L history with no walls, so psi minus it is
+    exactly what the walls add.
     """
     L, v, tau = _leg(traj, t)
     kappa = _nome(state, constants, tau)
@@ -288,7 +295,8 @@ def _evaluate(
     chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state)(0.0))
     pre = state.norm / math.sqrt(state.L_ref * L)
     if wall_free:
-        out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * z**2 / (math.pi * kappa)))
+        w = z - state.offset
+        out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * w**2 / (math.pi * kappa)))
     else:
         bracket = _theta_bracket(z, state.offset, kappa, sector, tol)
         out = np.where(_in_box(xa, L, sector), pre * chirp * bracket, 0.0)
@@ -475,10 +483,25 @@ def evolve_theta_general(
     symmetric box the bracket collapses to theta_2(z, kappa), and the
     result equals ``evolve_theta_centered`` bit for bit.
     """
+    state = _checked_state(gauss, traj, constants, t, sector)
+    return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
+
+
+def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketState:
+    """The packet in the initial family, once t and the packet pass the
+    closed forms' checks: before the turn, and inside the box at t = 0."""
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), sector)
-    state = _gaussian_machinery(gauss, traj, constants)
-    return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
+    return _gaussian_machinery(gauss, traj, constants)
+
+
+def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
+    """psi on the points xa as ``evolve_theta_general`` gives it, its
+    wall-free form there, and sup |psi - psi_wall-free|: what the walls add."""
+    state = _checked_state(gauss, traj, constants, t, sector)
+    psi = _evaluate(state, traj, constants, t, xa, sector=sector)
+    free = _evaluate(state, traj, constants, t, xa, wall_free=True)
+    return psi, free, float(np.max(np.abs(psi - free)))
 
 
 def evolve_unconfined_approx(
@@ -498,24 +521,22 @@ def evolve_unconfined_approx(
               (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} / sqrt(L0 L).
 
     For a wall moving at constant speed this expression collapses to the
-    free-space Gaussian exactly, independent of the speed.  Emits
-    LocalizationWarning once the free spread reaches a tenth of the box,
-    where dropping theta_4 starts to cost accuracy.
+    free-space Gaussian exactly, independent of the speed.  The closed
+    form is evaluated at the same x, and LocalizationWarning is emitted
+    when the dropped wall term, sup |psi - psi_wall-free| over x, exceeds
+    LOCALITY_TOL = 1e-10.
     """
     if gauss.x0 != 0.0 or gauss.p0 != 0.0:
         raise DomainError("evolve_unconfined_approx needs x0 = p0 = 0")
-    _forbid_post_turn(traj, t)
-    L0 = traj.length(0.0)
-    _initial_gate(gauss, L0, "symmetric")
-    ratio = localization_diagnostic(gauss, constants, t, L0)
-    if ratio > WIDTH_WARN:
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    _, free, wall = _wall_term(gauss, traj, constants, t, xa, "symmetric")
+    if wall > LOCALITY_TOL:
         _warn(
-            f"free spread is {ratio:.3f} of the box at t = {t}; the "
-            "wall-free approximation is breaking down",
+            f"the walls add {wall:.3e} to the wall-free form at t = {t}; "
+            "the wall-free approximation is breaking down",
             LocalizationWarning,
         )
-    state = _gaussian_machinery(gauss, traj, constants)
-    return _evaluate(state, traj, constants, t, x, wall_free=True)
+    return complex(free[0]) if np.ndim(x) == 0 else free
 
 
 def contraction_coefficients(
@@ -633,16 +654,19 @@ def locality_compare(
     traj_b: WallTrajectory,
     t: float,
     x,
-    threshold: float = WIDTH_WARN,
-    tol: float = 1e-10,
+    tol: float = LOCALITY_TOL,
     sector: str = "symmetric",
 ) -> ComparisonReport:
     """Compare the same packet evolved under two different wall motions.
 
-    While the packet cannot feel the walls, the evolutions must agree; the
-    verdict is "warn" when the free spread exceeds ``threshold`` of the
-    smaller box (agreement is then not expected), "pass" when the sup
-    difference is within ``tol`` and "fail" otherwise.
+    Each trajectory's packet is evaluated on x as ``evolve_theta_general``
+    evaluates it, with the same checks, and so is its wall-free form (see
+    ``_evaluate``).  ``wall_amplitude`` sums sup |psi - psi_wall-free| over
+    the pair; whenever the two wall-free parts agree it bounds the sup
+    difference by the triangle inequality.  The verdict is "warn" when it
+    exceeds ``tol`` (the packet has met a wall, so agreement is not
+    expected), else "pass" when the sup difference is within ``tol`` and
+    "fail" otherwise.
 
     The trajectories must start from the same box, except when one is the
     other rescaled (ScaledWall), which is precisely a locality statement:
@@ -651,12 +675,13 @@ def locality_compare(
 
     Bear in mind that an accelerating wall drags the compensating
     quadratic potential -(m/2)(L''/L) x^2 through the whole box, and that
-    term acts on the packet no matter how far the walls are.  Agreement is
-    therefore only expected between trajectories with identical L''/L
-    histories: constant-speed walls of any speed (both zero), or a
-    trajectory against its rescaled self (L''/L is scale invariant).  A
-    "fail" between, say, a uniformly moving and a breathing wall reports a
-    real dynamical difference, not a locality violation.
+    term acts on the packet no matter how far the walls are: it is part of
+    the wall-free form.  Agreement is therefore only expected between
+    trajectories with identical L''/L histories: constant-speed walls of
+    any speed (both zero), or a trajectory against its rescaled self
+    (L''/L is scale invariant).  A "fail" between, say, a uniformly moving
+    and a breathing wall reports a real dynamical difference, not a
+    locality violation.
     """
     la, lb = traj_a.length(0.0), traj_b.length(0.0)
     scaled_pair = (isinstance(traj_a, ScaledWall) and traj_a.inner == traj_b) or (
@@ -670,21 +695,19 @@ def locality_compare(
     for traj in (traj_a, traj_b):
         if not np.all(_in_box(xa, traj.length(t), sector)):
             raise DomainError("comparison grid leaves the box of one trajectory")
-    psi_a = evolve_theta_general(gauss, traj_a, constants, t, xa, sector=sector)
-    psi_b = evolve_theta_general(gauss, traj_b, constants, t, xa, sector=sector)
+    psi_a, _, wall_a = _wall_term(gauss, traj_a, constants, t, xa, sector)
+    psi_b, _, wall_b = _wall_term(gauss, traj_b, constants, t, xa, sector)
     diff = psi_a - psi_b
     sup = float(np.max(np.abs(diff)))
     if xa.size > 1:
         l2 = float(np.sqrt(np.trapezoid(np.abs(diff) ** 2, xa)))
     else:
         l2 = sup
-    ratio = localization_diagnostic(gauss, constants, t, min(la, lb))
-    if ratio > threshold:
+    wall = wall_a + wall_b
+    if wall > tol:
         verdict = "warn"
     elif sup <= tol:
         verdict = "pass"
     else:
         verdict = "fail"
-    return ComparisonReport(
-        sup_error=sup, l2_error=l2, localization_ratio=ratio, verdict=verdict
-    )
+    return ComparisonReport(sup_error=sup, l2_error=l2, wall_amplitude=wall, verdict=verdict)

@@ -454,3 +454,37 @@ def test_15_static_box_revivals(capsys):
             f"L0 = 100, centred and x0 = 10, p0 = 0.5: full {full:.1e} (tol 1e-14), "
             f"half {half:.1e} (tol 1e-13), sum route {route:.1e} (tol 1e-10)",
             elapsed, 2.0)
+
+
+def test_16_wall_contact_onset(capsys):
+    # what the walls add, sup |psi - psi_wall-free| summed over the pair,
+    # bounds the difference of two evolutions that share their wall-free
+    # part; across the onset of wall contact the verdict turns "warn"
+    # exactly where that amplitude passes the tolerance
+    t0 = time.perf_counter()
+    tol, slack = 1e-10, 1e-14
+    excess, points, warned, wrong = -math.inf, 0, 0, []
+    for sector in ("symmetric", "single_wall"):
+        for L0 in (20.0, 30.0):
+            x0 = 0.0 if sector == "symmetric" else L0 / 2
+            gauss = GaussianParams(d=1.0, x0=x0)
+            x = np.linspace(x0 - 4.0, x0 + 4.0, 801)
+            inner = SmoothPeriodicWall(L0=L0, q=0.1, omega=1.0)
+            pairs = [(LinearWall(L0=L0, q=q), LinearWall(L0=L0, q=0.0))
+                     for q in (-1.0, 0.5, 2.0)]
+            pairs.append((ScaledWall(inner, 1.5), inner))
+            for a, b in pairs:
+                for t in np.linspace(0.5, 6.0, 12):
+                    rep = locality_compare(gauss, C, a, b, t, x, tol=tol, sector=sector)
+                    points += 1
+                    excess = max(excess, rep.sup_error - rep.wall_amplitude)
+                    warned += rep.verdict == "warn"
+                    if (rep.verdict == "warn") != (rep.wall_amplitude > tol):
+                        wrong.append((sector, L0, float(t), rep.verdict))
+    elapsed = time.perf_counter() - t0
+    _report(capsys, 16, "wall-contact-onset",
+            excess <= slack and not wrong and 0 < warned < points,
+            f"{points} points, both sectors, L0 in {{20, 30}}, t in [0.5, 6]: "
+            f"max sup - wall_amplitude {excess:.1e} (slack {slack:g}), "
+            f"{warned} warn, verdict mismatches {wrong}",
+            elapsed, 5.0)

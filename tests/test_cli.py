@@ -355,6 +355,14 @@ class TestLocality:
         assert rows[:, 1].max() < 1e-10     # sup error
         assert np.all(rows[:, 4] == 0.0)    # verdict pass
 
+    def test_removed_spread_key_is_noted_not_fatal(self, tmp_path):
+        text = (CONFIGS / "locality.cfg").read_text() + "tolerances.localization_warn=0.1\n"
+        cfg = write_cfg(tmp_path, text)
+        res = run_cli("locality", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
+        assert "note: unused config keys: tolerances.localization_warn" in res.stderr
+        assert "verdict=pass" in res.stdout
+
     def test_scaled_pair(self, tmp_path):
         res = run_cli("locality", "--config", str(CONFIGS / "locality_scaled.cfg"),
                       "--out", str(tmp_path))

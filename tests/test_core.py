@@ -19,7 +19,6 @@ from movingwell.core import (
     ScaledWall,
     SmoothPeriodicWall,
     WaveFunctionGrid,
-    localization_diagnostic,
 )
 from movingwell.oracle import (
     FrameMap,
@@ -279,18 +278,6 @@ def test_wavefunction_grid_norm_and_immutability():
         grid.values[3] = 0.0
     with pytest.raises(DomainError):
         WaveFunctionGrid(positions=np.array([0.0, 1.0, 3.0]), values=np.zeros(3), time=0.0)
-
-
-def test_localization_diagnostic_values():
-    c = PhysicalConstants()
-    g = GaussianParams(d=1.0)
-    assert localization_diagnostic(g, c, 0.0, 100.0) == pytest.approx(0.01)
-    # at t=5: sigma^2 = 1 + (5/2)^2 = 7.25
-    assert localization_diagnostic(g, c, 5.0, 100.0) == pytest.approx(
-        math.sqrt(7.25) / 100.0, rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        localization_diagnostic(g, c, -1.0, 100.0)
 
 
 @pytest.mark.parametrize("module", ["basis.py", "propagator.py", "cli.py", "phases.py"])
