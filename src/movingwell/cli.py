@@ -241,10 +241,6 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
                        pre_turn=route != "cycle")
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
 
-    def require_centred(key):
-        _require(gauss.x0 == 0.0 and gauss.p0 == 0.0, key,
-                 "needs gaussian.x0 = gaussian.p0 = 0")
-
     if route == "sum":
         expansion = expansion_coefficients(
             gauss, traj, constants, sector=sector,
@@ -252,20 +248,18 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
         )
         job = lambda t: evolve_sum(expansion, traj, constants, t, x)
     elif route == "theta_centered":
-        require_centred("evolve.route=theta_centered")
+        _require(gauss.x0 == 0.0 and gauss.p0 == 0.0, "evolve.route=theta_centered",
+                 "needs gaussian.x0 = gaussian.p0 = 0")
         job = lambda t: evolve_theta_centered(gauss, traj, constants, t, x)
     elif route == "theta_general":
         job = lambda t: evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
     elif route == "unconfined_approx":
-        require_centred("evolve.route=unconfined_approx")
         job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
     else:
         _require(not math.isinf(traj.turn), "evolve.route=cycle", _NEEDS_TURN)
         cycle_route = cfg.get_str(
             "evolve.cycle_route", "closed", choices=("closed", "reexpansion")
         )
-        if cycle_route == "closed":
-            require_centred("evolve.cycle_route=closed")
         job = lambda t: evolve_cycle_reversing(
             gauss, traj, constants, t, x, route=cycle_route
         )
@@ -322,7 +316,9 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
     (t,) = _get_times(cfg, "time.t", traj, traj.t_max)
-    x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
+    # the grid follows the packet's centre at t
+    centre = gauss.x0 + gauss.p0 * t / constants.mass
+    x = _grid_from(cfg, centre - 8 * gauss.d, centre + 8 * gauss.d)
     closed = evolve_cycle_reversing(gauss, traj, constants, t, x, route="closed")
     reexp = evolve_cycle_reversing(gauss, traj, constants, t, x, route="reexpansion")
     static = evolve_theta_general(

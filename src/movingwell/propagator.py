@@ -21,7 +21,11 @@ resum to one bracket at the quartered parameter,
 s = 4 for the symmetric box and s = 3 for the single wall; a centred
 packet in the symmetric box collapses it to theta_2(z, kappa).  Every
 closed form (centred, general, wall-free, post-turn cycle) builds one
-record of its packet in a mode family and hands it to one evaluator.
+record of its packet in a mode family and hands it to one evaluator.  The
+record is the free Gaussian at the family's reference time: t = 0 for the
+initial family, the wall's turn for the contraction family, where a and
+beta take the spread and the drift the packet has by then.  So every
+closed route takes any packet the gate admits, offset and boosted alike.
 
 The other route sums the modes themselves.  A ``SpectralExpansion`` holds
 one coefficient array per mode family of its box, in ``basis._FAMILIES``
@@ -166,17 +170,31 @@ def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
 class _PacketState:
     """A Gaussian resolved in one mode family: what the theta kernel needs.
 
-    ``norm`` is the packet's norm prefactor, (2 pi)^{-1/4} d^{-1/2}
-    sqrt(pi/a) for the initial family, ``a`` the coefficient of x^2 in its
-    exponent, ``beta`` the coefficient of x and ``L_ref`` the box size at
-    which the family was projected, where its phase clock (``basis._leg``)
-    reads zero.
+    The packet is the free Gaussian at the family's reference time t_ref,
+    centred at X = x0 + p0 t_ref / m and spread by s = 1 + i hbar t_ref /
+    (2 m d^2).  ``spread`` is A = 1/(4 d^2 s), ``rate`` the family's chirp
+    r, so that a = A + i r is the coefficient of -x^2 in its overlap
+    exponent; ``b`` = X/(2 d^2 s) and ``k0`` = p0/hbar make up the
+    coefficient of x, beta = b + i k0.  ``norm`` is the packet's norm
+    prefactor, sqrt(pi/a) times the free Gaussian's, and ``L_ref`` the box
+    size at which the family was projected, where its phase clock
+    (``basis._leg``) reads zero.
     """
 
     norm: complex
-    a: complex
-    beta: complex
+    spread: complex
+    rate: float
+    b: complex
+    k0: float
     L_ref: float
+
+    @property
+    def a(self) -> complex:
+        return self.spread + 1j * self.rate
+
+    @property
+    def beta(self) -> complex:
+        return self.b + 1j * self.k0
 
     @property
     def offset(self) -> complex:
@@ -184,56 +202,48 @@ class _PacketState:
         return math.pi * self.beta / (2.0 * self.a * self.L_ref)
 
 
-def _gaussian_machinery(gauss, traj, constants) -> _PacketState:
-    """The packet in the initial family."""
-    L0 = traj.length(0.0)
-    v0 = traj.velocity(0.0)
-    a = 1.0 / (4.0 * gauss.d**2) + 1j * _chirp_rate(constants, L0, v0)
-    beta = gauss.x0 / (2.0 * gauss.d**2) + 1j * gauss.p0 / constants.hbar
-    norm = (2.0 * math.pi) ** -0.25 * gauss.d**-0.5 * cmath.sqrt(math.pi / a)
-    return _PacketState(norm, a, beta, L_ref=L0)
+def _packet_state(gauss, traj, constants, t: float = 0.0) -> _PacketState:
+    """The packet in the mode family that holds t: the initial family, with
+    t_ref = 0, or past a wall's turn the contraction family, with t_ref the
+    turn.  The family sees it at t_ref with its box L(t_ref) and wall speed
+    L'(t_ref).
 
-
-def _post_turn_state(gauss, traj, constants) -> _PacketState:
-    """A centred packet at the wall's turn, in the contraction family.
-
-    It is taken as the freely spread Gaussian, exact up to the same
-    exponentially small wall tails as the unconfined form: width factor
-    s_h = 1 + i hbar t_h / (2 m d^2) at the turn t_h, and the free-spread
-    exponent 1/(4 d^2 s_h) less the contraction family's chirp
-    i m q / (2 hbar L_h).
+    At t_ref the packet is the freely spread Gaussian, exact up to the same
+    exponentially small wall tails as the wall-free form:
+    (2 pi)^{-1/4} (d s)^{-1/2} e^{-A (x - X)^2 + i k0 x - i p0^2 t_ref/(2 m hbar)}.
     """
-    if gauss.x0 != 0.0 or gauss.p0 != 0.0:
-        raise DomainError("the closed contraction route needs x0 = p0 = 0")
-    _initial_gate(gauss, traj.length(0.0), "symmetric")
     hbar, m = constants.hbar, constants.mass
-    L_h, v_h, _ = _turn_leg(traj)
-    s_h = 1.0 + 1j * hbar * traj.turn / (2.0 * m * gauss.d**2)
-    n_f = (2.0 * math.pi) ** -0.25 * (gauss.d * s_h) ** -0.5
-    a_f = 1.0 / (4.0 * gauss.d**2 * s_h)
-    a_tot = a_f - 1j * _chirp_rate(constants, L_h, v_h)
-    norm = n_f * cmath.sqrt(math.pi / a_tot)
-    return _PacketState(norm, a_tot, 0.0, L_ref=L_h)
+    t_ref = 0.0 if t < traj.turn else traj.turn
+    L_ref = traj.length(t_ref)
+    s = 1.0 + 1j * hbar * t_ref / (2.0 * m * gauss.d**2)
+    X = gauss.x0 + gauss.p0 * t_ref / m
+    spread = 1.0 / (4.0 * gauss.d**2 * s)
+    rate = _chirp_rate(constants, L_ref, traj.velocity(t_ref))
+    norm = (2.0 * math.pi) ** -0.25 * (gauss.d * s) ** -0.5
+    norm *= cmath.sqrt(math.pi / (spread + 1j * rate))
+    norm *= cmath.exp(-1j * gauss.p0**2 * t_ref / (2.0 * m * hbar))
+    return _PacketState(norm, spread, rate, X / (2.0 * gauss.d**2 * s), gauss.p0 / hbar, L_ref)
 
 
 def _exponent(state: _PacketState):
-    """The function k -> (beta + i k)^2/(4a) - (Re beta)^2/(4 Re a): the
+    """The function k -> beta_k^2/(4a) - A X^2, beta_k = beta + i k: the
     exponent of the packet's overlap with e^{ikx}, whose last term is
-    x0^2/(4 d^2) for the initial family and 0 after the turn.  At k = 0 it
-    is the closed forms' offset exponent E.
+    x0^2/(4 d^2) for the initial family.  At k = 0 it is the closed forms'
+    offset exponent E.
 
-    With b = Re beta, p = Im beta + k and c = (Im a / Re a) b it equals
-    (-p^2 + i b (2p - c)) / (4a): the two real ~x0^2/(4 d^2) blocks cancel
-    symbolically, not in rounding (they reach ~625 for x0 = 50, d = 1).
-    The constants are Python scalars: numpy scalar arithmetic (from numpy
-    inputs) costs several times more per call.
+    With P = k0 + k and c = (r/A) b, which is 2 r X and so real, it equals
+    (-P^2 + i b (2P - c)) / (4a): the two ~X^2/(4 d^2 s) blocks cancel
+    symbolically, not in rounding (they reach ~625 for X = 50, d = 1), for
+    a real spread and a complex one alike.  The constants are Python
+    scalars: numpy scalar arithmetic (from numpy inputs) costs several
+    times more per call.
     """
-    b, im_beta = float(state.beta.real), float(state.beta.imag)
-    c = float(state.a.imag / state.a.real) * b
+    b, k0 = complex(state.b), float(state.k0)
+    c = float((state.rate / state.spread * b).real)
     four_a = complex(4.0 * state.a)
 
     def exponent(k: float) -> complex:
-        p = im_beta + k
+        p = k0 + k
         return (-p * p + 1j * b * (2.0 * p - c)) / four_a
 
     return exponent
@@ -316,7 +326,7 @@ def theta_nome(
     forms it follows the initial family, so it stops at the wall's turn.
     """
     _forbid_post_turn(traj, t)
-    state = _gaussian_machinery(gauss, traj, constants)
+    state = _packet_state(gauss, traj, constants)
     return _nome(state, constants, _leg(traj, t)[2])
 
 
@@ -395,7 +405,7 @@ def expansion_coefficients(
     1 - tail_tol of the packet's norm.
     """
     _initial_gate(gauss, traj.length(0.0), sector)
-    state = _gaussian_machinery(gauss, traj, constants)
+    state = _packet_state(gauss, traj, constants)
     coeffs = _truncated_expansion(state, sector, n_limit, "mode expansion")
     expansion = SpectralExpansion(sector, coeffs)
     captured = expansion.captured_norm
@@ -492,7 +502,7 @@ def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketStat
     closed forms' checks: before the turn, and inside the box at t = 0."""
     _forbid_post_turn(traj, t)
     _initial_gate(gauss, traj.length(0.0), sector)
-    return _gaussian_machinery(gauss, traj, constants)
+    return _packet_state(gauss, traj, constants)
 
 
 def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
@@ -511,14 +521,14 @@ def evolve_unconfined_approx(
     t: float,
     x,
 ):
-    """Wall-free limit of the centred theta form.
+    """Wall-free limit of the theta form, for any packet the gate admits.
 
-    Replacing theta_2 by its modular image with theta_4 -> 1 (the tail
-    terms are exponentially small while the packet is far from the walls)
-    gives
+    Replacing the bracket by the leading modular term of its first theta
+    (the tail terms are exponentially small while the packet is far from
+    the walls) gives
 
-        psi = (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) e^{i m x^2 L'/(2 hbar L)}
-              (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} / sqrt(L0 L).
+        psi = (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) e^{i m x^2 L'/(2 hbar L) + E}
+              (-i kappa)^{-1/2} e^{-i (z-C)^2/(pi kappa)} / sqrt(L0 L).
 
     For a wall moving at constant speed this expression collapses to the
     free-space Gaussian exactly, independent of the speed.  The closed
@@ -526,8 +536,6 @@ def evolve_unconfined_approx(
     when the dropped wall term, sup |psi - psi_wall-free| over x, exceeds
     LOCALITY_TOL = 1e-10.
     """
-    if gauss.x0 != 0.0 or gauss.p0 != 0.0:
-        raise DomainError("evolve_unconfined_approx needs x0 = p0 = 0")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     _, free, wall = _wall_term(gauss, traj, constants, t, xa, "symmetric")
     if wall > LOCALITY_TOL:
@@ -550,9 +558,10 @@ def contraction_coefficients(
 ) -> SpectralExpansion:
     """Coefficients of the packet in the post-turn family at the wall's turn.
 
-    route "closed": treats the packet at the turn as the freely spread
-    Gaussian (exact up to the same exponentially small wall tails as the
-    unconfined form) and projects analytically; centred packets only.
+    route "closed": treats the packet at the turn as the freely spread and
+    drifted Gaussian (exact up to the same exponentially small wall tails
+    as the unconfined form) and projects analytically; any packet the
+    initial gate admits.
 
     route "reexpansion": evolves the initial-family mode sum to the turn
     and projects it by the trapezoid rule on a uniform grid of
@@ -566,7 +575,8 @@ def contraction_coefficients(
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
 
     if route == "closed":
-        state = _post_turn_state(gauss, traj, constants)
+        _initial_gate(gauss, traj.length(0.0), "symmetric")
+        state = _packet_state(gauss, traj, constants, traj.turn)
         coeffs = _truncated_expansion(state, "symmetric", n_limit, "contraction expansion")
     else:
         start = expansion_coefficients(
@@ -621,30 +631,31 @@ def evolve_cycle_reversing(
 ):
     """Evolve through a full expand-reverse-contract cycle.
 
-    Before the turn both routes use the exact pre-turn evolution.  From the
-    turn on, route "closed" resums the analytically projected contraction
-    coefficients into a theta_2 at the nome parameter
+    Route "closed" evaluates the theta bracket of the packet in the family
+    that holds t: before the turn it is ``evolve_theta_general`` in the
+    symmetric box, and from the turn on it resums the analytically
+    projected contraction coefficients at the nome parameter
 
-        kappa_c(t) = i pi / (a_tot L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m,
+        kappa_c(t) = i pi / (a_h L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m,
 
-    t_h the wall's turn, while route "reexpansion" sums the numerically
-    projected modes.
+    t_h the wall's turn and a_h the packet's x^2 coefficient in the
+    contraction family.  Route "reexpansion" sums the initial-family modes
+    before the turn and the numerically projected modes after it.  Both
+    take any packet the initial gate admits.
     """
     if math.isinf(traj.turn):
         raise DomainError("evolve_cycle_reversing needs a wall that turns")
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
+    if route == "closed":
+        _initial_gate(gauss, traj.length(0.0), "symmetric")
+        state = _packet_state(gauss, traj, constants, t)
+        return _evaluate(state, traj, constants, t, x, tol=tol)
     if t < traj.turn:
-        if route == "closed":
-            return evolve_theta_centered(gauss, traj, constants, t, x, tol=tol)
         expansion = expansion_coefficients(gauss, traj, constants)
-        return evolve_sum(expansion, traj, constants, t, x)
-
-    if route == "reexpansion":
-        contraction = contraction_coefficients(gauss, traj, constants, route=route)
-        return evolve_sum(contraction, traj, constants, t, x)
-    state = _post_turn_state(gauss, traj, constants)
-    return _evaluate(state, traj, constants, t, x, tol=tol)
+    else:
+        expansion = contraction_coefficients(gauss, traj, constants, route=route)
+    return evolve_sum(expansion, traj, constants, t, x)
 
 
 def locality_compare(

@@ -427,11 +427,6 @@ class TestEvolve:
          "evolve.route=cycle needs trajectory.kind=reversing_linear"),
         ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "gaussian.x0=3\n",
          "evolve.route=theta_centered needs gaussian.x0 = gaussian.p0 = 0"),
-        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\n", "gaussian.p0=0.5\n",
-         "evolve.route=unconfined_approx needs gaussian.x0 = gaussian.p0 = 0"),
-        ("evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n",
-         "gaussian.x0=3\n",
-         "evolve.cycle_route=closed needs gaussian.x0 = gaussian.p0 = 0"),
     ])
     def test_route_mismatch_names_its_keys(self, tmp_path, route_keys, packet, message):
         cfg = write_cfg(
@@ -446,6 +441,31 @@ class TestEvolve:
         assert res.stdout == ""
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("route_keys, reference_keys", [
+        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\ngaussian.p0=0.5\n",
+         "evolve.route=theta_general\ntrajectory.kind=linear\ngaussian.p0=0.5\n"),
+        ("evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+         "gaussian.x0=3\n",
+         "evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+         "gaussian.x0=3\nevolve.cycle_route=reexpansion\n"),
+    ], ids=["unconfined_approx", "cycle"])
+    def test_offset_packets_run_on_every_closed_route(self, tmp_path, route_keys,
+                                                      reference_keys):
+        # the wall-free form and the closed cycle (before and past the turn
+        # at t = 2) take an offset or boosted packet and agree with their
+        # references on the whole box
+        base = "trajectory.L0=100\ntrajectory.q=2\ngaussian.d=1\ntime.t_list=1,3\n"
+        rows = []
+        for name, keys in (("route", route_keys), ("reference", reference_keys)):
+            res = run_cli("evolve", "--config", write_cfg(tmp_path, keys + base, f"{name}.cfg"),
+                          "--out", str(tmp_path / name))
+            assert res.returncode == 0, res.stderr
+            assert res.stderr == ""
+            rows.append([read_rows(tmp_path / name / f"evolve_{i:03d}.csv") for i in (0, 1)])
+        for ours, ref in zip(*rows):
+            assert np.array_equal(ours[:, 0], ref[:, 0])
+            assert np.max(np.abs(ours[:, 1:3] - ref[:, 1:3])) < 1e-12
+
 
 class TestCycle:
     def test_full_cycle_closes(self, tmp_path):
@@ -455,6 +475,22 @@ class TestCycle:
         assert "route_diff" in res.stdout and "static_diff" in res.stdout
         assert (tmp_path / "cycle_closed.csv").exists()
         assert (tmp_path / "cycle_reexpansion.csv").exists()
+
+    def test_grid_follows_a_boosted_packet(self, tmp_path):
+        # at t_max = 4 the packet sits at x0 + p0 t = 5: the grid the routes
+        # are compared on is centred there, and so is the peak of |psi|^2
+        cfg = write_cfg(
+            tmp_path,
+            REVERSING + "trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\n"
+            "gaussian.d=1\ngaussian.x0=3\ngaussian.p0=0.5\n",
+        )
+        res = run_cli("cycle", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("cycle: t=4 route_diff=")
+        rows = read_rows(tmp_path / "out" / "cycle_closed.csv")
+        step = rows[1, 0] - rows[0, 0]
+        assert (rows[0, 0] + rows[-1, 0]) / 2 == pytest.approx(5.0, abs=1e-12)
+        assert abs(rows[np.argmax(rows[:, 3]), 0] - 5.0) <= step
 
     def test_scaled_reversing_wall_closes(self, tmp_path):
         # four times the box and the wall speed: the cycle still ends at

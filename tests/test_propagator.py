@@ -151,7 +151,7 @@ def test_overlap_exponent_against_mpmath(k):
     # (beta + i k)^2/(4a) - (Re beta)^2/(4 Re a) at 50 digits from the
     # state's own a and beta: the cancelled form is exact to rounding
     g = GaussianParams(d=1.975, x0=31.321875, p0=0.4)
-    state = propagator._gaussian_machinery(g, LinearWall(L0=50.0, q=3.0), C)
+    state = propagator._packet_state(g, LinearWall(L0=50.0, q=3.0), C)
     with mp.workdps(50):
         a = mp.mpc(state.a.real, state.a.imag)
         beta = mp.mpc(state.beta.real, state.beta.imag)
@@ -159,6 +159,20 @@ def test_overlap_exponent_against_mpmath(k):
         ref = complex(ref)
     got = propagator._exponent(state)(k)
     assert abs(got - ref) <= 4e-16 * max(abs(ref), 1.0)
+    # past the turn the spread A is complex: (-P^2 + i b (2P - c))/(4a),
+    # P = p0/hbar + k and c = (r/A) b, at 50 digits from the contraction
+    # state's own a, b and c, for packets whose X^2/(4 d^2) reaches ~2500
+    traj = ReversingLinearWall(L0=200.0, q=2.0, T=4.0)
+    for g in (GaussianParams(d=0.7, x0=70.0), GaussianParams(d=1.0, x0=-50.0, p0=0.8)):
+        state = propagator._packet_state(g, traj, C, traj.turn)
+        with mp.workdps(50):
+            a = mp.mpc(state.a.real, state.a.imag)
+            b = mp.mpc(state.b.real, state.b.imag)
+            c = mp.mpf(state.rate) / mp.mpc(state.spread.real, state.spread.imag) * b
+            P = mp.mpf(state.k0) + mp.mpf(k)
+            ref = complex((-P * P + 1j * b * (2 * P - c)) / (4 * a))
+        got = propagator._exponent(state)(k)
+        assert abs(got - ref) <= 4e-16 * max(abs(ref), 1.0)
 
 
 def test_theta_routes_equal_initial_gaussian_at_t0():
@@ -298,7 +312,7 @@ def test_wall_free_form_is_the_free_gaussian_for_offset_packets(sector, gauss):
     worst = 0.0
     for q in (-1.0, 0.0, 2.0):
         traj = LinearWall(L0=100.0, q=q)
-        state = propagator._gaussian_machinery(gauss, traj, C)
+        state = propagator._packet_state(gauss, traj, C)
         for t in (0.0, 1.0, 3.0, 7.0):
             centre = gauss.x0 + gauss.p0 * t / C.mass
             x = np.linspace(centre - 8.0, centre + 8.0, 161)
@@ -449,11 +463,11 @@ def test_contraction_mode_sum_matches_per_mode_solutions():
 
 
 def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
-    # the post-turn packet is a centred Gaussian of exponent a_tot: its even
-    # coefficients are sqrt(2/L_h) norm e^{-k^2/(4 a_tot)}, bit for bit
+    # the post-turn packet is a centred Gaussian of exponent a: its even
+    # coefficients are sqrt(2/L_h) norm e^{-k^2/(4 a)}, bit for bit
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     con = contraction_coefficients(G1, traj, C, route="closed")
-    state = propagator._post_turn_state(G1, traj, C)
+    state = propagator._packet_state(G1, traj, C, traj.turn)
     front = math.sqrt(2.0 / traj.half_length) * state.norm
     expect = [
         front * np.exp(-((math.pi * (2 * n + 1) / traj.half_length) ** 2) / (4.0 * state.a))
@@ -578,9 +592,11 @@ def test_cycle_validation():
         evolve_cycle_reversing(G1, SMOOTH, C, 1.0, 0.0)
     with pytest.raises(DomainError):
         evolve_cycle_reversing(G1, traj, C, 1.0, 0.0, route="magic")
+    # the closed route past the turn takes any packet the gate admits, and
+    # only those
     with pytest.raises(DomainError):
         evolve_cycle_reversing(
-            GaussianParams(d=1.0, x0=5.0), traj, C, 3.0, 0.0, route="closed"
+            GaussianParams(d=1.0, x0=48.0), traj, C, 3.0, 0.0, route="closed"
         )
 
 

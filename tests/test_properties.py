@@ -8,8 +8,11 @@ the route tolerance of the acceptance gate, with no TruncationWarning from
 the mode expansion (every packet sits far inside the gate).  The second
 runs ``evolve_fixed_frame`` at two resolutions a factor 2 apart in dx and
 dt and requires the theta form to sit where CN's second-order error puts
-the exact solution.  The draws are derandomized, so the sweeps are the same
-on every run.
+the exact solution.  Two more sweeps run past a reversing wall's turn, on
+offset and boosted packets that keep clear of the walls until the turn:
+the closed cycle route against the re-expansion route, and CN against the
+re-expansion route.  The draws are derandomized, so the sweeps are the
+same on every run.
 """
 
 import math
@@ -29,6 +32,7 @@ from movingwell import (
     SolverSpec,
     TruncationWarning,
     WaveFunctionGrid,
+    evolve_cycle_reversing,
     evolve_fixed_frame,
     evolve_sum,
     evolve_theta_general,
@@ -172,4 +176,105 @@ def test_crank_nicolson_converges_onto_the_theta_form(case):
     err_fine = np.linalg.norm(fine.values[::2] - exact)
     estimate = np.linalg.norm(coarse.values - fine.values[::2]) / 3.0
     assert ORDER_RANGE[0] < err_coarse / err_fine < ORDER_RANGE[1]
+    assert err_fine <= RICHARDSON_SLACK * estimate
+
+
+def packet_clear_until_the_turn(draw, L0, d, q_range, p0_max, gap):
+    """A reversing wall of box L0 and a packet of width d that keeps ``gap``
+    widths from both walls until the turn, where both cycle routes take it
+    as the free Gaussian.
+
+    The wall turns while the free spread |s| is at most 1.25.  The
+    clearance L(t)/2 - |x0 + p0 t/m| - gap d |s(t)| is concave in t, so
+    holding it at t = 0 and at the turn holds it in between.
+    """
+    turn = 2.0 * C.mass * d * d / C.hbar * (0.25 + 0.5 * draw(unit))
+    traj = ReversingLinearWall(L0=L0, q=draw(st.floats(*q_range)), T=2.0 * turn)
+    width = d * abs(1.0 + 1j * C.hbar * turn / (2.0 * C.mass * d * d))
+    h0 = L0 / 2 - gap * d
+    h1 = traj.length(turn) / 2 - gap * width
+    p0 = min(p0_max, 0.9 * (h0 + h1) * C.mass / turn) * draw(st.floats(-1.0, 1.0))
+    shift = p0 * turn / C.mass
+    lo, hi = max(-h0, -h1 - shift), min(h0, h1 - shift)
+    return GaussianParams(d=d, x0=lo + (hi - lo) * draw(unit), p0=p0), traj
+
+
+#: closed cycle route against the re-expansion route past the turn
+#: (measured 4.63e-14 over 300 draws of ``offset_cycles``, where the
+#: pre-turn theta-vs-sum gap of the worst packets reaches 4.6e-14 too)
+CYCLE_ROUTE_TOL = 6e-14
+
+
+@st.composite
+def offset_cycles(draw):
+    """Packets up to ~90 from the centre with |p0| <= 2, 13 widths from the
+    walls until the turn (a wall term below e^{-13^2/4} of the peak there),
+    at a time past the turn."""
+    L0 = 100.0 * 2.0 ** draw(unit)
+    d = 0.5 + 1.5 * draw(unit)
+    gauss, traj = packet_clear_until_the_turn(draw, L0, d, (-0.2, 4.0), 2.0, 13.0)
+    return gauss, traj, traj.turn * (1.0 + draw(unit))
+
+
+@settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(offset_cycles())
+@example((GaussianParams(d=0.7, x0=70.0), ReversingLinearWall(L0=200.0, q=2.0, T=4.0), 3.0))
+def test_closed_cycle_matches_reexpansion_past_the_turn(case):
+    gauss, traj, t = case
+    L = traj.length(t)
+    x = np.linspace(-L / 2, L / 2, POINTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = evolve_cycle_reversing(gauss, traj, C, t, x, route="closed")
+        numeric = evolve_cycle_reversing(gauss, traj, C, t, x, route="reexpansion")
+    assert float(np.max(np.abs(closed - numeric))) <= CYCLE_ROUTE_TOL
+
+
+#: CN error ratio of the coarse and fine runs past the turn (measured
+#: 3.986-3.997 over 300 draws of ``resolved_cycles``)
+TURN_ORDER_RANGE = (3.95, 4.05)
+
+
+@st.composite
+def resolved_cycles(draw):
+    """Reversing walls the coarse CN grid resolves (the box, width, |p0|
+    and wall-speed ranges of ``resolved_scenarios``), the packet MARGIN
+    widths from the walls until the turn, at a time past it.
+
+    The turn falls on a step boundary of both runs: inside a step the
+    midpoint rule sees the jump of L' on one side only and drops to first
+    order (ratios 2.06-5.27 over 100 such draws).
+    """
+    L0 = 20.0 * 2.0 ** draw(unit)
+    d = L0 * (0.025 + 0.01 * draw(unit))
+    gauss, traj = packet_clear_until_the_turn(draw, L0, d, (-1.0, 2.0), 1.0, MARGIN)
+    return gauss, traj, traj.turn * CN_STEPS / draw(st.integers(CN_STEPS // 2, CN_STEPS))
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(resolved_cycles())
+def test_crank_nicolson_converges_onto_the_cycle_past_the_turn(case):
+    gauss, traj, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coarse = fixed_frame_run(gauss, traj, t, "symmetric", CN_POINTS, CN_STEPS)
+        fine = fixed_frame_run(gauss, traj, t, "symmetric", 2 * CN_POINTS, 2 * CN_STEPS)
+        fmap = FrameMap(traj=traj)
+        x = coarse.positions * fmap.scale(t)
+        psi = evolve_cycle_reversing(gauss, traj, C, t, x, route="reexpansion")
+    exact = to_fixed_frame(WaveFunctionGrid(positions=x, values=psi, time=t), fmap, t).values
+    err_coarse = np.linalg.norm(coarse.values - exact)
+    err_fine = np.linalg.norm(fine.values[::2] - exact)
+    estimate = np.linalg.norm(coarse.values - fine.values[::2]) / 3.0
+    assert TURN_ORDER_RANGE[0] < err_coarse / err_fine < TURN_ORDER_RANGE[1]
     assert err_fine <= RICHARDSON_SLACK * estimate
