@@ -297,11 +297,15 @@ def schrodinger_residual(
     selects H: "well" is the bare box, "tdlo" adds the quadratic term
     (m/2) W(t) x^2 that accelerating walls induce.  Returns
     ||residual||_2 / ||H psi||_2; for an exact family this decays as dt^2.
+    A probe window [t - dt, t + dt] that crosses the wall's turn would
+    read two families and raises DomainError.
     """
     if potential not in ("well", "tdlo"):
         raise DomainError(f"potential must be 'well' or 'tdlo', got {potential!r}")
     if dt <= 0:
         raise DomainError("dt must be positive")
+    if t - dt < traj.turn <= t + dt:
+        raise DomainError(f"the probe window t +- {dt:g} crosses the wall's turn at {traj.turn:g}")
     if n_points < 8 * idx.nu:
         raise DomainError(
             f"n_points = {n_points} cannot resolve nu = {idx.nu}; need at least {8 * idx.nu}"

@@ -8,6 +8,12 @@ the lines, all once the command has finished: a run that fails midway
 writes and prints nothing.  Exit codes: 0 success, 2 configuration
 problems, 3 a numerical tolerance was violated (or, under --strict, a
 warning was emitted).
+
+Every command takes any time in its trajectory's window, through a
+reversing wall's turn: the closed forms and the mode sum follow the mode
+family that holds each t, and the Crank-Nicolson runs split the step the
+turn falls in.  The closed cycle is ``evolve.route=theta_general``;
+``cycle`` compares it with the re-expansion route and the static box.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .phases import (
 )
 from .propagator import (
     LOCALITY_TOL,
+    contraction_coefficients,
     evolve_cycle_reversing,
     evolve_sum,
     evolve_theta_centered,
@@ -95,14 +102,13 @@ def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
     return n
 
 
-def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
-               pre_turn: bool = False) -> list[float]:
+def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[float]:
     """The times under ``key``, a comma list when it ends in ``_list``, each
     checked against the trajectory's window [0, t_max] so that a bad one
     names its key.  An absent key reads ``default``, if one is given;
     "period" stands for the trajectory's period, which the CSV stamp leaves
-    out.  With ``pre_turn`` the times must also come before the wall's
-    turn, where the closed forms stop.
+    out.  Every command runs through the whole window, a wall's turn
+    included.
     """
     if default == "period" and not cfg.has(key):
         _require(traj.period is not None, "trajectory", f"has no period; set {key}")
@@ -116,9 +122,6 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
             traj._check(t)
         except DomainError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        if pre_turn and t >= traj.turn:
-            raise ConfigError(f"{key}: t = {t} is at or past the turn T/2 = {traj.turn}; "
-                              "only evolve.route=cycle runs past it")
     return times
 
 
@@ -189,10 +192,12 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     (t,) = _get_times(cfg, "basis.t", traj, 1.0)
-    # the residual probe below reads the solutions at t +- 2e-3
+    # the residual probe below reads the solutions at t +- 2e-3, which must
+    # lie in the window and in one mode family
     t_hi = math.inf if traj.t_max is None else traj.t_max - 2e-3
-    _require(2e-3 <= t <= t_hi, "basis.t",
-             f"must lie in [0.002, {t_hi:g}]: the residual probe reads t +- 0.002")
+    _require(2e-3 <= t <= t_hi and not t - 2e-3 < traj.turn <= t + 2e-3, "basis.t",
+             f"must lie in [0.002, {t_hi:g}] and 0.002 clear of the wall's turn: "
+             "the residual probe reads t +- 0.002")
     n_max = _get_count(cfg, "basis.n_max", 20, 1)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
@@ -224,45 +229,48 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     return [("basis_check.csv", ["check", "label", "value"], rows)], [line], ok
 
 
-#: the trajectories that turn, the only ones a cycle runs on
-_NEEDS_TURN = "needs trajectory.kind=reversing_linear, or kind=scaled with that inner"
-
-_ROUTES = ("sum", "theta_centered", "theta_general", "unconfined_approx", "cycle")
+_ROUTES = ("sum", "theta_centered", "theta_general", "unconfined_approx")
 
 
 def cmd_evolve(cfg: ScenarioConfig, seed: int):
-    """Propagate the packet along one route; one CSV per requested time."""
+    """Propagate the packet along one route; one CSV per requested time.
+
+    Every route runs through a wall's turn.  ``sum`` sums the family that
+    holds each t: the initial expansion before the turn, from the turn on
+    the contraction family re-expanded from it, which exists for the
+    symmetric box only and is built once, if some time reaches the turn.
+    """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj,
-                       pre_turn=route != "cycle")
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
+    past_turn = any(t >= traj.turn for t in times)
+    # the centred and wall-free forms, and the re-expansion past a turn, know
+    # the symmetric box only
+    any_box = route == "theta_general" or (route == "sum" and not past_turn)
+    _require(any_box or sector == "symmetric", "evolve.sector",
+             f"must be symmetric for evolve.route={route}"
+             + " past the wall's turn" * (route == "sum"))
 
     if route == "sum":
-        expansion = expansion_coefficients(
-            gauss, traj, constants, sector=sector,
-            tail_tol=cfg.get_float("tolerances.tail_tol", 1e-14),
-        )
-        job = lambda t: evolve_sum(expansion, traj, constants, t, x)
+        tail_tol = cfg.get_float("tolerances.tail_tol", 1e-14)
+        families = {False: expansion_coefficients(gauss, traj, constants, sector=sector,
+                                                  tail_tol=tail_tol)}
+        if past_turn:
+            families[True] = contraction_coefficients(gauss, traj, constants,
+                                                      route="reexpansion", tail_tol=tail_tol)
+        job = lambda t: evolve_sum(families[t >= traj.turn], traj, constants, t, x)
     elif route == "theta_centered":
         _require(gauss.x0 == 0.0 and gauss.p0 == 0.0, "evolve.route=theta_centered",
                  "needs gaussian.x0 = gaussian.p0 = 0")
         job = lambda t: evolve_theta_centered(gauss, traj, constants, t, x)
     elif route == "theta_general":
         job = lambda t: evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
-    elif route == "unconfined_approx":
-        job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
     else:
-        _require(not math.isinf(traj.turn), "evolve.route=cycle", _NEEDS_TURN)
-        cycle_route = cfg.get_str(
-            "evolve.cycle_route", "closed", choices=("closed", "reexpansion")
-        )
-        job = lambda t: evolve_cycle_reversing(
-            gauss, traj, constants, t, x, route=cycle_route
-        )
+        job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
 
     csvs, lines = [], []
     for i, t in enumerate(times):
@@ -290,8 +298,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
         baseline = traj.inner
     else:
         baseline = LinearWall(L0=traj.length(0.0), q=0.0)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj,
-                       pre_turn=True)
+    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     rows, lines = [], []
     for t in times:
@@ -311,7 +318,8 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     """Full expand-reverse-contract cycle of the reversing wall."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    _require(not math.isinf(traj.turn), "cycle", _NEEDS_TURN)
+    _require(not math.isinf(traj.turn), "cycle",
+             "needs trajectory.kind=reversing_linear, or kind=scaled with that inner")
     gauss = build_gaussian(cfg)
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
@@ -399,7 +407,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
-    (T,) = _get_times(cfg, "time.t", traj, "period", pre_turn=True)
+    (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
     n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
     spec = _solver_spec(cfg, T / n_steps, box=True)
@@ -418,7 +426,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     gauss = build_gaussian(cfg)
-    (t,) = _get_times(cfg, "time.t", traj, 2.0, pre_turn=True)
+    (t,) = _get_times(cfg, "time.t", traj, 2.0)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
     n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)

@@ -141,7 +141,7 @@ _CHECK_EVERY = 250
 _CHIRP_PER_CELL = 0.5
 
 
-def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
+def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None, turn=math.inf):
     """Crank-Nicolson march of ``vals`` between Dirichlet walls at y[0], y[-1].
 
     The Hamiltonian is the fixed-frame one at reference size L0,
@@ -159,6 +159,11 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
     its step; every ``_CHECK_EVERY`` steps and at the end, a norm drift
     beyond 1e-6 raises too, and ``edge_check(psi, t)`` runs on the interior
     values.  Returns the values with the walls put back.
+
+    L' jumps at a wall's ``turn``, where the midpoint rule would see one
+    side only and drop to first order, so a step that straddles the turn
+    runs as two CN sub-steps, each with its own midpoint frame.  Every
+    other step keeps the arithmetic of one step of dt.
 
     The state carries the lab-frame chirp as e^{i m L L' y^2 / (2 hbar L0^2)},
     whose phase advances by dy m |L L'| |y| / (hbar L0^2) per cell at y.
@@ -194,43 +199,49 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None):
     du = np.empty(psi.size - 1, dtype=complex)
     dl = np.empty(psi.size - 1, dtype=complex)
     norm0 = norm_of(psi)
-    half = 0.5j * dt / hbar
     for k in range(n_steps):
-        L, lp, w2 = frame((k + 0.5) * dt)
-        chirp = chirp_per_cell * abs(L * lp)
-        # a non-finite frame is left to the ConvergenceError below
-        if not chirp_warned and _CHIRP_PER_CELL < chirp < math.inf:
-            _warn(
-                f"the wall chirp advances {chirp:.3g} rad per grid cell at "
-                f"t = {(k + 0.5) * dt:.6g}, above {_CHIRP_PER_CELL}; refine n_points",
-                StepSizeWarning,
-            )
-            chirp_warned = True
-        s2 = (L0 / L) ** 2
-        np.multiply(y2, 0.5 * m * w2 / s2, out=d)
-        d += kin * s2
-        d *= half
-        off = -0.5 * kin * s2
-        # the dilation term: +-i (hbar L' / 4 L dy) (y_j + y_{j+1})
-        np.multiply(ipair, hbar * lp / (4.0 * L * dy), out=dl)
-        np.add(off, dl, out=du)
-        np.subtract(off, dl, out=dl)
-        du *= half
-        dl *= half
-        rhs = psi - d * psi
-        rhs[:-1] -= du * psi[1:]
-        rhs[1:] -= dl * psi[:-1]
-        # every band entry multiplies an entry of psi into rhs, so a
-        # non-finite band or state always leaves rhs non-finite
-        if not np.isfinite(rhs).all():
-            raise ConvergenceError(f"non-finite Crank-Nicolson system at step {k + 1}")
-        d += 1.0
-        _, _, _, psi, info = zgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
-                                   overwrite_du=1, overwrite_b=1)
-        if info > 0:
-            raise ConvergenceError(f"singular Crank-Nicolson system at step {k + 1}")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of zgtsv")
+        if k * dt < turn < (k + 1) * dt:
+            pieces = ((0.5 * (k * dt + turn), turn - k * dt),
+                      (0.5 * (turn + (k + 1) * dt), (k + 1) * dt - turn))
+        else:
+            pieces = (((k + 0.5) * dt, dt),)
+        for t_mid, h in pieces:
+            L, lp, w2 = frame(t_mid)
+            chirp = chirp_per_cell * abs(L * lp)
+            # a non-finite frame is left to the ConvergenceError below
+            if not chirp_warned and _CHIRP_PER_CELL < chirp < math.inf:
+                _warn(
+                    f"the wall chirp advances {chirp:.3g} rad per grid cell at "
+                    f"t = {t_mid:.6g}, above {_CHIRP_PER_CELL}; refine n_points",
+                    StepSizeWarning,
+                )
+                chirp_warned = True
+            half = 0.5j * h / hbar
+            s2 = (L0 / L) ** 2
+            np.multiply(y2, 0.5 * m * w2 / s2, out=d)
+            d += kin * s2
+            d *= half
+            off = -0.5 * kin * s2
+            # the dilation term: +-i (hbar L' / 4 L dy) (y_j + y_{j+1})
+            np.multiply(ipair, hbar * lp / (4.0 * L * dy), out=dl)
+            np.add(off, dl, out=du)
+            np.subtract(off, dl, out=dl)
+            du *= half
+            dl *= half
+            rhs = psi - d * psi
+            rhs[:-1] -= du * psi[1:]
+            rhs[1:] -= dl * psi[:-1]
+            # every band entry multiplies an entry of psi into rhs, so a
+            # non-finite band or state always leaves rhs non-finite
+            if not np.isfinite(rhs).all():
+                raise ConvergenceError(f"non-finite Crank-Nicolson system at step {k + 1}")
+            d += 1.0
+            _, _, _, psi, info = zgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+                                       overwrite_du=1, overwrite_b=1)
+            if info > 0:
+                raise ConvergenceError(f"singular Crank-Nicolson system at step {k + 1}")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of zgtsv")
         if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n_steps:
             drift = abs(norm_of(psi) - norm0)
             if not drift <= 1e-6:
@@ -286,7 +297,7 @@ def evolve_fixed_frame(
         L, v, _, _, w2 = traj.kinematics(t)
         return L, v, w2 if tdlo else 0.0
 
-    full = _cn_engine(y, vals, fmap.L0, frame, spec.dt, n_steps, constants)
+    full = _cn_engine(y, vals, fmap.L0, frame, spec.dt, n_steps, constants, turn=traj.turn)
     return WaveFunctionGrid(positions=y, values=full, time=t_final)
 
 

@@ -20,18 +20,22 @@ resum to one bracket at the quartered parameter,
 
 s = 4 for the symmetric box and s = 3 for the single wall; a centred
 packet in the symmetric box collapses it to theta_2(z, kappa).  Every
-closed form (centred, general, wall-free, post-turn cycle) builds one
-record of its packet in a mode family and hands it to one evaluator.  The
+closed form (centred, general, wall-free) builds one record of its packet
+in the mode family that holds t and hands it to one evaluator.  The
 record is the free Gaussian at the family's reference time: t = 0 for the
 initial family, the wall's turn for the contraction family, where a and
 beta take the spread and the drift the packet has by then.  So every
-closed route takes any packet the gate admits, offset and boosted alike.
+closed route takes any packet the gate admits, offset and boosted alike,
+at any t in the trajectory's window, before the turn and past it.
 
 The other route sums the modes themselves.  A ``SpectralExpansion`` holds
 one coefficient array per mode family of its box, in ``basis._FAMILIES``
 order (cos then sin for the symmetric box, sin alone for the single wall),
 the layout ``basis._mode_sum`` reads; the largest label and the captured
-norm follow from the arrays.  No module but ``basis`` names a family.
+norm follow from the arrays.  No module but ``basis`` names a family.  An
+expansion holds in one solution family only: the initial one up to a
+wall's turn, and past it the contraction family's, which
+``contraction_coefficients`` projects at the turn.
 
 Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
@@ -323,10 +327,10 @@ def theta_nome(
 
     Im kappa > 0 for all t: the packet's finite width keeps the series
     convergent, though Im kappa shrinks as tau grows.  Like the closed
-    forms it follows the initial family, so it stops at the wall's turn.
+    forms it follows the family that holds t: past a wall's turn it is
+    the contraction family's kappa, its clock restarted at the turn.
     """
-    _forbid_post_turn(traj, t)
-    state = _packet_state(gauss, traj, constants)
+    state = _packet_state(gauss, traj, constants, t)
     return _nome(state, constants, _leg(traj, t)[2])
 
 
@@ -427,28 +431,21 @@ def evolve_sum(
 ):
     """Evolve by summing the retained modes of one solution family.
 
-    An "initial"-family expansion is only valid up to the wall's turn;
-    past it the walls move in the other family, so this raises DomainError
-    and defers to ``evolve_cycle_reversing``.
+    A coefficient set belongs to one family: an "initial"-family expansion
+    holds up to the wall's turn and a "contraction" one (from
+    ``contraction_coefficients``) from the turn on.  Any other t raises
+    DomainError.
     """
     leg = _leg(traj, t)
     if (expansion.family == "contraction") != (t >= traj.turn):
         raise DomainError(
             f"{expansion.family}-family coefficients do not hold at t = {t}: the "
             "initial family stops at the wall's turning point and the contraction "
-            "family starts there; use evolve_cycle_reversing"
+            "family starts there; use contraction_coefficients past it"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = _mode_sum(expansion.coeffs, constants, *leg, xa, expansion.sector)
     return complex(out[0]) if np.ndim(x) == 0 else out
-
-
-def _forbid_post_turn(traj: WallTrajectory, t: float) -> None:
-    if t >= traj.turn:
-        raise DomainError(
-            "theta-form propagators follow the pre-turn family; use "
-            "evolve_cycle_reversing beyond the turning point"
-        )
 
 
 def evolve_theta_centered(
@@ -492,17 +489,21 @@ def evolve_theta_general(
     would otherwise overflow separately.  For a centred packet in the
     symmetric box the bracket collapses to theta_2(z, kappa), and the
     result equals ``evolve_theta_centered`` bit for bit.
+
+    Past a wall's turn the same bracket resums the contraction family: L0,
+    a and beta become the box size and the packet's free spread and drift
+    at the turn, and kappa's clock restarts there (``_packet_state``).  In
+    the symmetric box this is the closed route of ``evolve_cycle_reversing``.
     """
     state = _checked_state(gauss, traj, constants, t, sector)
     return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
 
 
 def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketState:
-    """The packet in the initial family, once t and the packet pass the
-    closed forms' checks: before the turn, and inside the box at t = 0."""
-    _forbid_post_turn(traj, t)
+    """The packet in the family that holds t, once it passes the closed
+    forms' gate: inside the box at t = 0."""
     _initial_gate(gauss, traj.length(0.0), sector)
-    return _packet_state(gauss, traj, constants)
+    return _packet_state(gauss, traj, constants, t)
 
 
 def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
@@ -631,10 +632,9 @@ def evolve_cycle_reversing(
 ):
     """Evolve through a full expand-reverse-contract cycle.
 
-    Route "closed" evaluates the theta bracket of the packet in the family
-    that holds t: before the turn it is ``evolve_theta_general`` in the
-    symmetric box, and from the turn on it resums the analytically
-    projected contraction coefficients at the nome parameter
+    Route "closed" is ``evolve_theta_general`` in the symmetric box: from
+    the turn on it resums the analytically projected contraction
+    coefficients at the nome parameter
 
         kappa_c(t) = i pi / (a_h L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m,
 
@@ -648,9 +648,7 @@ def evolve_cycle_reversing(
     if route not in ("closed", "reexpansion"):
         raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
     if route == "closed":
-        _initial_gate(gauss, traj.length(0.0), "symmetric")
-        state = _packet_state(gauss, traj, constants, t)
-        return _evaluate(state, traj, constants, t, x, tol=tol)
+        return evolve_theta_general(gauss, traj, constants, t, x, tol=tol)
     if t < traj.turn:
         expansion = expansion_coefficients(gauss, traj, constants)
     else:

@@ -215,6 +215,10 @@ def test_residual_reversing_wall_both_legs():
     for t in [1.0, 3.0]:  # one on each leg, away from the kink
         r = schrodinger_residual(idx, traj, C, t, potential="well", dt=1e-3)
         assert r < 1e-4
+    # a probe window across the kink would difference the two families
+    for t in [1.999, 2.0, 2.001]:
+        with pytest.raises(DomainError, match="crosses the wall's turn"):
+            schrodinger_residual(idx, traj, C, t, potential="well", dt=2e-3)
 
 
 def test_residual_validation():

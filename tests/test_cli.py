@@ -234,7 +234,7 @@ class TestConfigErrors:
             ("evolve", "evolve.route=unconfined_approx\ntime.t=3", REVERSING),
             ("locality", "time.t_list=1,3", REVERSING),
             ("oracle-compare", "time.t=3", REVERSING),
-            ("fig2", "time.t=3", REVERSING),
+            ("fig2", "time.t=3\nsolver.n_points=2048\nsolver.n_steps=6000", REVERSING),
             ("evolve", "evolve.route=theta_general\ntime.t=3", SCALED_REVERSING),
             ("locality", "time.t_list=1,3", SCALED_REVERSING),
         ],
@@ -243,23 +243,42 @@ class TestConfigErrors:
              "scaled-evolve-theta_general", "scaled-locality"],
     )
     def test_time_past_the_turn_names_its_key(self, tmp_path, command, line, wall):
-        # the closed forms stop at the reversing wall's turn T/2 = 2, which
-        # a rescaling of the wall leaves where it is
-        cfg = write_cfg(
-            tmp_path,
-            f"{wall}trajectory.L0=100\ntrajectory.q=2\n"
-            f"trajectory.T=4\ngaussian.d=1\n{line}\n",
-        )
+        # the reversing wall turns at T/2 = 2, where a rescaling leaves it: a
+        # time past the turn is a valid time, which every command takes under
+        # its key, stamps into its CSVs and runs, agreeing there with its
+        # reference (an evolve route with the mode sum, the sum with the
+        # closed form, locality with its baseline, oracle-compare and fig2
+        # with the closed form by their exit code 0)
+        base = f"{wall}trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\ngaussian.d=1\n"
         out = tmp_path / "out"
-        res = run_cli(command, "--config", cfg, "--out", str(out))
-        assert res.returncode == 2, res.stderr
-        key = line.split("\n")[-1].split("=")[0]
-        assert f"config error: {key}: t = " in res.stderr
-        assert "is at or past the turn T/2 = 2" in res.stderr
-        assert "evolve.route=cycle" in res.stderr
-        assert "evolve_cycle_reversing" not in res.stderr
-        assert res.stdout == ""
-        assert not list(out.glob("*.csv"))
+        res = run_cli(command, "--config", write_cfg(tmp_path, f"{base}{line}\n"),
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        key, _, value = next(k for k in line.split("\n") if k.startswith("time.")).partition("=")
+        csvs = list(out.glob("*.csv"))
+        assert csvs
+        for csv in csvs:
+            stamp = dict(w.split("=", 1) for w in csv.read_text().splitlines()[0].split()[2:])
+            assert [float(v) for v in stamp[key].split(",")] == [float(v) for v in value.split(",")]
+        if command == "locality":
+            for row in res.stdout.splitlines():
+                sup = float(re.search(r"sup_error=(\S+)", row).group(1))
+                assert row.endswith("verdict=pass") and sup <= 1e-10
+        if command != "evolve":
+            return
+        route = "theta_general" if "route=sum" in line else "sum"
+        keys = re.sub(r"evolve\.route=\w+", f"evolve.route={route}", line)
+        ref = tmp_path / "ref"
+        res = run_cli(command, "--config", write_cfg(tmp_path, f"{base}{keys}\n", "ref.cfg"),
+                      "--out", str(ref))
+        assert res.returncode == 0, res.stderr
+        names = sorted(p.name for p in csvs)
+        assert names == sorted(p.name for p in ref.glob("*.csv"))
+        for name in names:
+            ours, theirs = read_rows(out / name), read_rows(ref / name)
+            assert np.array_equal(ours[:, 0], theirs[:, 0])
+            assert np.max(np.abs(ours[:, 1:3] - theirs[:, 1:3])) < 1e-12
 
     @pytest.mark.parametrize(
         "text, line",
@@ -279,6 +298,28 @@ class TestConfigErrors:
         assert "config error: basis.t must lie in [0.002, " in res.stderr
         assert res.stdout == ""
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("t", ["1.999", "2.0", "2.001"])
+    def test_basis_probe_across_the_turn_names_its_key(self, tmp_path, t):
+        # the residual probe reads t +- 0.002: across the reversing wall's
+        # turn at 2 it would difference two mode families
+        cfg = write_cfg(tmp_path, f"{REVERSING}trajectory.L0=100\ntrajectory.q=2\n"
+                                  f"trajectory.T=4\nbasis.t={t}\nbasis.n_max=4\n")
+        out = tmp_path / "out"
+        res = run_cli("basis-check", "--config", cfg, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "config error: basis.t must lie in [0.002, 3.998] and 0.002 clear of the " \
+               "wall's turn" in res.stderr
+        assert res.stdout == ""
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("t", ["1", "3"])
+    def test_basis_probe_on_either_leg_runs(self, tmp_path, t):
+        cfg = write_cfg(tmp_path, f"{REVERSING}trajectory.L0=100\ntrajectory.q=2\n"
+                                  f"trajectory.T=4\nbasis.t={t}\nbasis.n_max=4\n")
+        res = run_cli("basis-check", "--config", cfg, "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert "residual_ratios=4.00,4.00" in res.stdout
 
     def test_basis_time_at_the_probe_edge_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, BREATHING + "basis.t=0.002\nbasis.n_max=2\n")
@@ -413,20 +454,23 @@ class TestEvolve:
         diff = np.abs(outs["sum"][:, 3] - outs["theta_general"][:, 3]).max()
         assert diff < 1e-12
 
-    def test_cycle_route_needs_reversing_wall(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "trajectory.kind=linear\ntrajectory.L0=100\ntrajectory.q=2\n"
-            "gaussian.d=1\nevolve.route=cycle\ntime.t=4\n",
-        )
-        res = run_cli("evolve", "--config", cfg, "--out", str(tmp_path))
-        assert res.returncode == 2
-
     @pytest.mark.parametrize("route_keys, packet, message", [
+        # the closed cycle is route=theta_general now: cycle is no route
         ("evolve.route=cycle\ntrajectory.kind=linear\n", "",
-         "evolve.route=cycle needs trajectory.kind=reversing_linear"),
+         "evolve.route='cycle' not one of ['sum', 'theta_centered', 'theta_general', "
+         "'unconfined_approx']"),
         ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "gaussian.x0=3\n",
          "evolve.route=theta_centered needs gaussian.x0 = gaussian.p0 = 0"),
+        # the centred and wall-free forms know the symmetric box only, and so
+        # does the re-expansion that route=sum takes past the turn, at 0.5 here
+        ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "evolve.sector=single_wall\n",
+         "evolve.sector must be symmetric for evolve.route=theta_centered"),
+        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\n",
+         "gaussian.x0=20\nevolve.sector=single_wall\n",
+         "evolve.sector must be symmetric for evolve.route=unconfined_approx"),
+        ("evolve.route=sum\ntrajectory.kind=reversing_linear\ntrajectory.T=1\n",
+         "gaussian.x0=50\nevolve.sector=single_wall\n",
+         "evolve.sector must be symmetric for evolve.route=sum past the wall's turn"),
     ])
     def test_route_mismatch_names_its_keys(self, tmp_path, route_keys, packet, message):
         cfg = write_cfg(
@@ -444,16 +488,16 @@ class TestEvolve:
     @pytest.mark.parametrize("route_keys, reference_keys", [
         ("evolve.route=unconfined_approx\ntrajectory.kind=linear\ngaussian.p0=0.5\n",
          "evolve.route=theta_general\ntrajectory.kind=linear\ngaussian.p0=0.5\n"),
-        ("evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+        ("evolve.route=theta_general\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
          "gaussian.x0=3\n",
-         "evolve.route=cycle\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
-         "gaussian.x0=3\nevolve.cycle_route=reexpansion\n"),
+         "evolve.route=sum\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+         "gaussian.x0=3\n"),
     ], ids=["unconfined_approx", "cycle"])
     def test_offset_packets_run_on_every_closed_route(self, tmp_path, route_keys,
                                                       reference_keys):
-        # the wall-free form and the closed cycle (before and past the turn
-        # at t = 2) take an offset or boosted packet and agree with their
-        # references on the whole box
+        # the wall-free form and the closed form through the reversing
+        # wall's cycle (before and past the turn at t = 2) take an offset or
+        # boosted packet and agree with their references on the whole box
         base = "trajectory.L0=100\ntrajectory.q=2\ngaussian.d=1\ntime.t_list=1,3\n"
         rows = []
         for name, keys in (("route", route_keys), ("reference", reference_keys)):
@@ -465,6 +509,27 @@ class TestEvolve:
         for ours, ref in zip(*rows):
             assert np.array_equal(ours[:, 0], ref[:, 0])
             assert np.max(np.abs(ours[:, 1:3] - ref[:, 1:3])) < 1e-12
+
+
+    @pytest.mark.parametrize("times, built", [("1,1.5", 0), ("1,2,3,4", 1)],
+                             ids=["before-the-turn", "through-the-turn"])
+    def test_sum_reexpands_once_and_only_past_the_turn(self, monkeypatch, times, built):
+        calls = []
+        original = cli.contraction_coefficients
+
+        def counting(*args, **kw):
+            calls.append(kw["route"])
+            return original(*args, **kw)
+
+        monkeypatch.setattr(cli, "contraction_coefficients", counting)
+        cfg = ScenarioConfig({
+            "trajectory.kind": "reversing_linear", "trajectory.L0": "100",
+            "trajectory.q": "2", "trajectory.T": "4", "gaussian.d": "1",
+            "evolve.route": "sum", "time.t_list": times,
+        })
+        csvs, lines, ok = cli.cmd_evolve(cfg, 0)
+        assert ok and len(csvs) == len(times.split(","))
+        assert calls == ["reexpansion"] * built
 
 
 class TestCycle:

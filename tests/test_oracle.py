@@ -360,6 +360,28 @@ def at_rest(t):
     return (1.0, 0.0, 0.0)
 
 
+def test_cn_splits_the_step_the_turn_falls_in():
+    # the turn at 0.6 falls in the step [0.5, 0.75], which runs as two CN
+    # sub-steps, each reading the frame at its own midpoint; the other
+    # steps keep theirs, and a turn on a step boundary splits nothing
+    y, vals = small_system()
+    seen = []
+
+    def frame(t_mid):
+        seen.append(t_mid)
+        return (1.0, 0.03 if t_mid < 0.6 else -0.03, 0.0)
+
+    split = oracle._cn_engine(y, vals, 1.0, frame, 0.25, 4, C, turn=0.6)
+    assert seen == pytest.approx([0.125, 0.375, 0.55, 0.675, 0.875], abs=1e-15)
+    psi = vals
+    for start, h, n in ((0.0, 0.25, 2), (0.5, 0.1, 1), (0.6, 0.15, 1), (0.75, 0.25, 1)):
+        psi = oracle._cn_engine(y, psi, 1.0, lambda t: frame(start + t), h, n, C)
+    assert np.max(np.abs(split - psi)) < 1e-14
+    seen.clear()
+    oracle._cn_engine(y, vals, 1.0, frame, 0.25, 4, C, turn=0.5)
+    assert seen == [0.125, 0.375, 0.625, 0.875]
+
+
 @pytest.mark.parametrize("entry", [0, 1, 2])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_cn_non_finite_band_raises(entry, bad):

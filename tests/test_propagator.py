@@ -478,14 +478,27 @@ def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
     assert con.coeffs[1].shape == con.coeffs[0].shape
 
 
-def test_theta_forms_refuse_post_turn_times():
+def test_theta_forms_run_past_the_turn():
+    # from the turn on the closed forms follow the contraction family: they
+    # are the closed cycle route, bit for bit, and agree with re-expansion
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
-    with pytest.raises(DomainError):
-        evolve_theta_centered(G1, traj, C, 2.5, 0.0)
-    with pytest.raises(DomainError):
-        evolve_theta_general(G1, traj, C, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        theta_nome(G1, traj, C, 2.0)
+    x = np.linspace(-10.0, 10.0, 41)
+    for t in (2.0, 2.5, 3.0, 4.0):
+        closed = evolve_cycle_reversing(G1, traj, C, t, x, route="closed")
+        assert np.array_equal(evolve_theta_general(G1, traj, C, t, x), closed)
+        assert np.array_equal(evolve_theta_centered(G1, traj, C, t, x), closed)
+        numeric = evolve_cycle_reversing(G1, traj, C, t, x, route="reexpansion")
+        assert np.max(np.abs(closed - numeric)) < 1e-12
+    # the contraction clock reads zero at the turn, where kappa is
+    # i pi / (a_h L_h^2) for the packet spread by s = 1 + i hbar t_h/(2 m d^2)
+    # and chirped by the wall speed -q, and it runs with tau from there
+    L_h, s = traj.half_length, 1.0 + 1j * C.hbar * traj.turn / (2.0 * C.mass)
+    a_h = 1.0 / (4.0 * s) - 1j * C.mass * traj.q / (2.0 * C.hbar * L_h)
+    at_turn = theta_nome(G1, traj, C, traj.turn)
+    assert at_turn == pytest.approx(1j * math.pi / (a_h * L_h**2), rel=1e-14)
+    later = theta_nome(G1, traj, C, 3.0) - at_turn
+    clock = 2.0 * math.pi * C.hbar * (traj.tau(3.0) - traj.tau(traj.turn)) / C.mass
+    assert later == pytest.approx(-clock, rel=1e-12)
 
 
 def test_contraction_routes_cross_validate():
@@ -625,16 +638,17 @@ def test_a_unit_rescaling_of_the_reversing_wall_changes_nothing():
     )
     for t in (1.0, 2.0, 3.0, 4.0):
         assert _leg(scaled, t) == _leg(rev, t)
-    # past the turn the initial family no longer holds, for either wall
+    # past the turn the closed forms follow the contraction family of
+    # either wall alike, and an initial-family sum refuses for both
     initial = expansion_coefficients(G1, rev, C)
-    for traj in (rev, scaled):
-        for t in (2.0, 3.0):
-            with pytest.raises(DomainError):
-                evolve_theta_general(G1, traj, C, t, x)
+    for t in (2.0, 3.0):
+        assert np.array_equal(
+            evolve_theta_general(G1, scaled, C, t, x), evolve_theta_general(G1, rev, C, t, x)
+        )
+        assert theta_nome(G1, scaled, C, t) == theta_nome(G1, rev, C, t)
+        for traj in (rev, scaled):
             with pytest.raises(DomainError):
                 evolve_sum(initial, traj, C, t, x)
-            with pytest.raises(DomainError):
-                theta_nome(G1, traj, C, t)
 
 
 def test_locality_wall_speed_is_invisible_early():
