@@ -60,9 +60,7 @@ from .phases import (
 from .propagator import (
     SpectralExpansion,
     contraction_coefficients,
-    evolve_cycle_reversing,
     evolve_sum,
-    evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
     expansion_coefficients,
@@ -101,10 +99,8 @@ __all__ = [
     "contraction_coefficients",
     "dynamical_phase",
     "energy_expectation",
-    "evolve_cycle_reversing",
     "evolve_fixed_frame",
     "evolve_sum",
-    "evolve_theta_centered",
     "evolve_theta_general",
     "evolve_unconfined_approx",
     "expansion_coefficients",

@@ -12,7 +12,10 @@ warning was emitted).
 Every command takes any time in its trajectory's window, through a
 reversing wall's turn: the closed forms and the mode sum follow the mode
 family that holds each t, and the Crank-Nicolson runs split the step the
-turn falls in.  The closed cycle is ``evolve.route=theta_general``;
+turn falls in.  Each route has one library call: the closed form is
+``evolve_theta_general`` and the mode sum ``evolve_sum`` over the family
+that holds t, which ``_mode_sums`` builds once per run for ``evolve`` and
+``cycle`` alike.  The closed cycle is ``evolve.route=theta_general``;
 ``cycle`` compares it with the re-expansion route and the static box.
 """
 
@@ -67,9 +70,7 @@ from .phases import (
 from .propagator import (
     LOCALITY_TOL,
     contraction_coefficients,
-    evolve_cycle_reversing,
     evolve_sum,
-    evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
     expansion_coefficients,
@@ -229,16 +230,28 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     return [("basis_check.csv", ["check", "label", "value"], rows)], [line], ok
 
 
-_ROUTES = ("sum", "theta_centered", "theta_general", "unconfined_approx")
+def _mode_sums(gauss, traj, constants, times, x, sector="symmetric", tail_tol=1e-14):
+    """The mode-sum route at each of ``times``: every t sums the family that
+    holds it, the initial expansion before a wall's turn and from the turn
+    on its re-expansion in the contraction family.  Each family is built
+    once, and the contraction family only if some t reaches the turn."""
+    families = {False: expansion_coefficients(gauss, traj, constants, sector=sector,
+                                              tail_tol=tail_tol)}
+    if any(t >= traj.turn for t in times):
+        families[True] = contraction_coefficients(families[False], traj, constants,
+                                                  tail_tol=tail_tol)
+    return [evolve_sum(families[t >= traj.turn], traj, constants, t, x) for t in times]
+
+
+_ROUTES = ("sum", "theta_general", "unconfined_approx")
 
 
 def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """Propagate the packet along one route; one CSV per requested time.
 
     Every route runs through a wall's turn.  ``sum`` sums the family that
-    holds each t: the initial expansion before the turn, from the turn on
-    the contraction family re-expanded from it, which exists for the
-    symmetric box only and is built once, if some time reaches the turn.
+    holds each t (``_mode_sums``); its re-expansion past the turn exists
+    for the symmetric box only.
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
@@ -248,8 +261,8 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
     past_turn = any(t >= traj.turn for t in times)
-    # the centred and wall-free forms, and the re-expansion past a turn, know
-    # the symmetric box only
+    # the wall-free form, and the re-expansion past a turn, know the
+    # symmetric box only
     any_box = route == "theta_general" or (route == "sum" and not past_turn)
     _require(any_box or sector == "symmetric", "evolve.sector",
              f"must be symmetric for evolve.route={route}"
@@ -257,24 +270,15 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
 
     if route == "sum":
         tail_tol = cfg.get_float("tolerances.tail_tol", 1e-14)
-        families = {False: expansion_coefficients(gauss, traj, constants, sector=sector,
-                                                  tail_tol=tail_tol)}
-        if past_turn:
-            families[True] = contraction_coefficients(gauss, traj, constants,
-                                                      route="reexpansion", tail_tol=tail_tol)
-        job = lambda t: evolve_sum(families[t >= traj.turn], traj, constants, t, x)
-    elif route == "theta_centered":
-        _require(gauss.x0 == 0.0 and gauss.p0 == 0.0, "evolve.route=theta_centered",
-                 "needs gaussian.x0 = gaussian.p0 = 0")
-        job = lambda t: evolve_theta_centered(gauss, traj, constants, t, x)
+        psis = _mode_sums(gauss, traj, constants, times, x, sector, tail_tol)
     elif route == "theta_general":
-        job = lambda t: evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
+        psis = [evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
+                for t in times]
     else:
-        job = lambda t: evolve_unconfined_approx(gauss, traj, constants, t, x)
+        psis = [evolve_unconfined_approx(gauss, traj, constants, t, x) for t in times]
 
     csvs, lines = [], []
-    for i, t in enumerate(times):
-        psi = job(t)
+    for i, (t, psi) in enumerate(zip(times, psis)):
         name = f"evolve_{i:03d}.csv"
         csvs.append(_wave_csv(name, x, psi, f" __t={_fmt(t)}"))
         norm = math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
@@ -315,7 +319,9 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
 
 
 def cmd_cycle(cfg: ScenarioConfig, seed: int):
-    """Full expand-reverse-contract cycle of the reversing wall."""
+    """Full expand-reverse-contract cycle of the reversing wall: the
+    closed form against the mode sum re-expanded at the turn, and against
+    the static box at the cycle's end."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     _require(not math.isinf(traj.turn), "cycle",
@@ -327,8 +333,8 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     # the grid follows the packet's centre at t
     centre = gauss.x0 + gauss.p0 * t / constants.mass
     x = _grid_from(cfg, centre - 8 * gauss.d, centre + 8 * gauss.d)
-    closed = evolve_cycle_reversing(gauss, traj, constants, t, x, route="closed")
-    reexp = evolve_cycle_reversing(gauss, traj, constants, t, x, route="reexpansion")
+    closed = evolve_theta_general(gauss, traj, constants, t, x)
+    (reexp,) = _mode_sums(gauss, traj, constants, [t], x)
     static = evolve_theta_general(
         gauss, LinearWall(L0=traj.length(0.0), q=0.0), constants, t, x
     )

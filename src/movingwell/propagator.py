@@ -19,23 +19,28 @@ resum to one bracket at the quartered parameter,
     (1/2) [ theta_3((z-C)/2, kappa/4) - theta_s((z+C)/2, kappa/4) ],
 
 s = 4 for the symmetric box and s = 3 for the single wall; a centred
-packet in the symmetric box collapses it to theta_2(z, kappa).  Every
-closed form (centred, general, wall-free) builds one record of its packet
-in the mode family that holds t and hands it to one evaluator.  The
+packet in the symmetric box collapses it to theta_2(z, kappa).
+
+Each route has one entry point, and each follows the mode family that
+holds t: the initial family up to a wall's turn, the contraction family
+from the turn on.  The closed form is ``evolve_theta_general`` (with its
+wall-free limit ``evolve_unconfined_approx``).  It builds one record of
+its packet in the family that holds t and hands it to one evaluator.  The
 record is the free Gaussian at the family's reference time: t = 0 for the
 initial family, the wall's turn for the contraction family, where a and
-beta take the spread and the drift the packet has by then.  So every
-closed route takes any packet the gate admits, offset and boosted alike,
-at any t in the trajectory's window, before the turn and past it.
+beta take the spread and the drift the packet has by then.  So the closed
+form takes any packet the gate admits, offset and boosted alike, at any t
+in the trajectory's window, before the turn and past it.
 
-The other route sums the modes themselves.  A ``SpectralExpansion`` holds
-one coefficient array per mode family of its box, in ``basis._FAMILIES``
-order (cos then sin for the symmetric box, sin alone for the single wall),
-the layout ``basis._mode_sum`` reads; the largest label and the captured
-norm follow from the arrays.  No module but ``basis`` names a family.  An
-expansion holds in one solution family only: the initial one up to a
-wall's turn, and past it the contraction family's, which
-``contraction_coefficients`` projects at the turn.
+The other route, ``evolve_sum``, sums the modes themselves.  A
+``SpectralExpansion`` holds one coefficient array per mode family of its
+box, in ``basis._FAMILIES`` order (cos then sin for the symmetric box, sin
+alone for the single wall), the layout ``basis._mode_sum`` reads; the
+largest label and the captured norm follow from the arrays.  No module but
+``basis`` names a family.  An expansion holds in one solution family only.
+``expansion_coefficients(..., t)`` projects the packet analytically onto
+the family that holds t; ``contraction_coefficients`` re-expands an
+initial-family expansion numerically at the turn.
 
 Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
@@ -357,7 +362,7 @@ def _coefficients(state: _PacketState):
     return coefficient
 
 
-def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: str):
+def _truncated_expansion(state: _PacketState, sector: str, n_limit: int):
     """Coefficients of ``state`` on the mode families of box ``sector``,
     each grown until it produces three consecutive terms below 1e-13 of the
     largest one: one array per family, zero-padded to one length.
@@ -371,7 +376,7 @@ def _truncated_expansion(state: _PacketState, sector: str, n_limit: int, what: s
     n = 0
     while not all(done.values()):
         if n > n_limit:
-            raise ConvergenceError(f"{what} did not truncate within {n_limit} modes")
+            raise ConvergenceError(f"mode expansion did not truncate within {n_limit} modes")
         for name, first, step, shift, sine in families:
             if done[name]:
                 continue
@@ -398,20 +403,25 @@ def expansion_coefficients(
     sector: str = "symmetric",
     tail_tol: float = 1e-14,
     n_limit: int = 20000,
+    t: float = 0.0,
 ) -> SpectralExpansion:
-    """Project the initial Gaussian onto the t = 0 mode solutions.
+    """Project the packet onto the mode solutions of the family that holds t.
 
-    The projections are exact Gaussian integrals extended over the full
-    line, legitimate because the wall-tail gate has already bounded the
-    mass outside the box.  The expansion grows until each coefficient
-    family produces three consecutive terms below 1e-13 of the largest.
-    Emits TruncationWarning when the retained modes capture less than
+    Before a wall's turn this is the initial family, projected at t = 0;
+    from the turn on it is the contraction family, projected at the turn
+    where the packet is the freely spread and drifted Gaussian (see
+    ``_packet_state``), and the expansion is tagged "contraction".  The
+    projections are exact Gaussian integrals extended over the full line,
+    legitimate because the wall-tail gate has already bounded the mass
+    outside the box.  The expansion grows until each coefficient family
+    produces three consecutive terms below 1e-13 of the largest.  Emits
+    TruncationWarning when the retained modes capture less than
     1 - tail_tol of the packet's norm.
     """
-    _initial_gate(gauss, traj.length(0.0), sector)
-    state = _packet_state(gauss, traj, constants)
-    coeffs = _truncated_expansion(state, sector, n_limit, "mode expansion")
-    expansion = SpectralExpansion(sector, coeffs)
+    traj._check(t)
+    state = _checked_state(gauss, traj, constants, t, sector)
+    coeffs = _truncated_expansion(state, sector, n_limit)
+    expansion = SpectralExpansion(sector, coeffs, "contraction" if t >= traj.turn else "initial")
     captured = expansion.captured_norm
     if 1.0 - captured > tail_tol:
         _warn(
@@ -432,8 +442,9 @@ def evolve_sum(
     """Evolve by summing the retained modes of one solution family.
 
     A coefficient set belongs to one family: an "initial"-family expansion
-    holds up to the wall's turn and a "contraction" one (from
-    ``contraction_coefficients``) from the turn on.  Any other t raises
+    holds up to the wall's turn and a "contraction" one from the turn on,
+    whether ``expansion_coefficients`` projected it at a t past the turn
+    or ``contraction_coefficients`` re-expanded it.  Any other t raises
     DomainError.
     """
     leg = _leg(traj, t)
@@ -441,29 +452,12 @@ def evolve_sum(
         raise DomainError(
             f"{expansion.family}-family coefficients do not hold at t = {t}: the "
             "initial family stops at the wall's turning point and the contraction "
-            "family starts there; use contraction_coefficients past it"
+            "family starts there; expansion_coefficients(..., t=t) projects the "
+            "family that holds t"
         )
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = _mode_sum(expansion.coeffs, constants, *leg, xa, expansion.sector)
     return complex(out[0]) if np.ndim(x) == 0 else out
-
-
-def evolve_theta_centered(
-    gauss: GaussianParams,
-    traj: WallTrajectory,
-    constants: PhysicalConstants,
-    t: float,
-    x,
-    tol: float = 1e-15,
-):
-    """Closed form for a centred packet (x0 = p0 = 0) in the symmetric box.
-
-    psi(x, t) = (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) e^{i m x^2 L'/(2 hbar L)}
-                theta_2(pi x / L, kappa(t)) / sqrt(L0 L)
-    """
-    if gauss.x0 != 0.0 or gauss.p0 != 0.0:
-        raise DomainError("evolve_theta_centered needs x0 = p0 = 0")
-    return evolve_theta_general(gauss, traj, constants, t, x, tol=tol)
 
 
 def evolve_theta_general(
@@ -486,22 +480,30 @@ def evolve_theta_general(
 
     with s = 4 in the symmetric box and s = 3 for the single wall, where E
     merges the packet-offset exponents beta^2/(4a) - x0^2/(4 d^2) that
-    would otherwise overflow separately.  For a centred packet in the
-    symmetric box the bracket collapses to theta_2(z, kappa), and the
-    result equals ``evolve_theta_centered`` bit for bit.
+    would otherwise overflow separately.  For a centred packet
+    (x0 = p0 = 0, so C = E = 0) in the symmetric box the bracket collapses
+    to one theta:
+
+      psi = (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) e^{i m x^2 L'/(2 hbar L)}
+            theta_2(z, kappa(t)) / sqrt(L0 L).
 
     Past a wall's turn the same bracket resums the contraction family: L0,
-    a and beta become the box size and the packet's free spread and drift
-    at the turn, and kappa's clock restarts there (``_packet_state``).  In
-    the symmetric box this is the closed route of ``evolve_cycle_reversing``.
+    a and beta become the box size L_h and the packet's free spread and
+    drift at the turn t_h, and kappa's clock restarts there,
+
+      kappa_c(t) = i pi / (a_h L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m
+
+    (``_packet_state``).  In the symmetric box this is the closed route
+    through the expand-reverse-contract cycle; the mode sum of
+    ``contraction_coefficients`` is its numerical counterpart.
     """
     state = _checked_state(gauss, traj, constants, t, sector)
     return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
 
 
 def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketState:
-    """The packet in the family that holds t, once it passes the closed
-    forms' gate: inside the box at t = 0."""
+    """The packet in the family that holds t, once it passes the gate of
+    every route: inside the box at t = 0."""
     _initial_gate(gauss, traj.length(0.0), sector)
     return _packet_state(gauss, traj, constants, t)
 
@@ -549,69 +551,61 @@ def evolve_unconfined_approx(
 
 
 def contraction_coefficients(
-    gauss: GaussianParams,
+    start: SpectralExpansion,
     traj: WallTrajectory,
     constants: PhysicalConstants,
-    route: str = "closed",
     tail_tol: float = 1e-14,
-    n_limit: int = 20000,
     grid_points: int = 2**15,
 ) -> SpectralExpansion:
-    """Coefficients of the packet in the post-turn family at the wall's turn.
+    """Re-expand an initial-family expansion in the post-turn family.
 
-    route "closed": treats the packet at the turn as the freely spread and
-    drifted Gaussian (exact up to the same exponentially small wall tails
-    as the unconfined form) and projects analytically; any packet the
-    initial gate admits.
-
-    route "reexpansion": evolves the initial-family mode sum to the turn
-    and projects it by the trapezoid rule on a uniform grid of
-    ``grid_points`` intervals; works for any packet the initial gate
-    admits.  The trapezoid sums against e^{+-i pi nu x / L_h} for every
-    nu come from one length-2N FFT of the weighted samples, and the cos
-    and sin families are their half-sum and half-difference.
+    ``start`` is the symmetric-box initial-family expansion of a packet, as
+    ``expansion_coefficients`` gives it at t = 0, and ``traj`` a wall that
+    turns; anything else raises DomainError.  Its mode sum is evaluated at
+    the turn and projected onto the contraction modes by the trapezoid rule
+    on a uniform grid of ``grid_points`` intervals.  The trapezoid sums
+    against e^{+-i pi nu x / L_h} for every nu come from one length-2N FFT
+    of the weighted samples, and the cos and sin families are their
+    half-sum and half-difference.  This is the numerical counterpart of
+    ``expansion_coefficients(..., t=traj.turn)``, which projects the packet
+    at the turn analytically; each validates the other.  Emits
+    TruncationWarning when the projected modes capture less than
+    1 - max(tail_tol, 1e-10) of unit norm.
     """
-    L_h, v_h, tau_h = _turn_leg(traj)
-    if route not in ("closed", "reexpansion"):
-        raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-
-    if route == "closed":
-        _initial_gate(gauss, traj.length(0.0), "symmetric")
-        state = _packet_state(gauss, traj, constants, traj.turn)
-        coeffs = _truncated_expansion(state, "symmetric", n_limit, "contraction expansion")
-    else:
-        start = expansion_coefficients(
-            gauss, traj, constants, sector="symmetric", tail_tol=tail_tol
+    initial = isinstance(start, SpectralExpansion) and start.family == "initial"
+    if not (initial and start.sector == "symmetric"):
+        raise DomainError(
+            "contraction_coefficients re-expands an initial-family expansion of "
+            "the symmetric box"
         )
-        xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
-        # the initial family evaluated AT the turn: basis_solution has
-        # already switched there, so sum the pre-turn leg explicitly
-        pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, "symmetric")
-        # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
-        # trig with their clock at zero; the conjugate chirp and the
-        # trapezoid weights go into the projected samples once
-        rate = _chirp_rate(constants, L_h, -v_h)
-        g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
-        g[[0, -1]] *= 0.5
-        # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
-        # so sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
-        # times (-+i)^nu; cos and sin are the half-sum and half-difference
-        spectrum = np.fft.fft(g, 2 * grid_points)
-        n_fit = max(2 * start.n_max + 8, 16)
-        projected = np.zeros((len(_FAMILIES["symmetric"]), n_fit + 1), dtype=complex)
-        for family, row in zip(_FAMILIES["symmetric"], projected):
-            nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
-            up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
-            down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
-            row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
-        # trim with the usual floor
-        mags = np.abs(projected)
-        floor = _COEFF_FLOOR * max(float(np.max(mags)), 1e-300)
-        kept = np.flatnonzero(np.any(mags >= floor, axis=0))
-        n_max = int(kept[-1]) if kept.size else 0
-        coeffs = tuple(projected[:, : n_max + 1])
-
-    contraction = SpectralExpansion("symmetric", coeffs, family="contraction")
+    L_h, v_h, tau_h = _turn_leg(traj)
+    xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
+    # the initial family evaluated AT the turn: basis_solution has
+    # already switched there, so sum the pre-turn leg explicitly
+    pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, "symmetric")
+    # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
+    # trig with their clock at zero; the conjugate chirp and the
+    # trapezoid weights go into the projected samples once
+    rate = _chirp_rate(constants, L_h, -v_h)
+    g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+    g[[0, -1]] *= 0.5
+    # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
+    # so sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
+    # times (-+i)^nu; cos and sin are the half-sum and half-difference
+    spectrum = np.fft.fft(g, 2 * grid_points)
+    n_fit = max(2 * start.n_max + 8, 16)
+    projected = np.zeros((len(_FAMILIES["symmetric"]), n_fit + 1), dtype=complex)
+    for family, row in zip(_FAMILIES["symmetric"], projected):
+        nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
+        up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
+        down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
+        row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
+    # trim with the usual floor
+    mags = np.abs(projected)
+    floor = _COEFF_FLOOR * max(float(np.max(mags)), 1e-300)
+    kept = np.flatnonzero(np.any(mags >= floor, axis=0))
+    n_max = int(kept[-1]) if kept.size else 0
+    contraction = SpectralExpansion("symmetric", tuple(projected[:, : n_max + 1]), "contraction")
     captured = contraction.captured_norm
     if 1.0 - captured > max(tail_tol, 1e-10):
         _warn(
@@ -619,41 +613,6 @@ def contraction_coefficients(
             TruncationWarning,
         )
     return contraction
-
-
-def evolve_cycle_reversing(
-    gauss: GaussianParams,
-    traj: WallTrajectory,
-    constants: PhysicalConstants,
-    t: float,
-    x,
-    route: str = "closed",
-    tol: float = 1e-15,
-):
-    """Evolve through a full expand-reverse-contract cycle.
-
-    Route "closed" is ``evolve_theta_general`` in the symmetric box: from
-    the turn on it resums the analytically projected contraction
-    coefficients at the nome parameter
-
-        kappa_c(t) = i pi / (a_h L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m,
-
-    t_h the wall's turn and a_h the packet's x^2 coefficient in the
-    contraction family.  Route "reexpansion" sums the initial-family modes
-    before the turn and the numerically projected modes after it.  Both
-    take any packet the initial gate admits.
-    """
-    if math.isinf(traj.turn):
-        raise DomainError("evolve_cycle_reversing needs a wall that turns")
-    if route not in ("closed", "reexpansion"):
-        raise DomainError(f"route must be 'closed' or 'reexpansion', got {route!r}")
-    if route == "closed":
-        return evolve_theta_general(gauss, traj, constants, t, x, tol=tol)
-    if t < traj.turn:
-        expansion = expansion_coefficients(gauss, traj, constants)
-    else:
-        expansion = contraction_coefficients(gauss, traj, constants, route=route)
-    return evolve_sum(expansion, traj, constants, t, x)
 
 
 def locality_compare(

@@ -25,10 +25,9 @@ from movingwell import (
     SolverSpec,
     basis_solution,
     dynamical_phase,
-    evolve_cycle_reversing,
+    contraction_coefficients,
     evolve_fixed_frame,
     evolve_sum,
-    evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
     expansion_coefficients,
@@ -95,16 +94,15 @@ def test_02_every_route_is_identity_at_t0(capsys):
         ("sum", evolve_sum(
             expansion_coefficients(offset, smooth, C), smooth, C, 0.0, x_off),
          initial_gaussian(offset, C, x_off)),
-        ("theta_centered", evolve_theta_centered(centered, smooth, C, 0.0, x),
+        ("theta_general_centred", evolve_theta_general(centered, smooth, C, 0.0, x),
          initial_gaussian(centered, C, x)),
         ("theta_general", evolve_theta_general(offset, smooth, C, 0.0, x_off),
          initial_gaussian(offset, C, x_off)),
         ("unconfined_approx", evolve_unconfined_approx(centered, smooth, C, 0.0, x),
          initial_gaussian(centered, C, x)),
-        ("cycle_closed", evolve_cycle_reversing(centered, rev, C, 0.0, x, route="closed"),
+        ("cycle_closed", evolve_theta_general(centered, rev, C, 0.0, x),
          initial_gaussian(centered, C, x)),
-        ("cycle_reexpansion",
-         evolve_cycle_reversing(centered, rev, C, 0.0, x, route="reexpansion"),
+        ("cycle_sum", evolve_sum(expansion_coefficients(centered, rev, C), rev, C, 0.0, x),
          initial_gaussian(centered, C, x)),
     ]
     worst, worst_route = 0.0, ""
@@ -124,10 +122,10 @@ def test_03_locality_moving_vs_static(capsys):
     x = np.linspace(-8.0, 8.0, 1601)
     worst = 0.0
     for t in (1.0, 3.0, 5.0):
-        ref = evolve_theta_centered(gauss, LinearWall(L0=100.0, q=0.0), C, t, x)
+        ref = evolve_theta_general(gauss, LinearWall(L0=100.0, q=0.0), C, t, x)
         scale = float(np.max(np.abs(ref)))
         for q in (-0.5, 0.5, 2.0, 10.0):
-            psi = evolve_theta_centered(gauss, LinearWall(L0=100.0, q=q), C, t, x)
+            psi = evolve_theta_general(gauss, LinearWall(L0=100.0, q=q), C, t, x)
             worst = max(worst, float(np.max(np.abs(psi - ref))) / scale)
     elapsed = time.perf_counter() - t0
     _report(capsys, 3, "locality-moving-vs-static", worst <= 1e-10,
@@ -141,9 +139,10 @@ def test_04_full_cycle_reversal(capsys):
     gauss = GaussianParams(d=1.0)
     rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-8.0, 8.0, 1601)
-    closed = evolve_cycle_reversing(gauss, rev, C, 4.0, x, route="closed")
-    static = evolve_theta_centered(gauss, LinearWall(L0=100.0, q=0.0), C, 4.0, x)
-    reexp = evolve_cycle_reversing(gauss, rev, C, 4.0, x, route="reexpansion")
+    closed = evolve_theta_general(gauss, rev, C, 4.0, x)
+    static = evolve_theta_general(gauss, LinearWall(L0=100.0, q=0.0), C, 4.0, x)
+    reexpanded = contraction_coefficients(expansion_coefficients(gauss, rev, C), rev, C)
+    reexp = evolve_sum(reexpanded, rev, C, 4.0, x)
     sup_static = float(np.max(np.abs(closed - static)))
     sup_routes = float(np.max(np.abs(closed - reexp)))
     elapsed = time.perf_counter() - t0
@@ -160,11 +159,11 @@ def test_05_scaled_wall_locality(capsys):
     inner = SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0)
     t = 2.0 * math.pi
     x = np.linspace(-8.0, 8.0, 1601)
-    ref = evolve_theta_centered(gauss, inner, C, t, x)
+    ref = evolve_theta_general(gauss, inner, C, t, x)
     scale = float(np.max(np.abs(ref)))
     worst = 0.0
     for k in (2.0, 4.0):
-        psi = evolve_theta_centered(gauss, ScaledWall(inner, k), C, t, x)
+        psi = evolve_theta_general(gauss, ScaledWall(inner, k), C, t, x)
         worst = max(worst, float(np.max(np.abs(psi - ref))) / scale)
     elapsed = time.perf_counter() - t0
     _report(capsys, 5, "scaled-wall-locality", worst <= 1e-10,
@@ -247,7 +246,7 @@ def test_09_confined_theta_vs_unconfined_pde(capsys):
     n_points = 4096
     spec = SolverSpec(n_points=n_points, dt=T / 62832, x_min=-40.0, x_max=40.0)
     pde = unconfined_tdlo_propagate(gauss, traj, spec, T, C)
-    ref = evolve_theta_centered(gauss, traj, C, T, pde.positions)
+    ref = evolve_theta_general(gauss, traj, C, T, pde.positions)
     num = np.sqrt(np.trapezoid(np.abs(pde.values - ref) ** 2, pde.positions))
     den = np.sqrt(np.trapezoid(np.abs(ref) ** 2, pde.positions))
     rel = float(num / den)
@@ -267,8 +266,8 @@ def _fixed_frame_error(traj, gauss, t_final, n_points, dt):
     num = evolve_fixed_frame(psi0, fmap, spec, t_final, C)
     ref_moving = WaveFunctionGrid(
         positions=y * traj.length(t_final) / L0,
-        values=evolve_theta_centered(gauss, traj, C, t_final,
-                                     y * traj.length(t_final) / L0),
+        values=evolve_theta_general(gauss, traj, C, t_final,
+                                    y * traj.length(t_final) / L0),
         time=t_final,
     )
     ref = to_fixed_frame(ref_moving, fmap, t_final)

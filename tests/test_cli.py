@@ -6,6 +6,7 @@ them.  Heavy solver commands run at reduced resolution; the physics at
 full resolution is covered elsewhere.
 """
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -229,8 +230,7 @@ class TestConfigErrors:
         "command, line, wall",
         [
             ("evolve", "evolve.route=sum\ntime.t_list=1,3", REVERSING),
-            ("evolve", "evolve.route=theta_centered\ntime.t=2", REVERSING),
-            ("evolve", "evolve.route=theta_general\ntime.t=3", REVERSING),
+            ("evolve", "evolve.route=theta_general\ntime.t_list=2,3", REVERSING),
             ("evolve", "evolve.route=unconfined_approx\ntime.t=3", REVERSING),
             ("locality", "time.t_list=1,3", REVERSING),
             ("oracle-compare", "time.t=3", REVERSING),
@@ -238,7 +238,7 @@ class TestConfigErrors:
             ("evolve", "evolve.route=theta_general\ntime.t=3", SCALED_REVERSING),
             ("locality", "time.t_list=1,3", SCALED_REVERSING),
         ],
-        ids=["evolve-sum", "evolve-theta_centered", "evolve-theta_general",
+        ids=["evolve-sum", "evolve-theta_general",
              "evolve-unconfined_approx", "locality", "oracle-compare", "fig2",
              "scaled-evolve-theta_general", "scaled-locality"],
     )
@@ -455,16 +455,15 @@ class TestEvolve:
         assert diff < 1e-12
 
     @pytest.mark.parametrize("route_keys, packet, message", [
-        # the closed cycle is route=theta_general now: cycle is no route
+        # the closed cycle and the centred closed form are route=theta_general:
+        # cycle and theta_centered are no routes
         ("evolve.route=cycle\ntrajectory.kind=linear\n", "",
-         "evolve.route='cycle' not one of ['sum', 'theta_centered', 'theta_general', "
+         "evolve.route='cycle' not one of ['sum', 'theta_general', 'unconfined_approx']"),
+        ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "",
+         "evolve.route='theta_centered' not one of ['sum', 'theta_general', "
          "'unconfined_approx']"),
-        ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "gaussian.x0=3\n",
-         "evolve.route=theta_centered needs gaussian.x0 = gaussian.p0 = 0"),
-        # the centred and wall-free forms know the symmetric box only, and so
-        # does the re-expansion that route=sum takes past the turn, at 0.5 here
-        ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "evolve.sector=single_wall\n",
-         "evolve.sector must be symmetric for evolve.route=theta_centered"),
+        # the wall-free form knows the symmetric box only, and so does the
+        # re-expansion that route=sum takes past the turn, at 0.5 here
         ("evolve.route=unconfined_approx\ntrajectory.kind=linear\n",
          "gaussian.x0=20\nevolve.sector=single_wall\n",
          "evolve.sector must be symmetric for evolve.route=unconfined_approx"),
@@ -514,14 +513,15 @@ class TestEvolve:
     @pytest.mark.parametrize("times, built", [("1,1.5", 0), ("1,2,3,4", 1)],
                              ids=["before-the-turn", "through-the-turn"])
     def test_sum_reexpands_once_and_only_past_the_turn(self, monkeypatch, times, built):
+        # each family is built at most once per run: the initial expansion
+        # always, its re-expansion only if some time reaches the turn
         calls = []
-        original = cli.contraction_coefficients
+        for name in ("expansion_coefficients", "contraction_coefficients"):
+            def counting(*args, _name=name, _original=getattr(cli, name), **kw):
+                calls.append(_name)
+                return _original(*args, **kw)
 
-        def counting(*args, **kw):
-            calls.append(kw["route"])
-            return original(*args, **kw)
-
-        monkeypatch.setattr(cli, "contraction_coefficients", counting)
+            monkeypatch.setattr(cli, name, counting)
         cfg = ScenarioConfig({
             "trajectory.kind": "reversing_linear", "trajectory.L0": "100",
             "trajectory.q": "2", "trajectory.T": "4", "gaussian.d": "1",
@@ -529,7 +529,26 @@ class TestEvolve:
         })
         csvs, lines, ok = cli.cmd_evolve(cfg, 0)
         assert ok and len(csvs) == len(times.split(","))
-        assert calls == ["reexpansion"] * built
+        assert calls == ["expansion_coefficients"] + ["contraction_coefficients"] * built
+
+    def test_sum_past_the_turn_warns_once_per_family(self, tmp_path):
+        # a tail_tol below the captured deficit makes the initial expansion
+        # warn: built once, it warns once, before the turn and past it alike
+        base = (f"{REVERSING}trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\n"
+                "gaussian.d=1\nevolve.route=sum\ntime.t_list=1,3\n"
+                "tolerances.tail_tol=1e-20\n")
+        out = tmp_path / "out"
+        res = run_cli("evolve", "--config", write_cfg(tmp_path, base), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.count("retained modes capture") == 1, res.stderr
+        assert res.stderr.count("warning:") == 1, res.stderr
+        # the bytes the run wrote when it built the initial expansion twice
+        digests = [hashlib.sha256((out / f"evolve_{i:03d}.csv").read_bytes()).hexdigest()
+                   for i in (0, 1)]
+        assert digests == [
+            "9a08e7a2dfb4b4a0b608bd536c57c16af7c45a2d883a62664add94b3733876c7",
+            "f5e70bf02ed368465845228867c6db89d69ea7292894d79aea01cf3034559ff0",
+        ]
 
 
 class TestCycle:

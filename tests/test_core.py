@@ -30,9 +30,7 @@ from movingwell.phases import dynamical_phase, total_phase
 from movingwell.propagator import (
     SpectralExpansion,
     contraction_coefficients,
-    evolve_cycle_reversing,
     evolve_sum,
-    evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
     expansion_coefficients,
@@ -309,14 +307,13 @@ def _coarse_cn_start():
 #: route or more; each warning must name the calling line in this file
 _WARNING_CALLS = {
     "theta_general": lambda: evolve_theta_general(_WIDE, LinearWall(100.0, 1.0), _C, 1.0, 0.0),
-    "theta_centered": lambda: evolve_theta_centered(_WIDE, LinearWall(100.0, 1.0), _C, 1.0, 0.0),
     "unconfined": lambda: evolve_unconfined_approx(
         GaussianParams(d=1.0), LinearWall(100.0, 1.0), _C, 30.0, 0.0
     ),
     "expansion": lambda: expansion_coefficients(_WIDE, LinearWall(100.0, 1.0), _C),
-    "cycle_before_turn": lambda: evolve_cycle_reversing(_WIDE, _REV, _C, 1.0, 0.0),
-    "cycle_after_turn": lambda: evolve_cycle_reversing(_WIDE, _REV, _C, 3.0, 0.0),
-    "reexpansion": lambda: contraction_coefficients(_WIDE, _REV, _C, route="reexpansion"),
+    "cycle_after_turn": lambda: expansion_coefficients(_WIDE, _REV, _C, t=3.0),
+    "reexpansion": lambda: contraction_coefficients(expansion_coefficients(_WIDE, _REV, _C),
+                                                    _REV, _C),
     "fixed_frame_dt": lambda: evolve_fixed_frame(
         _coarse_cn_start(), FrameMap(traj=LinearWall(100.0, 0.0)),
         SolverSpec(n_points=1024, dt=0.3), 0.6, _C,

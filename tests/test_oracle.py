@@ -24,7 +24,7 @@ from movingwell.oracle import (
     to_fixed_frame,
     unconfined_tdlo_propagate,
 )
-from movingwell.propagator import evolve_theta_centered, initial_gaussian
+from movingwell.propagator import evolve_theta_general, initial_gaussian
 
 C = PhysicalConstants()
 
@@ -52,7 +52,7 @@ def test_frame_round_trip_and_norm():
     t = 4.0
     L = traj.length(t)
     x = np.linspace(-L / 2, L / 2, 2001)
-    psi = evolve_theta_centered(GaussianParams(d=0.8), traj, C, t, x)
+    psi = evolve_theta_general(GaussianParams(d=0.8), traj, C, t, x)
     grid = WaveFunctionGrid(positions=x, values=psi, time=t)
     fixed = to_fixed_frame(grid, fmap, t)
     assert fixed.positions[0] == pytest.approx(-10.0, rel=1e-14)
@@ -108,7 +108,7 @@ def run_fixed_frame_error(N, dt, t=2.0):
     g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(gauss, C, y), time=0.0)
     out = evolve_fixed_frame(g0, fmap, SolverSpec(n_points=N, dt=dt), t, C)
     s = fmap.scale(t)
-    lab = WaveFunctionGrid(positions=y * s, values=evolve_theta_centered(gauss, traj, C, t, y * s), time=t)
+    lab = WaveFunctionGrid(positions=y * s, values=evolve_theta_general(gauss, traj, C, t, y * s), time=t)
     ref = to_fixed_frame(lab, fmap, t)
     return l2(out.values - ref.values, y) / l2(ref.values, y)
 

@@ -30,9 +30,7 @@ from movingwell.core import (
 )
 from movingwell.propagator import (
     contraction_coefficients,
-    evolve_cycle_reversing,
     evolve_sum,
-    evolve_theta_centered,
     evolve_theta_general,
     evolve_unconfined_approx,
     expansion_coefficients,
@@ -179,7 +177,9 @@ def test_theta_routes_equal_initial_gaussian_at_t0():
     x = np.linspace(-8.0, 8.0, 33)
     psi0 = initial_gaussian(G1, C, x)
     assert np.max(np.abs(evolve_theta_general(G1, SMOOTH, C, 0.0, x) - psi0)) < 1e-14
-    assert np.max(np.abs(evolve_theta_centered(G1, SMOOTH, C, 0.0, x) - psi0)) < 1e-14
+    offset = GaussianParams(d=1.0, x0=10.0, p0=2.0)
+    got = evolve_theta_general(offset, SMOOTH, C, 0.0, x + 10.0)
+    assert np.max(np.abs(got - initial_gaussian(offset, C, x + 10.0))) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -188,11 +188,12 @@ def test_theta_routes_equal_initial_gaussian_at_t0():
     ids=lambda tr: f"{type(tr).__name__}",
 )
 def test_mode_sum_agrees_with_theta_centered(traj):
+    # the centred packet, whose closed form is the single theta_2
     ex = expansion_coefficients(G1, traj, C)
     x = np.linspace(-9.0, 9.0, 61)
     for t in [0.7, 3.0]:
         ms = evolve_sum(ex, traj, C, t, x)
-        th = evolve_theta_centered(G1, traj, C, t, x)
+        th = evolve_theta_general(G1, traj, C, t, x)
         assert np.max(np.abs(ms - th)) < 5e-14
 
 
@@ -215,6 +216,37 @@ def test_mode_sum_agrees_with_theta_general_single_wall():
         ms = evolve_sum(ex, lin, C, t, x)
         th = evolve_theta_general(g, lin, C, t, x, sector="single_wall")
         assert np.max(np.abs(ms - th)) < 1e-13
+
+
+#: sup |mode sum - closed form| in the single-wall box from the reversing
+#: wall's turn on, by box: measured at most 2.96e-14 (bare, L0 = 100) and
+#: 3.56e-13 (k = 4, L0 = 400) over 700 draws per box of d in [0.5, 2],
+#: x0 in [0.3, 0.7] L0, |p0| <= 1 at t = turn, in (turn, 2 turn) and t_max
+SINGLE_WALL_CYCLE_TOL = {1.0: 6e-14, 4.0: 6e-13}
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0], ids=["bare", "k4"])
+def test_single_wall_mode_sum_agrees_with_theta_general_past_the_turn(k):
+    # the single-wall box has no re-expansion: its contraction family is
+    # projected at the turn by expansion_coefficients(..., t)
+    rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    wall = rev if k == 1.0 else ScaledWall(inner=rev, k=k)
+    L0 = wall.length(0.0)
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        g = GaussianParams(d=rng.uniform(0.5, 2.0), x0=rng.uniform(0.4, 0.6) * L0,
+                           p0=rng.uniform(-1.0, 1.0))
+        for t in (wall.turn, 3.0, wall.t_max):
+            x = np.linspace(0.0, wall.length(t), 401)
+            with warnings.catch_warnings():
+                # in the k = 4 box the contraction expansion captures 1 to
+                # within ~1e-13 in rounding, which can exceed tail_tol
+                warnings.simplefilter("ignore", TruncationWarning)
+                ex = expansion_coefficients(g, wall, C, sector="single_wall", t=t)
+            assert ex.family == "contraction"
+            ms = evolve_sum(ex, wall, C, t, x)
+            th = evolve_theta_general(g, wall, C, t, x, sector="single_wall")
+            assert np.max(np.abs(ms - th)) <= SINGLE_WALL_CYCLE_TOL[k]
 
 
 @pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
@@ -242,7 +274,7 @@ def test_evolved_norm_is_conserved():
     for t in [0.0, 2.0, 5.0]:
         L = traj.length(t)
         x = np.linspace(-L / 2, L / 2, 8001)
-        psi = evolve_theta_centered(G1, traj, C, t, x)
+        psi = evolve_theta_general(G1, traj, C, t, x)
         assert np.trapezoid(np.abs(psi) ** 2, x) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -354,7 +386,7 @@ def test_evolve_sum_family_guards():
     evolve_sum(ex, traj, C, 1.9, 0.0)  # fine before the turn
     with pytest.raises(DomainError):
         evolve_sum(ex, traj, C, 2.0, 0.0)
-    con = contraction_coefficients(G1, traj, C, route="closed")
+    con = expansion_coefficients(G1, traj, C, t=traj.turn)
     evolve_sum(con, traj, C, 3.0, 0.0)
     with pytest.raises(DomainError):
         evolve_sum(con, traj, C, 1.0, 0.0)
@@ -435,7 +467,7 @@ HORNER_ULPS = 100
 )
 def test_mode_sum_against_long_double_trig(gauss, traj, sector, times):
     if sector == "contraction":
-        ex = contraction_coefficients(gauss, traj, C, route="reexpansion")
+        ex = contraction_coefficients(expansion_coefficients(gauss, traj, C), traj, C)
     else:
         ex = expansion_coefficients(gauss, traj, C, sector=sector)
     modes = sum(1 for _ in ex.modes())
@@ -455,8 +487,8 @@ def test_mode_sum_against_long_double_trig(gauss, traj, sector, times):
 def test_contraction_mode_sum_matches_per_mode_solutions():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-60.0, 60.0, 1201)
-    for route in ("closed", "reexpansion"):
-        con = contraction_coefficients(G1, traj, C, route=route)
+    closed = expansion_coefficients(G1, traj, C, t=traj.turn)
+    for con in (closed, contraction_coefficients(expansion_coefficients(G1, traj, C), traj, C)):
         for t in (2.0, 3.5):
             ours = evolve_sum(con, traj, C, t, x)
             assert np.max(np.abs(ours - _per_mode_sum(con, traj, t, x))) < 1e-14
@@ -464,9 +496,13 @@ def test_contraction_mode_sum_matches_per_mode_solutions():
 
 def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
     # the post-turn packet is a centred Gaussian of exponent a: its even
-    # coefficients are sqrt(2/L_h) norm e^{-k^2/(4 a)}, bit for bit
+    # coefficients are sqrt(2/L_h) norm e^{-k^2/(4 a)}, bit for bit, at
+    # the turn and at any later t
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
-    con = contraction_coefficients(G1, traj, C, route="closed")
+    con = expansion_coefficients(G1, traj, C, t=traj.turn)
+    assert con.family == "contraction"
+    later = expansion_coefficients(G1, traj, C, t=3.5)
+    assert all(np.array_equal(a, b) for a, b in zip(later.coeffs, con.coeffs))
     state = propagator._packet_state(G1, traj, C, traj.turn)
     front = math.sqrt(2.0 / traj.half_length) * state.norm
     expect = [
@@ -478,16 +514,23 @@ def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
     assert con.coeffs[1].shape == con.coeffs[0].shape
 
 
+def _cycle_sum(gauss, traj, t, x):
+    """The mode-sum route through the cycle: the initial expansion before
+    the turn, its re-expansion in the contraction family from the turn on."""
+    ex = expansion_coefficients(gauss, traj, C)
+    if t >= traj.turn:
+        ex = contraction_coefficients(ex, traj, C)
+    return evolve_sum(ex, traj, C, t, x)
+
+
 def test_theta_forms_run_past_the_turn():
-    # from the turn on the closed forms follow the contraction family: they
-    # are the closed cycle route, bit for bit, and agree with re-expansion
+    # from the turn on the closed form follows the contraction family and
+    # agrees with re-expansion
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-10.0, 10.0, 41)
     for t in (2.0, 2.5, 3.0, 4.0):
-        closed = evolve_cycle_reversing(G1, traj, C, t, x, route="closed")
-        assert np.array_equal(evolve_theta_general(G1, traj, C, t, x), closed)
-        assert np.array_equal(evolve_theta_centered(G1, traj, C, t, x), closed)
-        numeric = evolve_cycle_reversing(G1, traj, C, t, x, route="reexpansion")
+        closed = evolve_theta_general(G1, traj, C, t, x)
+        numeric = _cycle_sum(G1, traj, t, x)
         assert np.max(np.abs(closed - numeric)) < 1e-12
     # the contraction clock reads zero at the turn, where kappa is
     # i pi / (a_h L_h^2) for the packet spread by s = 1 + i hbar t_h/(2 m d^2)
@@ -503,8 +546,8 @@ def test_theta_forms_run_past_the_turn():
 
 def test_contraction_routes_cross_validate():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
-    closed = contraction_coefficients(G1, traj, C, route="closed")
-    numeric = contraction_coefficients(G1, traj, C, route="reexpansion")
+    closed = expansion_coefficients(G1, traj, C, t=traj.turn)
+    numeric = contraction_coefficients(expansion_coefficients(G1, traj, C), traj, C)
     n = min(closed.n_max, numeric.n_max)
     assert np.max(np.abs(closed.coeffs[0][: n + 1] - numeric.coeffs[0][: n + 1])) < 1e-12
     # centred packet: odd projections vanish
@@ -541,7 +584,7 @@ def _trapezoid_contraction(gauss, traj, grid_points=2**15):
 @pytest.mark.parametrize("gauss", [G1, GaussianParams(d=1.0, x0=5.0, p0=0.7)])
 def test_reexpansion_fft_projection_matches_trapezoid_sums(gauss):
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
-    ours = contraction_coefficients(gauss, traj, C, route="reexpansion")
+    ours = contraction_coefficients(expansion_coefficients(gauss, traj, C), traj, C)
     even, odd, n_max, captured = _trapezoid_contraction(gauss, traj)
     assert ours.n_max == n_max
     assert ours.captured_norm == pytest.approx(captured, abs=1e-14)
@@ -569,7 +612,8 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
             return _original(arg, *rest, **kw)
 
         monkeypatch.setattr(np, name, counting)
-    con = contraction_coefficients(G1, traj, C, route="reexpansion", grid_points=grid_points)
+    start = expansion_coefficients(G1, traj, C)
+    con = contraction_coefficients(start, traj, C, grid_points=grid_points)
     assert con.n_max > 10
     assert calls == ["exp"] * 4
 
@@ -578,8 +622,8 @@ def test_cycle_routes_agree_throughout():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-10.0, 10.0, 41)
     for t in [1.0, 2.0, 3.0, 4.0]:
-        a = evolve_cycle_reversing(G1, traj, C, t, x, route="closed")
-        b = evolve_cycle_reversing(G1, traj, C, t, x, route="reexpansion")
+        a = evolve_theta_general(G1, traj, C, t, x)
+        b = _cycle_sum(G1, traj, t, x)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -587,30 +631,49 @@ def test_cycle_state_continuous_across_turn():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-10.0, 10.0, 41)
     eps = 1e-8
-    before = evolve_cycle_reversing(G1, traj, C, 2.0 - eps, x, route="closed")
-    after = evolve_cycle_reversing(G1, traj, C, 2.0, x, route="closed")
+    before = evolve_theta_general(G1, traj, C, 2.0 - eps, x)
+    after = evolve_theta_general(G1, traj, C, 2.0, x)
     assert np.max(np.abs(after - before)) < 1e-7
 
 
 def test_cycle_norm_at_full_period():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-50.0, 50.0, 4001)
-    psi = evolve_cycle_reversing(G1, traj, C, 4.0, x, route="closed")
+    psi = evolve_theta_general(G1, traj, C, 4.0, x)
     assert np.trapezoid(np.abs(psi) ** 2, x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cycle_validation():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     with pytest.raises(DomainError):
-        evolve_cycle_reversing(G1, SMOOTH, C, 1.0, 0.0)
+        contraction_coefficients(expansion_coefficients(G1, SMOOTH, C), SMOOTH, C)
+    # both routes past the turn take any packet the gate admits, and only
+    # those
+    leaky = GaussianParams(d=1.0, x0=48.0)
     with pytest.raises(DomainError):
-        evolve_cycle_reversing(G1, traj, C, 1.0, 0.0, route="magic")
-    # the closed route past the turn takes any packet the gate admits, and
-    # only those
+        expansion_coefficients(leaky, traj, C, t=3.0)
     with pytest.raises(DomainError):
-        evolve_cycle_reversing(
-            GaussianParams(d=1.0, x0=48.0), traj, C, 3.0, 0.0, route="closed"
-        )
+        evolve_theta_general(leaky, traj, C, 3.0, 0.0)
+
+
+def test_contraction_coefficients_reexpands_only_an_initial_symmetric_expansion():
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    start = expansion_coefficients(G1, traj, C)
+    assert contraction_coefficients(start, traj, C).family == "contraction"
+    refused = {
+        "contraction family": expansion_coefficients(G1, traj, C, t=3.0),
+        "its own output": contraction_coefficients(start, traj, C),
+        "single wall": expansion_coefficients(
+            GaussianParams(d=1.0, x0=50.0), traj, C, sector="single_wall"
+        ),
+        "a packet": G1,
+    }
+    for bad in refused.values():
+        with pytest.raises(DomainError, match="initial-family expansion"):
+            contraction_coefficients(bad, traj, C)
+    # a wall that never turns has no contraction family
+    with pytest.raises(DomainError, match="never turns"):
+        contraction_coefficients(expansion_coefficients(G1, SMOOTH, C), SMOOTH, C)
 
 
 def test_a_unit_rescaling_of_the_reversing_wall_changes_nothing():
@@ -620,14 +683,15 @@ def test_a_unit_rescaling_of_the_reversing_wall_changes_nothing():
     scaled = ScaledWall(inner=rev, k=1.0)
     assert scaled.turn == rev.turn == 2.0
     x = np.linspace(-10.0, 10.0, 41)
-    for route in ("closed", "reexpansion"):
-        for t in (1.0, 2.0, 3.0, 4.0):
-            assert np.array_equal(
-                evolve_cycle_reversing(G1, scaled, C, t, x, route=route),
-                evolve_cycle_reversing(G1, rev, C, t, x, route=route),
-            )
-        ours = contraction_coefficients(G1, scaled, C, route=route)
-        bare = contraction_coefficients(G1, rev, C, route=route)
+    for t in (1.0, 2.0, 3.0, 4.0):
+        assert np.array_equal(
+            evolve_theta_general(G1, scaled, C, t, x), evolve_theta_general(G1, rev, C, t, x)
+        )
+        assert np.array_equal(_cycle_sum(G1, scaled, t, x), _cycle_sum(G1, rev, t, x))
+    for build in (lambda traj: expansion_coefficients(G1, traj, C, t=traj.turn),
+                  lambda traj: contraction_coefficients(expansion_coefficients(G1, traj, C),
+                                                        traj, C)):
+        ours, bare = build(scaled), build(rev)
         assert (ours.n_max, ours.captured_norm) == (bare.n_max, bare.captured_norm)
         assert np.array_equal(ours.coeffs[0], bare.coeffs[0])
         assert np.array_equal(ours.coeffs[1], bare.coeffs[1])
@@ -779,11 +843,21 @@ def test_kappa_quarter_bracket_against_mpmath(z, c, kappa, sector):
 
 @pytest.mark.parametrize("traj", [SMOOTH, LinearWall(L0=100.0, q=2.0)], ids=["smooth", "linear"])
 def test_general_form_of_centred_packet_is_the_centred_form(traj):
+    # for x0 = p0 = 0 the bracket is theta_2(z, kappa) and the packet is
+    # (2 pi)^{-1/4} d^{-1/2} sqrt(pi/a) e^{i m x^2 L'/(2 hbar L)}
+    # theta_2(pi x / L, kappa) / sqrt(L0 L), as written out here
     x = np.linspace(-12.0, 12.0, 241)
+    L0 = traj.length(0.0)
+    a = 0.25 + 1j * C.mass * traj.velocity(0.0) / (2.0 * C.hbar * L0)
     for t in [0.0, 1.0, 6.5]:
         general = evolve_theta_general(G1, traj, C, t, x)
-        centred = evolve_theta_centered(G1, traj, C, t, x)
-        assert np.array_equal(general, centred)
+        L, v = traj.length(t), traj.velocity(t)
+        centred = (
+            (2.0 * math.pi) ** -0.25 * cmath.sqrt(math.pi / a) / math.sqrt(L0 * L)
+            * np.exp(1j * C.mass * v * x**2 / (2.0 * C.hbar * L))
+            * theta(2, math.pi * x / L, theta_nome(G1, traj, C, t))
+        )
+        assert np.max(np.abs(general - centred)) <= 1e-15 * np.max(np.abs(centred))
 
 
 def test_general_form_theta_calls(monkeypatch):

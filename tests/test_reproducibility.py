@@ -72,3 +72,15 @@ def test_light_config_csvs_are_byte_identical(name, tmp_path):
     }
     expected = {k: v for k, v in recorded["files"].items() if k.split("/")[0] == name}
     assert produced == expected
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT))
+def test_light_configs_run_silently(name, tmp_path):
+    """A shipped config names no removed key or value: at --seed 1 it runs
+    with nothing on stderr, no warning and no "unused config keys" note."""
+    argv = [LIGHT[name], "--config", str(CONFIGS / f"{name}.cfg"),
+            "--out", str(tmp_path), "--seed", "1"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 0
+    assert err.getvalue() == ""
