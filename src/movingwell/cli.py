@@ -62,6 +62,7 @@ from .oracle import (
     unconfined_tdlo_propagate,
 )
 from .phases import (
+    MAX_NODES,
     dynamical_phase,
     fig_mode_phases,
     geometric_phase,
@@ -97,9 +98,10 @@ def _require(ok: bool, key: str, rule: str) -> None:
         raise ConfigError(f"{key} {rule}")
 
 
-def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int) -> int:
+def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int, most=math.inf) -> int:
     n = cfg.get_int(key, default)
     _require(n >= least, key, f"must be at least {least}")
+    _require(n <= most, key, f"must be at most {most}")
     return n
 
 
@@ -355,8 +357,8 @@ def cmd_phase(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     n_max = _get_count(cfg, "phase.n_max", 10, 0)
     tol = cfg.get_float("tolerances.phase_tol", 1e-6)
-    time_nodes = _get_count(cfg, "phase.time_nodes", 256, 2)
-    space_nodes = _get_count(cfg, "phase.space_nodes", 512, 2)
+    time_nodes = _get_count(cfg, "phase.time_nodes", 256, 2, MAX_NODES)
+    space_nodes = _get_count(cfg, "phase.space_nodes", 512, 2, MAX_NODES)
     (T,) = _get_times(cfg, "time.T", traj, "period")
     _require(T > 0, "time.T", "must be positive")
     rows = []

@@ -22,9 +22,14 @@ is the cycle's geometric phase.  It has the closed form
 whose trajectory factor is exposed as ``wall_action_integral``.  The
 dynamical phase is deliberately computed by quadrature of <H(t)> rather
 than from the closed form, so the decomposition cross-validates it.  The
-quadrature integrand is Re psi* H psi taken pointwise; with |psi| =
-sqrt(2/L) |trig| the chirp phase cancels and the imaginary parts of psi''
-drop out, so it is formed in real arithmetic over a (time x space) grid.
+integrand Re psi* H psi is real: with |psi| = sqrt(2/L) |trig| the chirp
+phase cancels and the imaginary parts of psi'' drop out.  On the box,
+x = (L/2)(u + sigma) with u in [-1, 1] (sigma = 0 for the symmetric box, 1
+for the single wall), so k x = pi nu (u + sigma)/2 does not depend on t and
+the (time x space) Gauss-Legendre sum factors: two space moments per mode,
+then one term per time node.  The nodes come from Newton's method on the
+Legendre recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652
+(2013)), and all modes share one pass of the wall per time resolution.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .basis import (
     BasisIndex,
     _box_interval,
     _box_of,
-    _chirp_rate,
     _clock_phase,
     _level_index,
     instantaneous_energy,
@@ -66,9 +70,58 @@ class PhaseDecomposition:
     gamma_mod_2pi: float
 
 
+#: most quadrature nodes in either direction of ``dynamical_phase``; a call
+#: at the cap takes about 2.5 s on 2 cores, most of it building the 16,384
+#: nodes of the doubled-resolution check, and the cost grows as the square
+#: of the count
+MAX_NODES = 8192
+
+#: Newton steps allowed per node set; from Tricomi's guesses three suffice
+#: up to 2 MAX_NODES nodes
+_NEWTON_STEPS = 10
+
+
+def _legendre_pair(n: int, y):
+    """P_n and P_{n-1} at x = 1 - y by the three-term recurrence, run in y so
+    that nodes near x = 1 keep their digits."""
+    p0, p1 = np.ones_like(y), 1.0 - y
+    for j in range(1, n):
+        p0, p1 = p1, (2 * j + 1) / (j + 1) * (p1 - y * p1) - j / (j + 1) * p0
+    return p1, p0
+
+
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
+
+    Newton's method in y = 1 - x on P_n(1 - y), started from Tricomi's
+    guesses, for the nodes with x >= 0; the others follow by symmetry.  With
+    1 - x^2 = y (2 - y) and P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), each step
+    is P_n y (2 - y) / (n (x P_n - P_{n-1})), and the weights
+    2 / ((1 - x^2) P_n'^2) are 2 y (2 - y) / (n (x P_n - P_{n-1}))^2 at the
+    converged nodes.  Raises ConvergenceError rather than return nodes that
+    have not converged.
+    """
+    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    # 1 - (1 - (n - 1) / (8 n^3)) cos(theta), without the cancellation
+    y = 2.0 * np.sin(0.5 * theta) ** 2 + (n - 1) / (8.0 * n**3) * np.cos(theta)
+    for _ in range(_NEWTON_STEPS):
+        pn, pm = _legendre_pair(n, y)
+        step = pn * y * (2.0 - y) / (n * (pn - y * pn - pm))
+        y = y - step
+        # convergence is quadratic: after a relative step below 1e-9 the
+        # error left is at rounding, whose floor nears 2e-11 at 2 MAX_NODES
+        if np.max(np.abs(step) / y) < 1e-9:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes of order {n} did not converge")
+    pn, pm = _legendre_pair(n, y)
+    w = 2.0 * y * (2.0 - y) / (n * (pn - y * pn - pm)) ** 2
+    # exact by Sterbenz's lemma for x <= 1/2
+    x = 1.0 - y
+    if n % 2:
+        x[-1] = 0.0
+    return np.concatenate([-x, x[::-1][n % 2:]]), np.concatenate([w, w[::-1][n % 2:]])
 
 
 def _cycle_time(traj: WallTrajectory, T: float | None, what: str = "") -> float:
@@ -119,35 +172,33 @@ def energy_expectation(
     return level + (constants.mass / 24.0) * shape * (Lp**2 - L * Lpp)
 
 
-#: points per (time x space) block of the <H> quadrature; rows per block
-#: follow from the space resolution
-_BLOCK_POINTS = 2**16
+@lru_cache(maxsize=8)
+def _time_rows(traj: WallTrajectory, T: float, nt: int):
+    """The wall at the nt Gauss-Legendre nodes of [0, T], one pass shared by
+    every mode: (time weights, L, L', Omega^2)."""
+    base, w = _gl_nodes(nt)
+    L, v, _, _, w2 = np.array([traj.kinematics(t) for t in 0.5 * T * (base + 1.0)]).T
+    return 0.5 * T * w, L, v, w2
 
 
-def _h_density(idx, traj, constants, ts, u):
-    """Re psi* H psi on a (time x space) grid, in real arithmetic.
+def _h_rows(idx: BasisIndex, constants: PhysicalConstants, L, v, w2, nx: int):
+    """<H> of mode idx, one row per (box size L, wall speed v, Omega^2 w2), as
+    the nx-node Gauss-Legendre sum over the box of
 
-    Row i holds time ts[i]; column j the box point at unit coordinate
-    u[j] in [-1, 1].  Returns (half-width of the box per row, density).
-    With |pre|^2 = 2/L the chirp phase cancels, and the 2 i alpha and
-    cross terms of psi'' are imaginary against a real trig, so
+        Re psi* H psi = (2/L) trig^2 [(hbar^2/2m) k^2 + B x^2],
+        B = (hbar^2/2m) 4 alpha^2 + (m/2) Omega^2.
 
-        Re psi* H psi = (2/L) trig^2 [(hbar^2/2m)(k^2 + 4 alpha^2 x^2)
-                                      + (m/2) Omega^2 x^2].
+    With x = (L/2)(u + sigma) and (2/L)(L/2) = 1 each row is
+    (hbar^2/2m) k^2 M0 + B (L/2)^2 M2, where M0 = sum w trig^2 and
+    M2 = sum w trig^2 (u + sigma)^2 do not depend on the row, and with the
+    chirp rate alpha = m L' / (2 hbar L), B (L/2)^2 = (m/8)(L'^2 + Omega^2 L^2).
     """
-    hbar, m = constants.hbar, constants.mass
-    L, v, _, _, w2 = np.array([traj.kinematics(t) for t in ts]).T[:, :, None]
-    lo, hi = _box_interval(L, _box_of(idx))
-    scale = 0.5 * (hi - lo)
-    x = scale * u + 0.5 * (hi + lo)
-    k = math.pi * idx.nu / L
-    alpha = _chirp_rate(constants, L, v)
-    trig = np.sin(k * x) if idx.is_sine else np.cos(k * x)
-    # per row the bracket times 2/L is a + b x^2
-    kin = hbar**2 / (2.0 * m)
-    a = (2.0 / L) * kin * k**2
-    b = (2.0 / L) * (4.0 * kin * alpha**2 + 0.5 * m * w2)
-    return scale[:, 0], trig**2 * (a + b * x**2)
+    u, w_x = _gl_nodes(nx)
+    s = u + sum(_box_interval(1.0, _box_of(idx)))
+    trig2 = (np.sin if idx.is_sine else np.cos)(0.5 * math.pi * idx.nu * s) ** 2
+    m0, m2 = w_x @ trig2, w_x @ (trig2 * s**2)
+    kin = constants.hbar**2 / (2.0 * constants.mass)
+    return kin * (math.pi * idx.nu / L) ** 2 * m0 + constants.mass / 8.0 * (v**2 + w2 * L**2) * m2
 
 
 def dynamical_phase(
@@ -161,30 +212,25 @@ def dynamical_phase(
 ) -> float:
     """delta = -(1/hbar) integral_0^T <H(t)> dt by nested quadrature.
 
-    Gauss-Legendre in both time and space over the integrand Re psi* H psi,
-    evaluated pointwise in real arithmetic as (2/L) trig^2 [(hbar^2/2m)
-    (k^2 + 4 alpha^2 x^2) + (m/2) Omega^2 x^2] on blocks of at most 2^16
-    (time, space) points, so memory does not grow with ``time_nodes``.
-    With ``check`` the computation repeats at doubled resolution and a
-    relative disagreement above 1e-9 raises ConvergenceError.  An impulsive
+    Gauss-Legendre in both time and space over the integrand Re psi* H psi =
+    (2/L) trig^2 [(hbar^2/2m)(k^2 + 4 alpha^2 x^2) + (m/2) Omega^2 x^2].  The
+    sum over the (time x space) grid is separable: two space moments per
+    mode and one term per time node, O(time_nodes + space_nodes) per mode.
+    The nodes come from Newton's method on the Legendre recurrence, built
+    once per order, and the wall is read once per time resolution.  Each
+    node count must lie in [2, MAX_NODES], else DomainError.  With
+    ``check`` the computation repeats at doubled resolution and a relative
+    disagreement above 1e-9 raises ConvergenceError.  An impulsive
     velocity reversal (kink in L') contributes only through the smooth
     pieces on either side.
     """
     T = _cycle_time(traj, T)
-    if time_nodes < 2 or space_nodes < 2:
-        raise DomainError("need at least 2 quadrature nodes in each direction")
+    if not (2 <= time_nodes <= MAX_NODES and 2 <= space_nodes <= MAX_NODES):
+        raise DomainError(f"need 2 to {MAX_NODES} quadrature nodes in each direction")
 
     def run(nt, nx):
-        base_t, w_t = _gl_nodes(nt)
-        base_x, w_x = _gl_nodes(nx)
-        ts = 0.5 * T * (base_t + 1.0)
-        vals = np.empty(nt)
-        rows = max(1, _BLOCK_POINTS // nx)
-        for start in range(0, nt, rows):
-            block = slice(start, start + rows)
-            scale, density = _h_density(idx, traj, constants, ts[block], base_x)
-            vals[block] = scale * np.sum(density * w_x, axis=1)
-        return -0.5 * T * float(np.sum(w_t * vals)) / constants.hbar
+        w_t, L, v, w2 = _time_rows(traj, T, nt)
+        return -float(np.dot(w_t, _h_rows(idx, constants, L, v, w2, nx))) / constants.hbar
 
     delta = run(time_nodes, space_nodes)
     if check:

@@ -18,6 +18,7 @@ import pytest
 from movingwell import cli
 from movingwell.config import ConfigError, ScenarioConfig
 from movingwell.core import ConvergenceError
+from movingwell.phases import MAX_NODES
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -601,6 +602,19 @@ class TestPhase:
         # clock + dynamical + geometric must cancel, per the quadrature check
         assert rows[:, 6].max() < 1e-6
 
+    @pytest.mark.parametrize("key", ["phase.time_nodes", "phase.space_nodes"])
+    def test_node_counts_stop_at_the_cap(self, tmp_path, capsys, key):
+        # a run at the cap takes about 2.5 s on 2 cores; the node cost
+        # grows as the square of the count
+        scenario = f"{BREATHING}phase.n_max=0\n"
+        cfg = write_cfg(tmp_path, f"{scenario}{key}={MAX_NODES + 1}\n")
+        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: {key} must be at most {MAX_NODES}" in capsys.readouterr().err
+        assert not (tmp_path / "phase.csv").exists()
+        cfg = write_cfg(tmp_path, f"{scenario}{key}={MAX_NODES}\n")
+        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert read_rows(tmp_path / "phase.csv").shape == (1, 7)
+
 
 class TestFig1:
     def test_dataset_shape_and_scaling(self, tmp_path):
@@ -677,3 +691,19 @@ def test_import_path_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_phase_command_leaves_scipy_and_numpy_polynomial_unloaded(tmp_path):
+    # the phase quadrature takes its Gauss-Legendre nodes from its own
+    # Newton iteration, not from numpy.polynomial
+    probe = (
+        "import sys; from movingwell import cli; "
+        f"code = cli.main(['phase', '--config', 'configs/phase.cfg', '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -1,5 +1,7 @@
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,9 +11,11 @@ from movingwell.basis import (
     BasisIndex,
     _box_interval,
     _box_of,
+    _level_index,
     _solution_and_second_derivative,
     basis_solution,
 )
+from movingwell.config import ScenarioConfig, parse_config
 from movingwell.core import (
     ConvergenceError,
     DomainError,
@@ -33,6 +37,7 @@ from movingwell.phases import (
 )
 
 C = PhysicalConstants()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # one breathing cycle of the reference box, frozen against independent
 # quadrature of the action integrand
@@ -234,19 +239,21 @@ REV_WALL = ReversingLinearWall(L0=20.0, q=1.5, T=4.0)
         (BasisIndex("single_wall", 2), LinearWall(L0=7.0, q=0.4), (0.5, 9.0)),
     ],
 )
-def test_h_density_is_the_real_part_of_psi_h_psi(idx, traj, times):
-    rng = np.random.default_rng(7)
-    u = rng.uniform(-1.0, 1.0, 257)
-    ts = np.array(times)
-    scale, density = phases._h_density(idx, traj, C, ts, u)
-    assert density.shape == (len(ts), len(u))
-    for i, t in enumerate(ts):
+def test_h_rows_are_the_box_sum_of_re_psi_h_psi(idx, traj, times):
+    # the factored row, two space moments per mode, against the same
+    # Gauss-Legendre sum of Re psi* H psi from the complex solution
+    nx = 257
+    u, w_x = phases._gl_nodes(nx)
+    L, v, w2 = (np.array([f(t) for t in times])
+                for f in (traj.length, traj.velocity, traj.omega_squared))
+    rows = phases._h_rows(idx, C, L, v, w2, nx)
+    assert rows.shape == (len(times),)
+    for t, row in zip(times, rows):
         lo, hi = _box_interval(traj.length(t), _box_of(idx))
-        assert scale[i] == 0.5 * (hi - lo)
-        ref = _h_reference(idx, traj, t, scale[i] * u + 0.5 * (hi + lo))
-        np.testing.assert_allclose(
-            density[i], ref, rtol=1e-13, atol=1e-15 * np.max(np.abs(ref))
-        )
+        scale = 0.5 * (hi - lo)
+        x = scale * u + 0.5 * (hi + lo)
+        ref = scale * float(np.sum(w_x * _h_reference(idx, traj, t, x)))
+        assert row == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +266,7 @@ def test_h_density_is_the_real_part_of_psi_h_psi(idx, traj, times):
     ],
 )
 def test_dynamical_phase_matches_per_node_quadrature(idx, traj, T, time_nodes, space_nodes):
-    # the time nodes fill whole blocks and a partial last one
+    # few and many nodes, odd and even counts, both boxes and both legs
     T = traj.period if T is None else T
     ours = dynamical_phase(
         idx, traj, C, T, time_nodes=time_nodes, space_nodes=space_nodes, check=False
@@ -275,10 +282,38 @@ def test_dynamical_phase_makes_no_per_node_solution_calls(monkeypatch):
         calls.append(args[3])
         return _solution_and_second_derivative(*args)
 
+    def closed_form(*args):
+        raise AssertionError("delta must not use the closed forms it is checked against")
+
     monkeypatch.setattr(basis, "_solution_and_second_derivative", counting)
     monkeypatch.setattr(phases, "_solution_and_second_derivative", counting, raising=False)
+    for name in ("energy_expectation", "geometric_phase", "wall_action_integral"):
+        monkeypatch.setattr(phases, name, closed_form)
+    monkeypatch.setattr(SmoothPeriodicWall, "wall_action", closed_form)
     dynamical_phase(GROUND, REF_WALL, C)
     assert calls == []
+
+
+def test_modes_share_one_trajectory_pass_per_resolution():
+    # the 11 modes of the shipped phase scenario read the wall at the
+    # 256 + 512 time nodes of the checked run once in all, not once per mode
+    cfg = ScenarioConfig(parse_config(CONFIGS / "phase.cfg"))
+    calls = []
+
+    class CountingWall(SmoothPeriodicWall):
+        def _kinematics(self, t):
+            calls.append(t)
+            return super()._kinematics(t)
+
+    wall = CountingWall(
+        L0=cfg.get_float("trajectory.L0"),
+        q=cfg.get_float("trajectory.q"),
+        omega=cfg.get_float("trajectory.omega"),
+    )
+    phases._time_rows.cache_clear()
+    for n in range(cfg.get_int("phase.n_max") + 1):
+        dynamical_phase(_level_index(n + 1), wall, C)
+    assert len(calls) <= 768
 
 
 def test_dynamical_phase_validation():
@@ -288,6 +323,58 @@ def test_dynamical_phase_validation():
         dynamical_phase(GROUND, REF_WALL, C, T=-1.0)
     with pytest.raises(DomainError):
         dynamical_phase(GROUND, REF_WALL, C, time_nodes=1)
+    for key in ("time_nodes", "space_nodes"):
+        with pytest.raises(DomainError, match=f"need 2 to {phases.MAX_NODES} "):
+            dynamical_phase(GROUND, REF_WALL, C, **{key: phases.MAX_NODES + 1})
+
+
+EPS = np.finfo(float).eps
+
+
+def _reference_node(n, x0):
+    """The Gauss-Legendre node of order n next to x0 and its weight, to 40
+    digits, by Newton on the three-term recurrence in mpmath."""
+
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    with mp.workdps(40):
+        x = mp.findroot(lambda s: legendre(s)[0], mp.mpf(float(x0)), solver="newton",
+                        df=lambda s: legendre(s)[1])
+        dp = legendre(x)[1]
+        return x, 2 / ((1 - x * x) * dp**2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024])
+def test_gl_nodes_against_40_digits(n):
+    x, w = phases._gl_nodes(n)
+    _, w_numpy = np.polynomial.legendre.leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # measured: at most 5 eps (n = 1,024)
+    assert abs(float(np.sum(w)) - 2.0) <= 8 * EPS
+    # the innermost node with x >= 0 and the eight outermost, where the
+    # weights lose the most digits
+    for i in sorted({n // 2, *range(max(n // 2, n - 8), n)}):
+        x_ref, w_ref = _reference_node(n, x[i])
+        # measured: at most 8.5e-17 over every node of these orders
+        assert abs(float(x[i] - x_ref)) <= 1.2e-16, i
+        err = abs(float((w[i] - w_ref) / w_ref))
+        err_numpy = abs(float((w_numpy[i] - w_ref) / w_ref))
+        # measured: at most 9.3e-13 (n = 1,024), where numpy's
+        # companion-matrix weights are off by up to 1.2e-9
+        assert err <= max(err_numpy, 4 * EPS), (i, err, err_numpy)
+        assert err <= 2e-12, (i, err)
+
+
+def test_gl_nodes_raise_rather_than_return_unconverged(monkeypatch):
+    monkeypatch.setattr(phases, "_NEWTON_STEPS", 2)
+    with pytest.raises(ConvergenceError, match="order 64 did not converge"):
+        phases._gl_nodes.__wrapped__(64)
 
 
 def test_fig_mode_phases_dataset():
