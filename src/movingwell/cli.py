@@ -137,13 +137,28 @@ def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     return np.linspace(lo, hi, pts + 1)
 
 
-def _solver_spec(cfg: ScenarioConfig, dt: float, box: bool = False) -> SolverSpec:
-    """SolverSpec from the solver.* keys (with the static box x_min/x_max
-    when ``box``); a bad value is reported by its key."""
-    n = cfg.get_int("solver.n_points", 4096)
+#: ceiling on solver.n_points: 2^20 subdivisions, 16 MiB per complex array
+MAX_SOLVER_POINTS = 2**20
+
+
+def _solver_spec(cfg: ScenarioConfig, dt: float, L0: float | None = None) -> SolverSpec:
+    """SolverSpec from the solver.* keys; a bad value is reported by its key.
+
+    With the fixed frame's box ``L0`` the default n_points is the smallest
+    power of two from 4,096 up that keeps the shipped spacing L0/n <= 100/4,096.
+    Without it the run is the unconfined one on the static box
+    solver.x_min/x_max, at 4,096 points by default.
+    """
+    n = 4096
+    while L0 is not None and n <= MAX_SOLVER_POINTS and L0 * 4096 > 100.0 * n:
+        n *= 2
+    n = cfg.get_int("solver.n_points", n)
     _require(n >= 8 and not n & (n - 1), "solver.n_points",
              "must be a power of two, at least 8")
-    if not box:
+    if n > MAX_SOLVER_POINTS:
+        source = "" if cfg.has("solver.n_points") else f", the default at L0 = {L0:g}"
+        raise ConfigError(f"solver.n_points must be at most {MAX_SOLVER_POINTS}{source}")
+    if L0 is not None:
         return SolverSpec(n_points=n, dt=dt)
     lo = cfg.get_float("solver.x_min", -40.0)
     hi = cfg.get_float("solver.x_max", 40.0)
@@ -418,7 +433,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
     n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
-    spec = _solver_spec(cfg, T / n_steps, box=True)
+    spec = _solver_spec(cfg, T / n_steps)
     unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
     x = unconf.positions
     conf = evolve_theta_general(gauss, traj, constants, T, x)
@@ -438,9 +453,9 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
     n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
-    spec = _solver_spec(cfg, t / n_steps)
     fmap = FrameMap(traj=traj)
     L0 = fmap.L0
+    spec = _solver_spec(cfg, t / n_steps, L0)
     y = np.linspace(-L0 / 2, L0 / 2, spec.n_points + 1)
     start = WaveFunctionGrid(
         positions=y, values=initial_gaussian(gauss, constants, y), time=0.0

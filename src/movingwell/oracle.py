@@ -13,6 +13,10 @@ Two solvers, both run by one Crank-Nicolson engine (``_cn_engine``):
   the same compensating quadratic potential on a large static box: the
   same H~ with the wall at rest, L = L0 and L' = 0.
 
+Each step is Crank-Nicolson in Cayley's form: one tridiagonal solve,
+psi <- 2 (1 + i h H~ / 2 hbar)^{-1} psi - psi, with no right-hand-side band
+product.
+
 Neither touches the theta-function or spectral-sum machinery, so agreement
 with those routes is a real cross-check rather than a tautology.
 """
@@ -151,14 +155,23 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None, turn
     with (L, L', Omega^2) = frame(t) read at each mid-step, K the three-point
     kinetic term P^2/2m and D = -(YP + PY)/2 in the symmetrized
     central-difference form, which keeps the bands Hermitian.  At L = L0,
-    L' = 0 it is the static-box K + (m/2) Omega^2 y^2.  K, y^2 and the
-    dilation pair y_j + y_{j+1} are built once; each step fills the bands
-    and solves (I + i dt H/2hbar) psi_new = (I - i dt H/2hbar) psi with
-    LAPACK gtsv, the routine scipy's solve_banded uses for one band on each
-    side.  A non-finite or singular system raises ConvergenceError naming
-    its step; every ``_CHECK_EVERY`` steps and at the end, a norm drift
-    beyond 1e-6 raises too, and ``edge_check(psi, t)`` runs on the interior
-    values.  Returns the values with the walls put back.
+    L' = 0 it is the static-box K + (m/2) Omega^2 y^2.
+
+    A step of length h applies (1 + aH)^{-1} (1 - aH), a = i h / 2 hbar, in
+    Cayley's form 2 (1 + aH)^{-1} - 1: it fills the three bands of
+    A = 1 + aH with a folded into the scalar coefficients,
+
+        A_jj               = (1 + a s^2 kin) + a (m Omega^2 / 2 s^2) y_j^2,
+        A_j,j+1, A_j+1,j   = a (-s^2 kin / 2) -+ (h L' / 8 L dy) (y_j + y_{j+1}),
+
+    kin = hbar^2 / (m dy^2), solves A chi = 2 psi with LAPACK gtsv (the
+    routine scipy's solve_banded uses for one band on each side) and sets
+    psi <- chi - psi.  y^2 and the dilation pair y_j + y_{j+1} are built
+    once.  A frame whose s^2 is not finite and positive, a non-finite state
+    or a singular system raises ConvergenceError naming its step; every
+    ``_CHECK_EVERY`` steps and at the end, a norm drift beyond 1e-6 raises
+    too, and ``edge_check(psi, t)`` runs on the interior values.  Returns
+    the values with the walls put back.
 
     L' jumps at a wall's ``turn``, where the midpoint rule would see one
     side only and drop to first order, so a step that straddles the turn
@@ -186,18 +199,20 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None, turn
     chirp_per_cell = dy * m * max(abs(y[0]), abs(y[-1])) / (hbar * L0**2)
     chirp_warned = False
     yi = y[1:-1]
-    y2 = yi * yi
-    ipair = 1j * (yi[:-1] + yi[1:])
+    # complex, so that the band fills skip a cast every step
+    y2 = (yi * yi).astype(complex)
+    pair = (yi[:-1] + yi[1:]).astype(complex)
     psi = vals[1:-1].astype(complex)
 
     def norm_of(v):
         return math.sqrt(dy * float(np.sum(np.abs(v) ** 2)))
 
-    # gtsv overwrites its bands with the LU factors, so they are refilled
-    # every step
+    # gtsv overwrites its bands with the LU factors and b with chi, so the
+    # bands are refilled and b reloaded every step
     d = np.empty(psi.size, dtype=complex)
     du = np.empty(psi.size - 1, dtype=complex)
     dl = np.empty(psi.size - 1, dtype=complex)
+    b = np.empty(psi.size, dtype=complex)
     norm0 = norm_of(psi)
     for k in range(n_steps):
         if k * dt < turn < (k + 1) * dt:
@@ -207,8 +222,14 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None, turn
             pieces = (((k + 0.5) * dt, dt),)
         for t_mid, h in pieces:
             L, lp, w2 = frame(t_mid)
+            s2 = (L0 / L) ** 2
+            if not 0.0 < s2 < math.inf:
+                raise ConvergenceError(
+                    f"non-finite Crank-Nicolson frame at step {k + 1}: L = {L:.6g} "
+                    f"gives (L0/L)^2 = {s2:.3g}, not finite and positive"
+                )
             chirp = chirp_per_cell * abs(L * lp)
-            # a non-finite frame is left to the ConvergenceError below
+            # a non-finite frame is left to the state check below
             if not chirp_warned and _CHIRP_PER_CELL < chirp < math.inf:
                 _warn(
                     f"the wall chirp advances {chirp:.3g} rad per grid cell at "
@@ -216,32 +237,25 @@ def _cn_engine(y, vals, L0, frame, dt, n_steps, constants, edge_check=None, turn
                     StepSizeWarning,
                 )
                 chirp_warned = True
-            half = 0.5j * h / hbar
-            s2 = (L0 / L) ** 2
-            np.multiply(y2, 0.5 * m * w2 / s2, out=d)
-            d += kin * s2
-            d *= half
-            off = -0.5 * kin * s2
-            # the dilation term: +-i (hbar L' / 4 L dy) (y_j + y_{j+1})
-            np.multiply(ipair, hbar * lp / (4.0 * L * dy), out=dl)
-            np.add(off, dl, out=du)
-            np.subtract(off, dl, out=dl)
-            du *= half
-            dl *= half
-            rhs = psi - d * psi
-            rhs[:-1] -= du * psi[1:]
-            rhs[1:] -= dl * psi[:-1]
-            # every band entry multiplies an entry of psi into rhs, so a
-            # non-finite band or state always leaves rhs non-finite
-            if not np.isfinite(rhs).all():
-                raise ConvergenceError(f"non-finite Crank-Nicolson system at step {k + 1}")
-            d += 1.0
-            _, _, _, psi, info = zgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1,
+            a = 0.5j * h / hbar
+            np.multiply(y2, a * (0.5 * m * w2 / s2), out=d)
+            d += 1.0 + a * (kin * s2)
+            off = a * (-0.5 * kin * s2)
+            np.multiply(pair, h * lp / (8.0 * L * dy), out=dl)
+            np.subtract(off, dl, out=du)
+            np.add(off, dl, out=dl)
+            np.add(psi, psi, out=b)
+            _, _, _, chi, info = zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
                                        overwrite_du=1, overwrite_b=1)
             if info > 0:
                 raise ConvergenceError(f"singular Crank-Nicolson system at step {k + 1}")
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of zgtsv")
+            np.subtract(chi, psi, out=psi)
+            # a finite |psi|^2 sum proves every entry finite; an overflowing
+            # one is confirmed entry by entry and left to the norm gate
+            if not np.vdot(psi, psi).real < math.inf and not np.isfinite(psi).all():
+                raise ConvergenceError(f"non-finite Crank-Nicolson state at step {k + 1}")
         if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n_steps:
             drift = abs(norm_of(psi) - norm0)
             if not drift <= 1e-6:

@@ -660,6 +660,37 @@ class TestSolverCommands:
         rows = read_rows(tmp_path / "oracle_compare.csv")
         assert rows.shape[1] == 6
 
+    def test_oracle_frame_out_of_range_exits_3(self, tmp_path, capsys):
+        # at t = 1e300 the box is 2e300 long and (L0/L)^2 underflows to 0
+        text = (CONFIGS / "oracle.cfg").read_text().replace("time.t=2", "time.t=1e300")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["oracle-compare", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "convergence failure: non-finite Crank-Nicolson frame at step 1" in err
+        assert not (tmp_path / "oracle_compare.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "oracle-compare"])
+    def test_solver_points_stop_at_the_cap(self, tmp_path, capsys, command):
+        # refused by key before any grid is allocated
+        cap = cli.MAX_SOLVER_POINTS
+        cfg = write_cfg(tmp_path, f"{BREATHING}time.t=1\nsolver.n_points={2 * cap}\n")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: solver.n_points must be at most {cap}" in capsys.readouterr().err
+        assert cli._solver_spec(ScenarioConfig({"solver.n_points": str(cap)}), 1e-3).n_points == cap
+
+    @pytest.mark.parametrize(
+        "L0, n", [(50.0, 4096), (100.0, 4096), (100.5, 8192), (400.0, 16384), (25600.0, 2**20)]
+    )
+    def test_fixed_frame_default_points_follow_the_box(self, L0, n):
+        # the smallest power of two from 4,096 with L0/n <= 100/4,096
+        assert cli._solver_spec(ScenarioConfig({}), 1e-3, L0).n_points == n
+        assert cli._solver_spec(ScenarioConfig({"solver.n_points": "1024"}), 1e-3, L0).n_points == 1024
+        assert cli._solver_spec(ScenarioConfig({}), 1e-3).n_points == 4096  # the static box
+
+    def test_fixed_frame_default_points_stop_at_the_cap(self):
+        with pytest.raises(ConfigError, match="solver.n_points must be at most .* the default at L0"):
+            cli._solver_spec(ScenarioConfig({}), 1e-3, 25601.0)
+
 
 class TestSampleConfigs:
     def test_command_table_matches_readme_and_configs(self):
