@@ -561,6 +561,11 @@ plt.savefig("fig2.png", dpi=160)
 PLOTS = {"evolve": EVOLVE_PLOT, "fig1": FIG1_PLOT, "fig2": FIG2_PLOT}
 
 
+def _print_warnings(caught) -> None:
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="movingwell",
@@ -577,15 +582,19 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a command that fails still shows the warnings it raised first
+    caught = []
     try:
         cfg = ScenarioConfig(parse_config(args.config))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             csvs, lines, ok = COMMANDS[args.command](cfg, args.seed)
     except (ConfigError, DomainError, OSError) as exc:
+        _print_warnings(caught)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
+        _print_warnings(caught)
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
 
@@ -597,8 +606,7 @@ def main(argv=None) -> int:
         )
     for line in lines:
         print(line)
-    for w in caught:
-        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    _print_warnings(caught)
     unused = cfg.unused_keys()
     if unused:
         print(f"note: unused config keys: {', '.join(unused)}", file=sys.stderr)

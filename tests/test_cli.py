@@ -10,6 +10,7 @@ import hashlib
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,26 @@ class TestConfigErrors:
                       "--out", str(tmp_path))
         assert res.returncode == 2
 
+    def test_config_error_follows_the_warnings_raised_before_it(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def warns_then_fails(cfg, seed):
+            warnings.warn("raised first", UserWarning)
+            raise ConfigError("theta.samples went bad")
+
+        monkeypatch.setitem(cli.COMMANDS, "theta-check", warns_then_fails)
+        cfg = write_cfg(tmp_path, "theta.samples=10\n")
+        assert cli.main(["theta-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: UserWarning: raised first", "config error: theta.samples went bad"
+        ]
+
+    def test_config_error_before_the_command_prints_the_error_alone(self, tmp_path, capsys):
+        # the file fails to parse before any warning is recorded
+        cfg = write_cfg(tmp_path, "theta.samples=10\nno equals sign\n")
+        assert cli.main(["theta-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and ":2:" in line
+
     def test_unused_keys_are_noted(self, tmp_path):
         cfg = write_cfg(tmp_path, "theta.samples=20\nbogus.key=1\n")
         res = run_cli("theta-check", "--config", cfg, "--out", str(tmp_path))
@@ -543,12 +564,12 @@ class TestEvolve:
         assert res.returncode == 0, res.stderr
         assert res.stderr.count("retained modes capture") == 1, res.stderr
         assert res.stderr.count("warning:") == 1, res.stderr
-        # the bytes the run wrote when it built the initial expansion twice
+        # pinned bytes: building the initial expansion once must not move them
         digests = [hashlib.sha256((out / f"evolve_{i:03d}.csv").read_bytes()).hexdigest()
                    for i in (0, 1)]
         assert digests == [
-            "9a08e7a2dfb4b4a0b608bd536c57c16af7c45a2d883a62664add94b3733876c7",
-            "f5e70bf02ed368465845228867c6db89d69ea7292894d79aea01cf3034559ff0",
+            "3463c691f7ae8ed78d88fda38f883a153dc4f6f9f1738c17e3a2895338ad8a2b",
+            "ecbf8ae96d4c8668ad6dc1f9ea4eb7d24b3b27466591034fc837147f9f61bb1b",
         ]
 
 
@@ -667,6 +688,17 @@ class TestSolverCommands:
         assert cli.main(["oracle-compare", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "convergence failure: non-finite Crank-Nicolson frame at step 1" in err
+        assert not (tmp_path / "oracle_compare.csv").exists()
+
+    def test_convergence_failure_follows_the_warnings_raised_before_it(self, tmp_path, capsys):
+        # at t = 1e300 the step resolves less than a radian, which warns,
+        # and then step 1 fails
+        text = (CONFIGS / "oracle.cfg").read_text().replace("time.t=2", "time.t=1e300")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["oracle-compare", "--config", cfg, "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("warning: StepSizeWarning: ")
+        assert lines[-1].startswith("convergence failure: ")
         assert not (tmp_path / "oracle_compare.csv").exists()
 
     @pytest.mark.parametrize("command", ["fig2", "oracle-compare"])
