@@ -171,6 +171,8 @@ def _mode_sum(coeffs, constants: PhysicalConstants, L: float, v: float, tau: flo
     skipped.  sqrt(2/L), the chirp and the box mask are applied once.
     """
     families = [(f, c) for f, c in zip(_FAMILIES[sector], coeffs) if np.any(c[f.first :])]
+    # +-inf lies outside the box; as NaN it runs through the sum quietly
+    x = np.where(np.isinf(x), np.nan, x)
     # pad the points to whole chunks (see _blocked_sum); the pad is cut off
     xp = np.zeros(-(-x.size // _CHUNK) * _CHUNK)
     xp[: x.size] = x

@@ -131,14 +131,22 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[fl
 def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     lo = cfg.get_float("grid.x_min", x_min)
     hi = cfg.get_float("grid.x_max", x_max)
-    pts = cfg.get_int("grid.n_points", n)
+    pts = _get_count(cfg, "grid.n_points", n, 2, MAX_GRID_POINTS)
     _require(lo < hi, "grid.x_min", "must lie below grid.x_max")
-    _require(pts >= 2, "grid.n_points", "must be at least 2")
     return np.linspace(lo, hi, pts + 1)
 
 
 #: ceiling on solver.n_points: 2^20 subdivisions, 16 MiB per complex array
 MAX_SOLVER_POINTS = 2**20
+#: ceiling on grid.n_points: at 2^20 the shipped evolve, locality and cycle
+#: configs take 3-19 s and at most 345 MiB, and write ~90 MB per CSV
+MAX_GRID_POINTS = 2**20
+#: ceiling on basis.n_max: at 256 basis-check holds two 256 x 16,385
+#: complex mode tables and takes about 3.4 s and 226 MiB
+MAX_BASIS_MODES = 256
+#: ceiling on fig1.n_max: at 10^5 fig1 takes about 7 s and 111 MiB and
+#: writes a 19 MB CSV
+MAX_FIG1_MODES = 10**5
 
 
 def _solver_spec(cfg: ScenarioConfig, dt: float, L0: float | None = None) -> SolverSpec:
@@ -198,7 +206,8 @@ def cmd_theta_check(cfg: ScenarioConfig, seed: int):
         direct = theta(kind, z, kappa)
         transformed = jacobi_transform(kind, z, kappa)
         rel = abs(direct - transformed) / max(abs(direct), 1e-30)
-        worst = max(worst, rel)
+        # np.maximum keeps a NaN, which max(0.0, nan) would drop
+        worst = np.maximum(worst, rel)
         rows.append((kind, z.real, z.imag, kappa.real, kappa.imag, rel))
     header = ["kind", "z_re", "z_im", "kappa_re", "kappa_im", "rel_err"]
     line = f"theta-check: samples={n} max_rel_err={worst:.3e} tol={tol:.1e}"
@@ -216,7 +225,7 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     _require(2e-3 <= t <= t_hi and not t - 2e-3 < traj.turn <= t + 2e-3, "basis.t",
              f"must lie in [0.002, {t_hi:g}] and 0.002 clear of the wall's turn: "
              "the residual probe reads t +- 0.002")
-    n_max = _get_count(cfg, "basis.n_max", 20, 1)
+    n_max = _get_count(cfg, "basis.n_max", 20, 1, MAX_BASIS_MODES)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
     x = np.linspace(*_box_interval(L, "symmetric"), 16385)
@@ -230,7 +239,7 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
         states = np.array([basis_solution(i, traj, constants, t, x) for i in idxs])
         gram = (states.conj() * w) @ states.T
         dev = float(np.max(np.abs(gram - np.eye(len(idxs)))))
-        worst_gram = max(worst_gram, dev)
+        worst_gram = np.maximum(worst_gram, dev)
         rows.append((0, float(code), dev))
     # residual halves twice as fast as dt: second-order evolution check, on
     # levels nu = 3 and 4, one in each family
@@ -388,7 +397,7 @@ def cmd_phase(cfg: ScenarioConfig, seed: int):
         gamma = geometric_phase(idx, traj, constants, T)
         scale = max(abs(gamma), abs(mu), abs(delta), 1e-30)
         rel = abs(gamma + mu + delta) / scale
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)
         rows.append((n, nu, mu, delta, gamma, gamma % (2 * math.pi), rel))
     header = ["n", "nu", "mu", "delta", "gamma", "gamma_mod_2pi", "closure_rel_err"]
     line = f"phase: modes={n_max + 1} worst_closure={worst:.3e} tol={tol:.1e}"
@@ -400,9 +409,10 @@ def cmd_fig1(cfg: ScenarioConfig, seed: int):
     constants = build_constants(cfg)
     sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
     _require(min(sizes) > 0, "fig1.Lbar0_list", "must hold positive box sizes")
-    n_max = _get_count(cfg, "fig1.n_max", 30, 0)
+    n_max = _get_count(cfg, "fig1.n_max", 30, 0, MAX_FIG1_MODES)
     q = cfg.get_float("fig1.q", 0.1)
-    _require(abs(q) < 1, "fig1.q", "must satisfy |q| < 1 to keep the wall finite")
+    # q = 0 leaves no geometric phase, and the curves' ratio would be 0/0
+    _require(0 < abs(q) < 1, "fig1.q", "must satisfy 0 < |q| < 1 for a moving, finite wall")
     omega = cfg.get_float("fig1.omega", 1.0)
     _require(omega > 0, "fig1.omega", "must be positive")
     tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
@@ -418,7 +428,7 @@ def cmd_fig1(cfg: ScenarioConfig, seed: int):
     worst = 0.0
     for i, L0 in enumerate(data["Lbar0"]):
         dev = float(np.max(np.abs(data["gamma"][i] / L0**2 - base) / base))
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
     header = ["Lbar0", "n", "gamma_mod_2pi", "gamma"]
     line = f"fig1: sizes={len(sizes)} modes={n_max + 1} k2_consistency={worst:.3e}"
     return [("fig1.csv", header, rows)], [line], worst <= tol

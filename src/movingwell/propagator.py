@@ -40,7 +40,9 @@ largest label and the captured norm follow from the arrays.  No module but
 ``basis`` names a family.  An expansion holds in one solution family only.
 ``expansion_coefficients(..., t)`` projects the packet analytically onto
 the family that holds t; ``contraction_coefficients`` re-expands an
-initial-family expansion numerically at the turn.
+initial-family expansion numerically at the turn.  Both end where
+``_expansion_end`` says: three guard labels past the last one whose
+coefficient reaches 1e-13 of the largest.
 
 Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
@@ -96,8 +98,12 @@ WIDTH_WARN = 0.1
 LOCALITY_TOL = 1e-10
 #: coefficients below this fraction of the largest one are negligible
 _COEFF_FLOOR = 1e-13
-#: how many consecutive negligible coefficients end the expansion
+#: guard labels an expansion keeps past its last coefficient above the floor
 _COEFF_RUN = 3
+#: the most labels an analytic expansion may take before ConvergenceError
+_MODE_LIMIT = 20000
+#: e-folds past the floor at which the first analytic table ends
+_TABLE_MARGIN = 8.0
 #: i^j for j mod 4, exact
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -234,28 +240,24 @@ def _packet_state(gauss, traj, constants, t: float = 0.0) -> _PacketState:
     return _PacketState(norm, spread, rate, X / (2.0 * gauss.d**2 * s), gauss.p0 / hbar, L_ref)
 
 
-def _exponent(state: _PacketState):
-    """The function k -> beta_k^2/(4a) - A X^2, beta_k = beta + i k: the
-    exponent of the packet's overlap with e^{ikx}, whose last term is
-    x0^2/(4 d^2) for the initial family.  At k = 0 it is the closed forms'
-    offset exponent E.
+def _exponent(state: _PacketState, k):
+    """beta_k^2/(4a) - A X^2, beta_k = beta + i k: the exponent of the
+    packet's overlap with e^{ikx}, whose last term is x0^2/(4 d^2) for the
+    initial family, at a float k or an array of them.  At k = 0 it is the
+    closed forms' offset exponent E.
 
     With P = k0 + k and c = (r/A) b, which is 2 r X and so real, it equals
     (-P^2 + i b (2P - c)) / (4a): the two ~X^2/(4 d^2 s) blocks cancel
     symbolically, not in rounding (they reach ~625 for X = 50, d = 1), for
     a real spread and a complex one alike.  The constants are Python
-    scalars: numpy scalar arithmetic (from numpy inputs) costs several
-    times more per call.
+    scalars, so at a float k the arithmetic is CPython's, cheaper than
+    numpy scalars; numpy's complex division rounds differently, so the
+    closed forms keep their float k = 0 and the overlap tables pass arrays.
     """
     b, k0 = complex(state.b), float(state.k0)
     c = float((state.rate / state.spread * b).real)
-    four_a = complex(4.0 * state.a)
-
-    def exponent(k: float) -> complex:
-        p = k0 + k
-        return (-p * p + 1j * b * (2.0 * p - c)) / four_a
-
-    return exponent
+    p = k0 + k
+    return (-p * p + 1j * b * (2.0 * p - c)) / complex(4.0 * state.a)
 
 
 def _nome(state: _PacketState, constants, tau: float) -> complex:
@@ -310,12 +312,17 @@ def _evaluate(
     L, v, tau = _leg(traj, t)
     kappa = _nome(state, constants, tau)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    # +-inf lies past every wall and the packet vanishes there; as NaN it
+    # runs through the arithmetic quietly
+    far = np.isinf(xa)
+    xa = np.where(far, np.nan, xa)
     z = math.pi * xa / L
-    chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state)(0.0))
+    chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state, 0.0))
     pre = state.norm / math.sqrt(state.L_ref * L)
     if wall_free:
         w = z - state.offset
         out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * w**2 / (math.pi * kappa)))
+        out[far] = 0.0
     else:
         bracket = _theta_bracket(z, state.offset, kappa, sector, tol)
         out = np.where(_in_box(xa, L, sector), pre * chirp * bracket, 0.0)
@@ -339,61 +346,68 @@ def theta_nome(
     return _nome(state, constants, _leg(traj, t)[2])
 
 
-def _coefficients(state: _PacketState):
-    """The function (nu, sine) -> overlap of the packet ``state`` with mode
-    nu of its family,
+def _overlap_table(state: _PacketState, sector: str, n_end: int) -> np.ndarray:
+    """The overlaps of the packet ``state`` with modes 0..n_end of each
+    family of box ``sector``, one row per family,
 
         c_nu = sqrt(2/L_ref) norm (1/2) [e^{E(k)} +- e^{E(-k)}],
 
     k = pi nu / L_ref, E the ``_exponent`` of the state, the difference over
-    i for a sine mode.  Each exponent is one cancelled expression before
-    ``exp``, so the nu C and k^2/4a terms never meet a large E in rounding.
-    """
-    exponent = _exponent(state)
-    L_ref = float(state.L_ref)
-    w = complex(math.sqrt(2.0 / L_ref) * state.norm * 0.5)
-
-    def coefficient(nu: int, sine: bool) -> complex:
-        k = math.pi * nu / L_ref
-        plus = cmath.exp(exponent(k))
-        minus = cmath.exp(exponent(-k))
-        return (w / 1j) * (plus - minus) if sine else w * (plus + minus)
-
-    return coefficient
-
-
-def _truncated_expansion(state: _PacketState, sector: str, n_limit: int):
-    """Coefficients of ``state`` on the mode families of box ``sector``,
-    each grown until it produces three consecutive terms below 1e-13 of the
-    largest one: one array per family, zero-padded to one length.
+    i for a sine mode, and zero below a family's first label.  Each exponent
+    is one cancelled expression before ``exp``, so the nu C and k^2/4a
+    terms never meet a large E in rounding.
     """
     families = _FAMILIES[sector]
-    coefficient = _coefficients(state)
-    coeffs = {f.sector: [] for f in families}
-    runs = dict.fromkeys(coeffs, 0)
-    done = dict.fromkeys(coeffs, False)
-    biggest = 0.0
-    n = 0
-    while not all(done.values()):
-        if n > n_limit:
-            raise ConvergenceError(f"mode expansion did not truncate within {n_limit} modes")
-        for name, first, step, shift, sine in families:
-            if done[name]:
-                continue
-            c = coefficient(step * n + shift, sine) if n >= first else 0.0
-            coeffs[name].append(c)
-            mag = abs(c)
-            biggest = max(biggest, mag)
-            if n >= first and mag < _COEFF_FLOOR * max(biggest, 1e-300):
-                runs[name] += 1
-                if runs[name] >= _COEFF_RUN and n >= first + _COEFF_RUN:
-                    done[name] = True
-            else:
-                runs[name] = 0
-        n += 1
+    nu = np.array([f.step * np.arange(n_end + 1) + f.shift for f in families])
+    k = math.pi * nu / state.L_ref
+    plus, minus = np.exp(_exponent(state, np.stack([k, -k])))
+    w = complex(math.sqrt(2.0 / state.L_ref) * state.norm * 0.5)
+    sine = np.array([[f.sine] for f in families])
+    table = np.where(sine, (w / 1j) * (plus - minus), w * (plus + minus))
+    for row, family in zip(table, families):
+        row[: family.first] = 0.0
+    return table
 
-    size = max(map(len, coeffs.values()))
-    return tuple(np.asarray(v + [0.0] * (size - len(v)), dtype=complex) for v in coeffs.values())
+
+def _expansion_end(table: np.ndarray) -> int:
+    """Where every expansion ends: the last label of the (family, label)
+    ``table`` at which some coefficient reaches _COEFF_FLOOR of the largest,
+    plus _COEFF_RUN guard labels."""
+    mags = np.abs(table)
+    floor = _COEFF_FLOOR * max(float(np.max(mags)), 1e-300)
+    above = np.flatnonzero(np.any(mags >= floor, axis=0))
+    return (int(above[-1]) if above.size else 0) + _COEFF_RUN
+
+
+def _truncated_expansion(state: _PacketState, sector: str):
+    """Coefficients of ``state`` on the mode families of box ``sector``
+    through ``_expansion_end``: one array per family, all of one length.
+
+    Re E(k) is a concave quadratic in k, peaking at k_peak and falling as
+    u (k - k_peak)^2 with u = Re 1/(4a) > 0, so past |k_peak| the envelope
+    top e^{-u (|k| - |k_peak|)^2}, top = sqrt(2/L_ref) |norm| e^{Re E(k_peak)},
+    bounds every coefficient of both families.  The first table reaches
+    _TABLE_MARGIN e-folds past the floor on that envelope.  It doubles while
+    the envelope past its last label still reaches the floor of its largest
+    coefficient, or the guard labels run past it.
+    """
+    families = _FAMILIES[sector]
+    u = (1.0 / (4.0 * state.a)).real
+    k_peak = -(complex(state.b) / (4.0 * state.a)).imag / u - state.k0
+    top = abs(math.sqrt(2.0 / state.L_ref) * state.norm) * math.exp(_exponent(state, k_peak).real)
+    k_end = abs(k_peak) + math.sqrt((_TABLE_MARGIN - math.log(_COEFF_FLOOR)) / u)
+    labels = k_end * state.L_ref / (math.pi * families[0].step)
+    n_end = int(min(labels + 1 + _COEFF_RUN, _MODE_LIMIT))
+    while True:
+        table = _overlap_table(state, sector, n_end)
+        k_past = math.pi * min(f.step * (n_end + 1) + f.shift for f in families) / state.L_ref
+        tail = top * math.exp(-u * max(k_past - abs(k_peak), 0.0) ** 2)
+        end = _expansion_end(table)
+        if end <= n_end and tail < _COEFF_FLOOR * float(np.max(np.abs(table))):
+            return tuple(table[:, : end + 1])
+        if n_end == _MODE_LIMIT:
+            raise ConvergenceError(f"mode expansion did not truncate within {_MODE_LIMIT} modes")
+        n_end = min(2 * n_end, _MODE_LIMIT)
 
 
 def expansion_coefficients(
@@ -402,7 +416,6 @@ def expansion_coefficients(
     constants: PhysicalConstants,
     sector: str = "symmetric",
     tail_tol: float = 1e-14,
-    n_limit: int = 20000,
     t: float = 0.0,
 ) -> SpectralExpansion:
     """Project the packet onto the mode solutions of the family that holds t.
@@ -413,14 +426,15 @@ def expansion_coefficients(
     ``_packet_state``), and the expansion is tagged "contraction".  The
     projections are exact Gaussian integrals extended over the full line,
     legitimate because the wall-tail gate has already bounded the mass
-    outside the box.  The expansion grows until each coefficient family
-    produces three consecutive terms below 1e-13 of the largest.  Emits
+    outside the box.  The expansion ends where ``contraction_coefficients``
+    ends too (``_expansion_end``): _COEFF_RUN = 3 labels past the last one
+    whose coefficient reaches _COEFF_FLOOR = 1e-13 of the largest.  Emits
     TruncationWarning when the retained modes capture less than
     1 - tail_tol of the packet's norm.
     """
     traj._check(t)
     state = _checked_state(gauss, traj, constants, t, sector)
-    coeffs = _truncated_expansion(state, sector, n_limit)
+    coeffs = _truncated_expansion(state, sector)
     expansion = SpectralExpansion(sector, coeffs, "contraction" if t >= traj.turn else "initial")
     captured = expansion.captured_norm
     if 1.0 - captured > tail_tol:
@@ -568,9 +582,9 @@ def contraction_coefficients(
     of the weighted samples, and the cos and sin families are their
     half-sum and half-difference.  This is the numerical counterpart of
     ``expansion_coefficients(..., t=traj.turn)``, which projects the packet
-    at the turn analytically; each validates the other.  Emits
-    TruncationWarning when the projected modes capture less than
-    1 - max(tail_tol, 1e-10) of unit norm.
+    at the turn analytically; each validates the other, and both end by
+    ``_expansion_end``.  Emits TruncationWarning when the projected modes
+    capture less than 1 - max(tail_tol, 1e-10) of unit norm.
     """
     initial = isinstance(start, SpectralExpansion) and start.family == "initial"
     if not (initial and start.sector == "symmetric"):
@@ -600,12 +614,8 @@ def contraction_coefficients(
         up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
         down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
         row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
-    # trim with the usual floor
-    mags = np.abs(projected)
-    floor = _COEFF_FLOOR * max(float(np.max(mags)), 1e-300)
-    kept = np.flatnonzero(np.any(mags >= floor, axis=0))
-    n_max = int(kept[-1]) if kept.size else 0
-    contraction = SpectralExpansion("symmetric", tuple(projected[:, : n_max + 1]), "contraction")
+    kept = tuple(projected[:, : _expansion_end(projected) + 1])
+    contraction = SpectralExpansion("symmetric", kept, "contraction")
     captured = contraction.captured_norm
     if 1.0 - captured > max(tail_tol, 1e-10):
         _warn(

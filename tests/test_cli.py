@@ -338,13 +338,69 @@ class TestConfigErrors:
         assert res.returncode == 2, res.stderr
         assert f"config error: {line.split('=')[0]} must be positive" in res.stderr
 
-    @pytest.mark.parametrize("line", ["fig1.q=1.5", "fig1.omega=-1", "fig1.Lbar0_list=100,-5"])
+    @pytest.mark.parametrize(
+        "line", ["fig1.q=1.5", "fig1.q=0", "fig1.omega=-1", "fig1.Lbar0_list=100,-5"]
+    )
     def test_fig1_keys_name_themselves(self, tmp_path, line):
         cfg = write_cfg(tmp_path, line + "\n")
         res = run_cli("fig1", "--config", cfg, "--out", str(tmp_path / "out"))
         assert res.returncode == 2, res.stderr
         assert f"config error: {line.split('=')[0]} " in res.stderr
         assert not (tmp_path / "out" / "fig1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("evolve", BREATHING + "time.t=1\n", "grid.n_points=1000000000000"),
+            ("locality", BREATHING + "time.t=1\n", f"grid.n_points={cli.MAX_GRID_POINTS + 1}"),
+            ("cycle", REVERSING + "trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\n"
+             "gaussian.d=1\n", f"grid.n_points={cli.MAX_GRID_POINTS + 1}"),
+            ("basis-check", BREATHING, "basis.n_max=100000"),
+            ("basis-check", BREATHING, f"basis.n_max={cli.MAX_BASIS_MODES + 1}"),
+            ("fig1", "", "fig1.n_max=10000000000"),
+            ("fig1", "", f"fig1.n_max={cli.MAX_FIG1_MODES + 1}"),
+        ],
+        ids=["evolve-1e12", "locality-cap", "cycle-cap", "basis-1e5", "basis-cap", "fig1-1e10",
+             "fig1-cap"],
+    )
+    def test_counts_that_size_an_allocation_stop_at_their_cap(self, tmp_path, monkeypatch,
+                                                               capsys, command, text, line):
+        # refused by key while the config is read: every call that would
+        # allocate the grid or the mode tables fails the test instead
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the count was refused")
+
+        monkeypatch.setattr(np, "linspace", allocates)
+        for name in ("basis_solution", "fig_mode_phases"):
+            monkeypatch.setattr(cli, name, allocates)
+        cfg = write_cfg(tmp_path, text + line + "\n")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        key = line.split("=")[0]
+        assert f"config error: {key} must be at most" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command, text, name", [
+        ("theta-check", "theta.samples=5\n", "jacobi_transform"),
+        ("basis-check", BREATHING + "basis.n_max=2\n", "basis_solution"),
+        ("phase", BREATHING + "phase.n_max=2\n", "geometric_phase"),
+        ("fig1", "fig1.n_max=4\n", "fig_mode_phases"),
+    ], ids=["theta-check", "basis-check", "phase", "fig1"])
+    def test_nan_deviation_fails_its_check(self, tmp_path, monkeypatch, capsys, command,
+                                           text, name):
+        # max(0.0, nan) is 0.0: a NaN deviation used to pass with exit 0
+        real = getattr(cli, name)
+
+        def with_nan(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if name == "fig_mode_phases":
+                out["gamma"][1, 2] = np.nan
+                return out
+            return out * np.nan
+
+        monkeypatch.setattr(cli, name, with_nan)
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "=nan" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path):
         res = run_cli("theta-check", "--config", str(tmp_path / "nope.cfg"),
@@ -568,8 +624,8 @@ class TestEvolve:
         digests = [hashlib.sha256((out / f"evolve_{i:03d}.csv").read_bytes()).hexdigest()
                    for i in (0, 1)]
         assert digests == [
-            "3463c691f7ae8ed78d88fda38f883a153dc4f6f9f1738c17e3a2895338ad8a2b",
-            "ecbf8ae96d4c8668ad6dc1f9ea4eb7d24b3b27466591034fc837147f9f61bb1b",
+            "21cb159a4013a84fdfdc51265ba2ba3582fec1726aa695421494ea9aa56688fe",
+            "721ddc1e43e8b541eb8421c36bd2f64a8064aeefa6732ba657192465828aa03e",
         ]
 
 

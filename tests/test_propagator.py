@@ -21,6 +21,7 @@ from movingwell.basis import (
     reversal_mismatch_ratio,
 )
 from movingwell.core import (
+    ConvergenceError,
     DomainError,
     GaussianParams,
     LinearWall,
@@ -158,7 +159,7 @@ def test_overlap_exponent_against_mpmath(k):
         beta = mp.mpc(state.beta.real, state.beta.imag)
         ref = (beta + 1j * mp.mpf(k)) ** 2 / (4 * a) - beta.real**2 / (4 * a.real)
         ref = complex(ref)
-    got = propagator._exponent(state)(k)
+    got = propagator._exponent(state, k)
     assert abs(got - ref) <= 4e-16 * max(abs(ref), 1.0)
     # past the turn the spread A is complex: (-P^2 + i b (2P - c))/(4a),
     # P = p0/hbar + k and c = (r/A) b, at 50 digits from the contraction
@@ -172,7 +173,7 @@ def test_overlap_exponent_against_mpmath(k):
             c = mp.mpf(state.rate) / mp.mpc(state.spread.real, state.spread.imag) * b
             P = mp.mpf(state.k0) + mp.mpf(k)
             ref = complex((-P * P + 1j * b * (2 * P - c)) / (4 * a))
-        got = propagator._exponent(state)(k)
+        got = propagator._exponent(state, k)
         assert abs(got - ref) <= 4e-16 * max(abs(ref), 1.0)
 
 
@@ -270,6 +271,120 @@ def test_nan_positions_give_zero_on_both_routes(sector):
         assert np.array_equal(summed[~nan_at], evolve_sum(ex, lin, C, t, x))
         assert np.max(np.abs(closed - summed)) < 1e-13
     assert evolve_theta_general(g, lin, C, 0.9, math.nan, sector=sector) == 0.0
+
+
+@pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
+def test_infinite_positions_give_zero_quietly(sector):
+    # +-inf lies past every wall: the box routes give 0 there as they do
+    # for NaN, and the wall-free form gives the packet's limit, 0, all
+    # without a numpy RuntimeWarning
+    g = GaussianParams(d=1.0, x0=40.0 if sector == "single_wall" else 10.0, p0=0.5)
+    lin = LinearWall(L0=100.0, q=2.0)
+    ex = expansion_coefficients(g, lin, C, sector=sector)
+    x = np.array([math.inf, 40.0 if sector == "single_wall" else 10.0, -math.inf])
+    routes = {
+        "closed": lambda: evolve_theta_general(g, lin, C, 1.0, x, sector=sector),
+        "sum": lambda: evolve_sum(ex, lin, C, 1.0, x),
+    }
+    if sector == "symmetric":
+        routes["wall_free"] = lambda: evolve_unconfined_approx(g, lin, C, 1.0, x)
+    for name, route in routes.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = route()
+        assert psi[0] == 0.0 and psi[2] == 0.0, name
+        assert abs(psi[1]) > 0.1, name
+
+
+def _sweep_cases():
+    """(sector, wall, packet, t) over both sectors, both mode families, four
+    wall kinds (a scaled reversing wall among them), centred, offset and
+    boosted packets and widths from 0.2 to 3."""
+    rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    walls = [LinearWall(L0=100.0, q=3.0), SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0),
+             rev, ScaledWall(inner=rev, k=4.0)]
+    for sector in ("symmetric", "single_wall"):
+        for wall in walls:
+            L0 = wall.length(0.0)
+            centre = L0 / 2.0 if sector == "single_wall" else 0.0
+            for d in (0.2, 1.0, 3.0):
+                for x0, p0 in ((0.0, 0.0), (0.3, 0.0), (0.0, 1.5), (-0.25, -0.8)):
+                    g = GaussianParams(d=d, x0=centre + x0 * L0, p0=p0)
+                    for t in (0.0,) if math.isinf(wall.turn) else (0.0, wall.turn):
+                        yield sector, wall, g, t
+
+
+def test_expansion_ends_three_labels_past_the_floor():
+    # a brute-force table four times wider holds no coefficient at or above
+    # the floor past the kept labels, and n_max is the last one there plus
+    # the guard; the kept coefficients are that table's own, to rounding
+    # (numpy's complex multiply can round an element differently in an
+    # array of another size)
+    cases = 0
+    for sector, wall, g, t in _sweep_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ex = expansion_coefficients(g, wall, C, sector=sector, t=t)
+        state = propagator._packet_state(g, wall, C, t)
+        wide = propagator._overlap_table(state, sector, 4 * (ex.n_max + 1))
+        mags = np.abs(wide)
+        above = np.flatnonzero(np.any(mags >= propagator._COEFF_FLOOR * mags.max(), axis=0))
+        assert ex.n_max == above[-1] + propagator._COEFF_RUN, (sector, wall, g, t)
+        for c, w in zip(ex.coeffs, wide):
+            assert np.max(np.abs(c - w[: ex.n_max + 1])) <= 1e-15 * mags.max()
+        cases += 1
+    assert cases == 2 * 3 * 4 * (2 + 2 * 2)
+
+
+def test_expansion_table_grows_until_its_envelope_clears_the_floor(monkeypatch):
+    # a first table far too short doubles to the same expansion; a label
+    # limit below the expansion's end raises ConvergenceError
+    g = GaussianParams(d=0.5, x0=10.0, p0=1.0)
+    ref = expansion_coefficients(g, SMOOTH, C)
+    tables = []
+    real = propagator._overlap_table
+
+    def counting(state, sector, n_end):
+        tables.append(n_end)
+        return real(state, sector, n_end)
+
+    monkeypatch.setattr(propagator, "_overlap_table", counting)
+    monkeypatch.setattr(propagator, "_TABLE_MARGIN", -29.0)
+    grown = expansion_coefficients(g, SMOOTH, C)
+    assert len(tables) > 2 and tables[-1] >= ref.n_max
+    assert grown.n_max == ref.n_max
+    for a, b in zip(grown.coeffs, ref.coeffs):
+        assert np.max(np.abs(a - b)) <= 1e-15
+    monkeypatch.setattr(propagator, "_MODE_LIMIT", ref.n_max - 1)
+    with pytest.raises(ConvergenceError, match=f"within {ref.n_max - 1} modes"):
+        expansion_coefficients(g, SMOOTH, C)
+
+
+@pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
+def test_expansion_takes_no_exp_per_label(monkeypatch, sector):
+    # the overlaps are one np.exp over the whole table, whatever the label
+    # count; the only cmath.exp is the packet state's own norm phase
+    calls = {"cmath": 0, "np": 0}
+    for module, key in ((cmath, "cmath"), (np, "np")):
+        original = module.exp
+
+        def counting(*args, _key=key, _original=original, **kw):
+            calls[_key] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(module, "exp", counting)
+    rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    centre = 50.0 if sector == "single_wall" else 0.0
+    for g in (GaussianParams(d=0.3, x0=centre), GaussianParams(d=2.0, x0=centre + 5.0, p0=1.0)):
+        for t in (0.0, rev.turn):
+            calls.update(cmath=0, np=0)
+            propagator._packet_state(g, rev, C, t)
+            state_calls = calls["cmath"]
+            calls.update(cmath=0, np=0)
+            ex = expansion_coefficients(g, rev, C, sector=sector, t=t)
+            assert ex.n_max > 20
+            assert calls["cmath"] == state_calls <= 1
+            assert calls["np"] <= len(_FAMILIES[sector])
 
 
 def test_evolved_norm_is_conserved():
@@ -559,11 +674,9 @@ def test_closed_contraction_coefficients_are_the_gaussian_overlaps():
     assert all(np.array_equal(a, b) for a, b in zip(later.coeffs, con.coeffs))
     state = propagator._packet_state(G1, traj, C, traj.turn)
     front = math.sqrt(2.0 / traj.half_length) * state.norm
-    expect = [
-        front * np.exp(-((math.pi * (2 * n + 1) / traj.half_length) ** 2) / (4.0 * state.a))
-        for n in range(con.n_max + 1)
-    ]
-    assert np.array_equal(con.coeffs[0], np.array(expect))
+    k = math.pi * (2 * np.arange(con.n_max + 1) + 1) / traj.half_length
+    expect = front * np.exp(-(k**2) / (4.0 * state.a))
+    assert np.array_equal(con.coeffs[0], expect)
     assert np.all(con.coeffs[1] == 0.0)
     assert con.coeffs[1].shape == con.coeffs[0].shape
 
@@ -630,7 +743,8 @@ def _trapezoid_contraction(gauss, traj, grid_points=2**15):
         for n in range(1, n_fit + 1)
     ])
     floor = propagator._COEFF_FLOOR * max(np.max(np.abs(even)), np.max(np.abs(odd)))
-    n_max = int(np.flatnonzero((np.abs(even) >= floor) | (np.abs(odd) >= floor))[-1])
+    last = int(np.flatnonzero((np.abs(even) >= floor) | (np.abs(odd) >= floor))[-1])
+    n_max = last + propagator._COEFF_RUN
     even, odd = even[: n_max + 1], odd[: n_max + 1]
     return even, odd, n_max, float(np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2))
 

@@ -77,10 +77,13 @@ def test_light_config_csvs_are_byte_identical(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(LIGHT))
 def test_light_configs_run_silently(name, tmp_path):
     """A shipped config names no removed key or value: at --seed 1 it runs
-    with nothing on stderr, no warning and no "unused config keys" note."""
+    with nothing on stderr, no warning and no "unused config keys" note.
+    It runs under --strict, which turns any warning it raises into exit 3."""
     argv = [LIGHT[name], "--config", str(CONFIGS / f"{name}.cfg"),
-            "--out", str(tmp_path), "--seed", "1"]
+            "--out", str(tmp_path), "--seed", "1", "--strict"]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert cli.main(argv) == 0
+        code = cli.main(argv)
+    assert "warning:" not in err.getvalue()
+    assert code == 0
     assert err.getvalue() == ""
