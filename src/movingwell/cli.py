@@ -62,7 +62,7 @@ from .oracle import (
     unconfined_tdlo_propagate,
 )
 from .phases import (
-    MAX_NODES,
+    _cycle_time,
     dynamical_phase,
     fig_mode_phases,
     geometric_phase,
@@ -376,24 +376,26 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
 
 
 def cmd_phase(cfg: ScenarioConfig, seed: int):
-    """Clock / dynamical / geometric split for the lowest box levels."""
+    """Clock / dynamical / geometric split for the lowest box levels.
+
+    The split is defined over a cycle of the wall only, so a span that is
+    not one is refused before any quadrature; ``dynamical_phase`` sets its
+    own resolution.
+    """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
     n_max = _get_count(cfg, "phase.n_max", 10, 0)
     tol = cfg.get_float("tolerances.phase_tol", 1e-6)
-    time_nodes = _get_count(cfg, "phase.time_nodes", 256, 2, MAX_NODES)
-    space_nodes = _get_count(cfg, "phase.space_nodes", 512, 2, MAX_NODES)
     (T,) = _get_times(cfg, "time.T", traj, "period")
     _require(T > 0, "time.T", "must be positive")
+    _cycle_time(traj, T, "geometric phase")
     rows = []
     worst = 0.0
     for n in range(n_max + 1):
         nu = n + 1
         idx = _level_index(nu)
         mu = total_phase(idx, traj, constants, T)
-        delta = dynamical_phase(
-            idx, traj, constants, T, time_nodes=time_nodes, space_nodes=space_nodes
-        )
+        delta = dynamical_phase(idx, traj, constants, T)
         gamma = geometric_phase(idx, traj, constants, T)
         scale = max(abs(gamma), abs(mu), abs(delta), 1e-30)
         rel = abs(gamma + mu + delta) / scale

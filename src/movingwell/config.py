@@ -132,37 +132,37 @@ def build_constants(cfg: ScenarioConfig) -> PhysicalConstants:
 _KINDS = ("linear", "reversing_linear", "smooth_periodic", "scaled")
 
 
-def build_trajectory(cfg: ScenarioConfig, prefix: str = "trajectory") -> WallTrajectory:
-    """Construct a wall trajectory from the config block under ``prefix``.
+def build_trajectory(cfg: ScenarioConfig) -> WallTrajectory:
+    """Construct a wall trajectory from the config block under ``trajectory``.
 
-    kind=scaled wraps an inner trajectory named by ``<prefix>.inner`` whose
+    kind=scaled wraps an inner trajectory named by ``trajectory.inner`` whose
     parameters live in the same block (L0, q, omega, T as needed).
     """
-    kind = cfg.get_str(f"{prefix}.kind", choices=_KINDS)
+    kind = cfg.get_str("trajectory.kind", choices=_KINDS)
     try:
         if kind == "scaled":
             inner_kind = cfg.get_str(
-                f"{prefix}.inner", choices=set(_KINDS) - {"scaled"}
+                "trajectory.inner", choices=set(_KINDS) - {"scaled"}
             )
-            inner = _build_plain(cfg, prefix, inner_kind)
-            return ScaledWall(inner=inner, k=cfg.get_float(f"{prefix}.k"))
-        return _build_plain(cfg, prefix, kind)
+            inner = _build_plain(cfg, inner_kind)
+            return ScaledWall(inner=inner, k=cfg.get_float("trajectory.k"))
+        return _build_plain(cfg, kind)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{prefix} block invalid: {exc}") from None
+        raise ConfigError(f"trajectory block invalid: {exc}") from None
 
 
-def _build_plain(cfg: ScenarioConfig, prefix: str, kind: str) -> WallTrajectory:
-    L0 = cfg.get_float(f"{prefix}.L0")
+def _build_plain(cfg: ScenarioConfig, kind: str) -> WallTrajectory:
+    L0 = cfg.get_float("trajectory.L0")
     if kind == "linear":
-        return LinearWall(L0=L0, q=cfg.get_float(f"{prefix}.q"))
+        return LinearWall(L0=L0, q=cfg.get_float("trajectory.q"))
     if kind == "reversing_linear":
         return ReversingLinearWall(
-            L0=L0, q=cfg.get_float(f"{prefix}.q"), T=cfg.get_float(f"{prefix}.T")
+            L0=L0, q=cfg.get_float("trajectory.q"), T=cfg.get_float("trajectory.T")
         )
     return SmoothPeriodicWall(
-        L0=L0, q=cfg.get_float(f"{prefix}.q"), omega=cfg.get_float(f"{prefix}.omega")
+        L0=L0, q=cfg.get_float("trajectory.q"), omega=cfg.get_float("trajectory.omega")
     )
 
 

@@ -30,6 +30,8 @@ the (time x space) Gauss-Legendre sum factors: two space moments per mode,
 then one term per time node.  The nodes come from Newton's method on the
 Legendre recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652
 (2013)), and all modes share one pass of the wall per time resolution.
+The quadrature picks its own resolution: it doubles both node counts
+until two successive sums agree to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ class PhaseDecomposition:
     gamma_mod_2pi: float
 
 
-#: most quadrature nodes in either direction of ``dynamical_phase``; a call
-#: at the cap takes about 2.5 s on 2 cores, most of it building the 16,384
-#: nodes of the doubled-resolution check, and the cost grows as the square
-#: of the count
+#: ``dynamical_phase`` doubles its resolution up to 2 MAX_NODES space and
+#: MAX_NODES time nodes; a call that reaches the ceiling takes about 2.5 s on
+#: 2 cores, most of it building the 16,384 nodes, and the cost grows as the
+#: square of the count
 MAX_NODES = 8192
 
 #: Newton steps allowed per node set; from Tricomi's guesses three suffice
@@ -201,48 +203,47 @@ def _h_rows(idx: BasisIndex, constants: PhysicalConstants, L, v, w2, nx: int):
     return kin * (math.pi * idx.nu / L) ** 2 * m0 + constants.mass / 8.0 * (v**2 + w2 * L**2) * m2
 
 
+def _delta_at(idx: BasisIndex, traj: WallTrajectory, constants: PhysicalConstants,
+              T: float, nt: int, nx: int) -> float:
+    """delta from the Gauss-Legendre sum at nt time and nx space nodes."""
+    w_t, L, v, w2 = _time_rows(traj, T, nt)
+    return -float(np.dot(w_t, _h_rows(idx, constants, L, v, w2, nx))) / constants.hbar
+
+
 def dynamical_phase(
     idx: BasisIndex,
     traj: WallTrajectory,
     constants: PhysicalConstants,
     T: float | None = None,
-    time_nodes: int = 256,
-    space_nodes: int = 512,
-    check: bool = True,
 ) -> float:
     """delta = -(1/hbar) integral_0^T <H(t)> dt by nested quadrature.
 
     Gauss-Legendre in both time and space over the integrand Re psi* H psi =
     (2/L) trig^2 [(hbar^2/2m)(k^2 + 4 alpha^2 x^2) + (m/2) Omega^2 x^2].  The
     sum over the (time x space) grid is separable: two space moments per
-    mode and one term per time node, O(time_nodes + space_nodes) per mode.
+    mode and one term per time node, O(time nodes + space nodes) per mode.
     The nodes come from Newton's method on the Legendre recurrence, built
-    once per order, and the wall is read once per time resolution.  Each
-    node count must lie in [2, MAX_NODES], else DomainError.  With
-    ``check`` the computation repeats at doubled resolution and a relative
-    disagreement above 1e-9 raises ConvergenceError.  An impulsive
+    once per order, and the wall is read once per time resolution.  The
+    resolution sets itself: the sum starts at 256 time and 512 space nodes
+    and doubles both until two successive resolutions agree to 1e-9
+    relative, then returns the finer one.  ConvergenceError is raised when
+    agreement would take more than 2 MAX_NODES space nodes.  An impulsive
     velocity reversal (kink in L') contributes only through the smooth
     pieces on either side.
     """
     T = _cycle_time(traj, T)
-    if not (2 <= time_nodes <= MAX_NODES and 2 <= space_nodes <= MAX_NODES):
-        raise DomainError(f"need 2 to {MAX_NODES} quadrature nodes in each direction")
-
-    def run(nt, nx):
-        w_t, L, v, w2 = _time_rows(traj, T, nt)
-        return -float(np.dot(w_t, _h_rows(idx, constants, L, v, w2, nx))) / constants.hbar
-
-    delta = run(time_nodes, space_nodes)
-    if check:
-        refined = run(2 * time_nodes, 2 * space_nodes)
-        scale = max(abs(delta), abs(refined), 1e-30)
-        if abs(delta - refined) / scale > 1e-9:
-            raise ConvergenceError(
-                f"dynamical phase did not converge: {delta!r} vs {refined!r} "
-                "at doubled resolution; raise time_nodes/space_nodes"
-            )
-        delta = refined
-    return delta
+    nt, nx = 256, 512
+    delta = _delta_at(idx, traj, constants, T, nt, nx)
+    while nx <= MAX_NODES:
+        nt, nx = 2 * nt, 2 * nx
+        coarse, delta = delta, _delta_at(idx, traj, constants, T, nt, nx)
+        scale = max(abs(coarse), abs(delta), 1e-30)
+        if abs(coarse - delta) / scale <= 1e-9:
+            return delta
+    raise ConvergenceError(
+        f"dynamical phase did not converge: {coarse!r} vs {delta!r} at {nt} time "
+        f"and {nx} space nodes, the ceiling of 2 MAX_NODES = {2 * MAX_NODES}"
+    )
 
 
 def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
@@ -287,23 +288,18 @@ def phase_decomposition(
     traj: WallTrajectory,
     constants: PhysicalConstants,
     T: float | None = None,
-    time_nodes: int = 256,
-    space_nodes: int = 512,
-    check: bool = True,
 ) -> PhaseDecomposition:
     """Split a mode's cycle phase into clock, dynamical and geometric parts.
 
-    mu comes from the closed-form clock, delta from quadrature of <H>, and
-    gamma = -(mu + delta).  For a cyclic trajectory gamma reproduces
-    ``geometric_phase`` to quadrature accuracy; the redundancy is the
-    point, as the two routes share no code.
+    mu comes from the closed-form clock, delta from quadrature of <H> at the
+    resolution ``dynamical_phase`` sets itself, and gamma = -(mu + delta).
+    For a cyclic trajectory gamma reproduces ``geometric_phase`` to
+    quadrature accuracy; the redundancy is the point, as the two routes
+    share no code.
     """
     T = _cycle_time(traj, T, "decomposition")
     mu = total_phase(idx, traj, constants, T)
-    delta = dynamical_phase(
-        idx, traj, constants, T, time_nodes=time_nodes,
-        space_nodes=space_nodes, check=check,
-    )
+    delta = dynamical_phase(idx, traj, constants, T)
     gamma = -(mu + delta)
     return PhaseDecomposition(
         mu=mu, delta=delta, gamma=gamma, gamma_mod_2pi=gamma % (2.0 * math.pi)

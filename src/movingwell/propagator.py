@@ -267,7 +267,7 @@ def _nome(state: _PacketState, constants, tau: float) -> complex:
     )
 
 
-def _theta_bracket(z, c, kappa: complex, sector: str, tol: float):
+def _theta_bracket(z, c, kappa: complex, sector: str):
     """The theta combination of a packet with offset C at nome parameter kappa.
 
     Resumming both parity families of the symmetric box gives
@@ -282,11 +282,11 @@ def _theta_bracket(z, c, kappa: complex, sector: str, tol: float):
     theta_2(z, kappa), one call.
     """
     if sector == "symmetric" and c == 0:
-        return theta(2, z, kappa, tol=tol)
+        return theta(2, z, kappa)
     s = 4 if sector == "symmetric" else 3
     return 0.5 * (
-        theta(3, (z - c) / 2.0, kappa / 4.0, tol=tol)
-        - theta(s, (z + c) / 2.0, kappa / 4.0, tol=tol)
+        theta(3, (z - c) / 2.0, kappa / 4.0)
+        - theta(s, (z + c) / 2.0, kappa / 4.0)
     )
 
 
@@ -297,7 +297,6 @@ def _evaluate(
     t: float,
     x,
     sector: str = "symmetric",
-    tol: float = 1e-15,
     wall_free: bool = False,
 ):
     """psi(x, t) = norm / sqrt(L_ref L) e^{i m x^2 L'/(2 hbar L) + E} B, zero
@@ -312,9 +311,10 @@ def _evaluate(
     L, v, tau = _leg(traj, t)
     kappa = _nome(state, constants, tau)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    # +-inf lies past every wall and the packet vanishes there; as NaN it
-    # runs through the arithmetic quietly
-    far = np.isinf(xa)
+    # a point that is not finite gives 0, as on every route: +-inf lies past
+    # every wall and the packet vanishes there; as NaN it runs through the
+    # arithmetic quietly, and the wall-free form's 0 keeps the wall term finite
+    far = ~np.isfinite(xa)
     xa = np.where(far, np.nan, xa)
     z = math.pi * xa / L
     chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state, 0.0))
@@ -324,7 +324,7 @@ def _evaluate(
         out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * w**2 / (math.pi * kappa)))
         out[far] = 0.0
     else:
-        bracket = _theta_bracket(z, state.offset, kappa, sector, tol)
+        bracket = _theta_bracket(z, state.offset, kappa, sector)
         out = np.where(_in_box(xa, L, sector), pre * chirp * bracket, 0.0)
     return complex(out[0]) if np.ndim(x) == 0 else out
 
@@ -481,7 +481,6 @@ def evolve_theta_general(
     t: float,
     x,
     sector: str = "symmetric",
-    tol: float = 1e-15,
 ):
     """Closed form for an arbitrarily placed and boosted packet.
 
@@ -512,7 +511,7 @@ def evolve_theta_general(
     ``contraction_coefficients`` is its numerical counterpart.
     """
     state = _checked_state(gauss, traj, constants, t, sector)
-    return _evaluate(state, traj, constants, t, x, sector=sector, tol=tol)
+    return _evaluate(state, traj, constants, t, x, sector=sector)
 
 
 def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketState:
@@ -551,7 +550,8 @@ def evolve_unconfined_approx(
     free-space Gaussian exactly, independent of the speed.  The closed
     form is evaluated at the same x, and LocalizationWarning is emitted
     when the dropped wall term, sup |psi - psi_wall-free| over x, exceeds
-    LOCALITY_TOL = 1e-10.
+    LOCALITY_TOL = 1e-10.  A point that is not finite gives 0, as on the
+    other routes, and so leaves the wall term alone.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     _, free, wall = _wall_term(gauss, traj, constants, t, xa, "symmetric")

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from movingwell import cli
+from movingwell import cli, phases
 from movingwell.config import ConfigError, ScenarioConfig
-from movingwell.core import ConvergenceError
-from movingwell.phases import MAX_NODES
+from movingwell.core import ConvergenceError, PhysicalConstants, SmoothPeriodicWall
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -186,7 +185,6 @@ class TestConfigErrors:
         "command, line, csv",
         [
             ("phase", "phase.n_max=-3", "phase.csv"),
-            ("phase", "phase.time_nodes=1", "phase.csv"),
             ("basis-check", "basis.n_max=0", "basis_check.csv"),
             ("theta-check", "theta.samples=0", "theta_check.csv"),
             ("fig1", "fig1.n_max=-1", "fig1.csv"),
@@ -504,6 +502,13 @@ class TestLocality:
 
 
 class TestEvolve:
+    def test_grid_past_any_term_count_is_a_convergence_failure(self, tmp_path, capsys):
+        text = (CONFIGS / "evolve.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("grid.x_max=20", "grid.x_max=1e300"))
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "convergence failure: series needs inf terms" in capsys.readouterr().err
+        assert not list(tmp_path.glob("evolve_*.csv"))
+
     def test_snapshots_and_plot_script(self, tmp_path):
         res = run_cli("evolve", "--config", str(CONFIGS / "evolve.cfg"),
                       "--out", str(tmp_path))
@@ -679,17 +684,39 @@ class TestPhase:
         # clock + dynamical + geometric must cancel, per the quadrature check
         assert rows[:, 6].max() < 1e-6
 
-    @pytest.mark.parametrize("key", ["phase.time_nodes", "phase.space_nodes"])
-    def test_node_counts_stop_at_the_cap(self, tmp_path, capsys, key):
-        # a run at the cap takes about 2.5 s on 2 cores; the node cost
-        # grows as the square of the count
-        scenario = f"{BREATHING}phase.n_max=0\n"
-        cfg = write_cfg(tmp_path, f"{scenario}{key}={MAX_NODES + 1}\n")
-        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"config error: {key} must be at most {MAX_NODES}" in capsys.readouterr().err
-        assert not (tmp_path / "phase.csv").exists()
-        cfg = write_cfg(tmp_path, f"{scenario}{key}={MAX_NODES}\n")
+    def test_long_span_refines_its_quadrature(self, tmp_path):
+        # thirty breathing periods: 256/512 nodes disagree with 512/1,024,
+        # and the run goes on to 1,024/2,048, where the next pair agrees
+        T = 60 * np.pi
+        cfg = write_cfg(tmp_path, f"{BREATHING}phase.n_max=10\ntime.T={T!r}\n")
         assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "phase.csv")
+        assert rows[:, 6].max() <= 1e-6
+        wall = SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0)
+        ground = phases._level_index(1)
+        assert rows[0, 3] == phases._delta_at(ground, wall, PhysicalConstants(), T, 1024, 2048)
+
+    def test_span_that_is_no_cycle_is_refused_before_any_quadrature(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature row built")
+
+        monkeypatch.setattr(phases, "_time_rows", no_quadrature)
+        monkeypatch.setattr(phases, "_h_rows", no_quadrature)
+        cfg = write_cfg(tmp_path, "trajectory.kind=reversing_linear\ntrajectory.L0=100\n"
+                        "trajectory.q=2\ntrajectory.T=4\nphase.n_max=10\ntime.T=4\n")
+        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: trajectory is not cyclic over [0, 4.0]; geometric phase undefined\n"
+        )
+        assert not (tmp_path / "phase.csv").exists()
+
+    def test_retired_node_keys_are_noted_as_unused(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"{BREATHING}phase.n_max=0\nphase.time_nodes=64\n")
+        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert "note: unused config keys: gaussian.d, phase.time_nodes" in err
         assert read_rows(tmp_path / "phase.csv").shape == (1, 7)
 
 

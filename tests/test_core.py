@@ -345,9 +345,7 @@ _TIME_ROUTES = {
         SpectralExpansion("symmetric", ([1.0, 0.0], [0.0, 0.0])), traj, _C, t, 0.0
     ),
     "total_phase": lambda traj, t: total_phase(_IDX, traj, _C, t),
-    "dynamical_phase": lambda traj, t: dynamical_phase(
-        _IDX, traj, _C, t, time_nodes=2, space_nodes=2, check=False
-    ),
+    "dynamical_phase": lambda traj, t: dynamical_phase(_IDX, traj, _C, t),
 }
 
 

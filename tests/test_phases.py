@@ -195,14 +195,51 @@ def test_geometric_phase_requires_cyclic():
     assert geometric_phase(GROUND, LinearWall(L0=3.0, q=0.0), C, 5.0) == 0.0
 
 
-def test_dynamical_phase_convergence_guard():
-    fast = SmoothPeriodicWall(L0=5.0, q=0.4, omega=3.0)
-    idx = BasisIndex("even", 6)
-    with pytest.raises(ConvergenceError):
-        dynamical_phase(idx, fast, C, time_nodes=2, space_nodes=8)
-    # same call without the guard returns (an unconverged) number
-    val = dynamical_phase(idx, fast, C, time_nodes=2, space_nodes=8, check=False)
-    assert math.isfinite(val)
+def test_dynamical_phase_stops_at_its_ceiling(monkeypatch):
+    # thirty breathing periods need 1,024 time nodes; with the ceiling
+    # lowered to one doubling the resolutions never agree
+    T = 30 * REF_WALL.period
+    monkeypatch.setattr(phases, "MAX_NODES", 512)
+    with pytest.raises(ConvergenceError, match="at 512 time and 1024 space nodes, "
+                       "the ceiling of 2 MAX_NODES = 1024"):
+        dynamical_phase(GROUND, REF_WALL, C, T)
+
+
+def _breathing_sweep():
+    """Derandomized breathing walls over 1-3 periods, several levels each."""
+    rng = np.random.default_rng(23)
+    for _ in range(16):
+        wall = SmoothPeriodicWall(
+            L0=float(rng.uniform(5.0, 400.0)), q=float(rng.uniform(0.02, 0.4)),
+            omega=float(rng.uniform(0.3, 3.0)),
+        )
+        periods = int(rng.integers(1, 4))
+        for nu in (1, 2, 5, 12):
+            yield _level_index(nu), wall, periods * wall.period
+    cfg = ScenarioConfig(parse_config(CONFIGS / "phase.cfg"))
+    wall = SmoothPeriodicWall(L0=cfg.get_float("trajectory.L0"), q=cfg.get_float("trajectory.q"),
+                              omega=cfg.get_float("trajectory.omega"))
+    for n in range(cfg.get_int("phase.n_max") + 1):
+        yield _level_index(n + 1), wall, wall.period
+    # two long spans that 256/512 nodes leave unconverged
+    yield GROUND, wall, 30 * wall.period
+    fast = SmoothPeriodicWall(L0=100.0, q=0.3, omega=3.0)
+    yield GROUND, fast, 20 * fast.period
+
+
+def test_dynamical_phase_keeps_the_single_check_where_it_passes():
+    # where 256/512 and 512/1,024 nodes agree, the value is the finer one
+    # bit for bit; elsewhere it is the finer sum of the first pair that agrees
+    agreed = 0
+    for idx, wall, T in _breathing_sweep():
+        coarse, fine = (phases._delta_at(idx, wall, C, T, nt, 2 * nt) for nt in (256, 512))
+        delta = dynamical_phase(idx, wall, C, T)
+        if abs(coarse - fine) / max(abs(coarse), abs(fine), 1e-30) <= 1e-9:
+            agreed += 1
+            assert delta == fine, (idx, wall, T)
+        else:
+            assert delta == phases._delta_at(idx, wall, C, T, 1024, 2048), (idx, wall, T)
+    assert agreed == 75
 
 
 def _h_reference(idx, traj, t, x):
@@ -213,7 +250,7 @@ def _h_reference(idx, traj, t, x):
 
 
 def _per_node_delta(idx, traj, T, time_nodes, space_nodes):
-    """dynamical_phase without the check, one <H> quadrature per time node."""
+    """``phases._delta_at``, one <H> quadrature per time node."""
     base_t, w_t = phases._gl_nodes(time_nodes)
     base_x, w_x = phases._gl_nodes(space_nodes)
     vals = []
@@ -268,9 +305,7 @@ def test_h_rows_are_the_box_sum_of_re_psi_h_psi(idx, traj, times):
 def test_dynamical_phase_matches_per_node_quadrature(idx, traj, T, time_nodes, space_nodes):
     # few and many nodes, odd and even counts, both boxes and both legs
     T = traj.period if T is None else T
-    ours = dynamical_phase(
-        idx, traj, C, T, time_nodes=time_nodes, space_nodes=space_nodes, check=False
-    )
+    ours = phases._delta_at(idx, traj, C, T, time_nodes, space_nodes)
     ref = _per_node_delta(idx, traj, T, time_nodes, space_nodes)
     assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
 
@@ -321,11 +356,6 @@ def test_dynamical_phase_validation():
         dynamical_phase(GROUND, LinearWall(L0=5.0, q=0.1), C)  # no period, no T
     with pytest.raises(DomainError):
         dynamical_phase(GROUND, REF_WALL, C, T=-1.0)
-    with pytest.raises(DomainError):
-        dynamical_phase(GROUND, REF_WALL, C, time_nodes=1)
-    for key in ("time_nodes", "space_nodes"):
-        with pytest.raises(DomainError, match=f"need 2 to {phases.MAX_NODES} "):
-            dynamical_phase(GROUND, REF_WALL, C, **{key: phases.MAX_NODES + 1})
 
 
 EPS = np.finfo(float).eps

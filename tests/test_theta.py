@@ -154,6 +154,9 @@ def test_truncation_bound_is_honest():
 def test_truncation_cap():
     with pytest.raises(ConvergenceError):
         truncation_bound(1e-9j, 0.0, 1e-15, cap=10**4)
+    # a root that overflows is past any cap, not an OverflowError
+    with pytest.raises(ConvergenceError, match="series needs inf terms"):
+        truncation_bound(1j, 1e200j)
 
 
 def test_reduction_step_cap():
