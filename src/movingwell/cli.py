@@ -42,6 +42,8 @@ from .config import (
     _MISSING,
     ConfigError,
     ScenarioConfig,
+    _build,
+    _keyed,
     build_constants,
     build_gaussian,
     build_trajectory,
@@ -98,26 +100,21 @@ def _require(ok: bool, key: str, rule: str) -> None:
         raise ConfigError(f"{key} {rule}")
 
 
-def _get_count(cfg: ScenarioConfig, key: str, default: int, least: int, most=math.inf) -> int:
-    n = cfg.get_int(key, default)
-    _require(n >= least, key, f"must be at least {least}")
-    _require(n <= most, key, f"must be at most {most}")
-    return n
-
-
-def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[float]:
-    """The times under ``key``, a comma list when it ends in ``_list``, each
-    checked against the trajectory's window [0, t_max] so that a bad one
-    names its key.  An absent key reads ``default``, if one is given;
-    "period" stands for the trajectory's period, which the CSV stamp leaves
-    out.  Every command runs through the whole window, a wall's turn
-    included.
+def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
+               listed: bool = False) -> list[float]:
+    """The times under ``key``, or with ``listed`` the comma list under
+    ``<key>_list`` when that is set, each checked against the trajectory's
+    window [0, t_max] so that a bad one names its key.  An absent key reads
+    ``default``, if one is given; "period" stands for the trajectory's
+    period, which the CSV stamp leaves out.  Every command runs through the
+    whole window, a wall's turn included.
     """
-    if default == "period" and not cfg.has(key):
+    if listed and cfg.has(key + "_list"):
+        key += "_list"
+        times = cfg.get_float_list(key)
+    elif default == "period" and not cfg.has(key):
         _require(traj.period is not None, "trajectory", f"has no period; set {key}")
         times = [traj.period]
-    elif key.endswith("_list"):
-        times = cfg.get_float_list(key)
     else:
         times = [cfg.get_float(key, default)]
     for t in times:
@@ -131,7 +128,7 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING) -> list[fl
 def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
     lo = cfg.get_float("grid.x_min", x_min)
     hi = cfg.get_float("grid.x_max", x_max)
-    pts = _get_count(cfg, "grid.n_points", n, 2, MAX_GRID_POINTS)
+    pts = cfg.get_int("grid.n_points", n, 2, MAX_GRID_POINTS)
     _require(lo < hi, "grid.x_min", "must lie below grid.x_max")
     return np.linspace(lo, hi, pts + 1)
 
@@ -155,23 +152,20 @@ def _solver_spec(cfg: ScenarioConfig, dt: float, L0: float | None = None) -> Sol
     With the fixed frame's box ``L0`` the default n_points is the smallest
     power of two from 4,096 up that keeps the shipped spacing L0/n <= 100/4,096.
     Without it the run is the unconfined one on the static box
-    solver.x_min/x_max, at 4,096 points by default.
+    solver.x_min/x_max, [-40, 40] by default, at 4,096 points by default.
     """
     n = 4096
     while L0 is not None and n <= MAX_SOLVER_POINTS and L0 * 4096 > 100.0 * n:
         n *= 2
     n = cfg.get_int("solver.n_points", n)
-    _require(n >= 8 and not n & (n - 1), "solver.n_points",
-             "must be a power of two, at least 8")
     if n > MAX_SOLVER_POINTS:
         source = "" if cfg.has("solver.n_points") else f", the default at L0 = {L0:g}"
         raise ConfigError(f"solver.n_points must be at most {MAX_SOLVER_POINTS}{source}")
     if L0 is not None:
-        return SolverSpec(n_points=n, dt=dt)
-    lo = cfg.get_float("solver.x_min", -40.0)
-    hi = cfg.get_float("solver.x_max", 40.0)
-    _require(lo < hi, "solver.x_min", "must lie below solver.x_max")
-    return SolverSpec(n_points=n, dt=dt, x_min=lo, x_max=hi)
+        return _build(cfg, "solver", SolverSpec, n_points=n, dt=dt)
+    return _build(cfg, "solver", SolverSpec, n_points=n, dt=dt,
+                  x_min=cfg.get_float("solver.x_min", -40.0),
+                  x_max=cfg.get_float("solver.x_max", 40.0))
 
 
 def _rel_l2(psi, ref, x) -> float:
@@ -194,7 +188,7 @@ def _wave_csv(name: str, x, psi, *stamp):
 
 def cmd_theta_check(cfg: ScenarioConfig, seed: int):
     """Random sweep of the modular-transformation identity."""
-    n = _get_count(cfg, "theta.samples", 100, 1)
+    n = cfg.get_int("theta.samples", 100, 1)
     tol = cfg.get_float("tolerances.theta_tol", 1e-12)
     rng = np.random.default_rng(seed)
     rows = []
@@ -225,7 +219,7 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     _require(2e-3 <= t <= t_hi and not t - 2e-3 < traj.turn <= t + 2e-3, "basis.t",
              f"must lie in [0.002, {t_hi:g}] and 0.002 clear of the wall's turn: "
              "the residual probe reads t +- 0.002")
-    n_max = _get_count(cfg, "basis.n_max", 20, 1, MAX_BASIS_MODES)
+    n_max = cfg.get_int("basis.n_max", 20, 1, MAX_BASIS_MODES)
     gram_tol = cfg.get_float("tolerances.gram_tol", 1e-10)
     L = traj.length(t)
     x = np.linspace(*_box_interval(L, "symmetric"), 16385)
@@ -284,7 +278,7 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     gauss = build_gaussian(cfg)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
+    times = _get_times(cfg, "time.t", traj, listed=True)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
     past_turn = any(t >= traj.turn for t in times)
     # the wall-free form, and the re-expansion past a turn, know the
@@ -328,7 +322,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
         baseline = traj.inner
     else:
         baseline = LinearWall(L0=traj.length(0.0), q=0.0)
-    times = _get_times(cfg, "time.t_list" if cfg.has("time.t_list") else "time.t", traj)
+    times = _get_times(cfg, "time.t", traj, listed=True)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
     rows, lines = [], []
     for t in times:
@@ -384,11 +378,10 @@ def cmd_phase(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    n_max = _get_count(cfg, "phase.n_max", 10, 0)
+    n_max = cfg.get_int("phase.n_max", 10, 0)
     tol = cfg.get_float("tolerances.phase_tol", 1e-6)
     (T,) = _get_times(cfg, "time.T", traj, "period")
-    _require(T > 0, "time.T", "must be positive")
-    _cycle_time(traj, T, "geometric phase")
+    _keyed(_cycle_time, {"T": "time.T"}, traj, T, "geometric phase")
     rows = []
     worst = 0.0
     for n in range(n_max + 1):
@@ -410,17 +403,16 @@ def cmd_fig1(cfg: ScenarioConfig, seed: int):
     """Phase-versus-mode dataset for the family of breathing boxes."""
     constants = build_constants(cfg)
     sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
-    _require(min(sizes) > 0, "fig1.Lbar0_list", "must hold positive box sizes")
-    n_max = _get_count(cfg, "fig1.n_max", 30, 0, MAX_FIG1_MODES)
+    n_max = cfg.get_int("fig1.n_max", 30, 0, MAX_FIG1_MODES)
     q = cfg.get_float("fig1.q", 0.1)
     # q = 0 leaves no geometric phase, and the curves' ratio would be 0/0
-    _require(0 < abs(q) < 1, "fig1.q", "must satisfy 0 < |q| < 1 for a moving, finite wall")
+    _require(q != 0, "fig1.q", "must be nonzero for a moving wall")
     omega = cfg.get_float("fig1.omega", 1.0)
-    _require(omega > 0, "fig1.omega", "must be positive")
     tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
-    data = fig_mode_phases(
-        constants, Lbar0_values=sizes, n_max=n_max, q=q, omega=omega
-    )
+    # the breathing walls check their own L0, q and omega
+    keys = {"L0": "fig1.Lbar0_list", "q": "fig1.q", "omega": "fig1.omega"}
+    data = _keyed(fig_mode_phases, keys, constants, Lbar0_values=sizes, n_max=n_max,
+                  q=q, omega=omega)
     rows = []
     for i, L0 in enumerate(data["Lbar0"]):
         for j, n in enumerate(data["n"]):
@@ -444,9 +436,10 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
     (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
-    n_steps = _get_count(cfg, "solver.n_steps", 62832, 1)
+    n_steps = cfg.get_int("solver.n_steps", 62832, 1)
     spec = _solver_spec(cfg, T / n_steps)
-    unconf = unconfined_tdlo_propagate(gauss, traj, spec, T, constants)
+    box = {"x_min": "solver.x_min", "x_max": "solver.x_max"}
+    unconf = _keyed(unconfined_tdlo_propagate, box, gauss, traj, spec, T, constants)
     x = unconf.positions
     conf = evolve_theta_general(gauss, traj, constants, T, x)
     rel = _rel_l2(unconf.values, conf, x)
@@ -464,7 +457,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     (t,) = _get_times(cfg, "time.t", traj, 2.0)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)
-    n_steps = _get_count(cfg, "solver.n_steps", 8000, 1)
+    n_steps = cfg.get_int("solver.n_steps", 8000, 1)
     fmap = FrameMap(traj=traj)
     L0 = fmap.L0
     spec = _solver_spec(cfg, t / n_steps, L0)

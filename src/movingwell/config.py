@@ -4,14 +4,22 @@ A config file is plain text, one ``block.key=value`` per line, ``#`` for
 comments.  ScenarioConfig wraps the parsed mapping with typed getters that
 record every key they resolve (defaults included), so a run can stamp its
 outputs with the exact configuration that produced them.
+
+A block's keys are its dataclass's fields: ``gaussian.d`` is the ``d`` of
+GaussianParams, ``trajectory.L0`` the ``L0`` of the wall that
+``trajectory.kind`` names.  The dataclass checks its values, once, and
+``_build`` reports a bad one by its dotted key.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .core import (
+    DomainError,
     GaussianParams,
     LinearWall,
     PhysicalConstants,
@@ -86,12 +94,16 @@ class ScenarioConfig:
         self._resolved[key] = repr(out)
         return out
 
-    def get_int(self, key: str, default=_MISSING) -> int:
+    def get_int(self, key: str, default=_MISSING, least=-math.inf, most=math.inf) -> int:
         val = self._fetch(key, default)
         try:
             out = int(str(val), 10)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}={val!r} is not an integer") from None
+        if out < least:
+            raise ConfigError(f"{key} must be at least {least}")
+        if out > most:
+            raise ConfigError(f"{key} must be at most {most}")
         self._resolved[key] = str(out)
         return out
 
@@ -120,16 +132,40 @@ class ScenarioConfig:
         return sorted(set(self._raw) - set(self._resolved))
 
 
-def build_constants(cfg: ScenarioConfig) -> PhysicalConstants:
-    hbar = cfg.get_float("constants.hbar", 1.0)
-    mass = cfg.get_float("constants.mass", 1.0)
+def _keyed(call, keys: dict[str, str], *args, **kwargs):
+    """call(*args, **kwargs), with a DomainError it raises turned into a
+    ConfigError in which each name of ``keys`` that the message mentions
+    reads as its key: "x_min must lie below x_max" becomes "solver.x_min
+    must lie below solver.x_max"."""
     try:
-        return PhysicalConstants(hbar=hbar, mass=mass)
-    except ValueError as exc:
-        raise ConfigError(f"constants block invalid: {exc}") from None
+        return call(*args, **kwargs)
+    except DomainError as exc:
+        pattern = r"\b(%s)\b" % "|".join(map(re.escape, keys))
+        raise ConfigError(re.sub(pattern, lambda m: keys[m[1]], str(exc))) from None
 
 
-_KINDS = ("linear", "reversing_linear", "smooth_periodic", "scaled")
+def _build(cfg: ScenarioConfig, block: str, cls, **given):
+    """The dataclass ``cls`` built from its own fields: each one that
+    ``given`` leaves out and whose default is a float, or that has none,
+    reads ``block.<field>`` as a float, with that default when there is
+    one.  An error in a field names its dotted key (``_keyed``)."""
+    for f in fields(cls):
+        if f.name not in given and (f.default is MISSING or isinstance(f.default, float)):
+            default = _MISSING if f.default is MISSING else f.default
+            given[f.name] = cfg.get_float(f"{block}.{f.name}", default)
+    return _keyed(cls, {f.name: f"{block}.{f.name}" for f in fields(cls)}, **given)
+
+
+def build_constants(cfg: ScenarioConfig) -> PhysicalConstants:
+    return _build(cfg, "constants", PhysicalConstants)
+
+
+#: trajectory.kind -> class; kind=scaled wraps one of these
+_KINDS = {
+    "linear": LinearWall,
+    "reversing_linear": ReversingLinearWall,
+    "smooth_periodic": SmoothPeriodicWall,
+}
 
 
 def build_trajectory(cfg: ScenarioConfig) -> WallTrajectory:
@@ -138,42 +174,12 @@ def build_trajectory(cfg: ScenarioConfig) -> WallTrajectory:
     kind=scaled wraps an inner trajectory named by ``trajectory.inner`` whose
     parameters live in the same block (L0, q, omega, T as needed).
     """
-    kind = cfg.get_str("trajectory.kind", choices=_KINDS)
-    try:
-        if kind == "scaled":
-            inner_kind = cfg.get_str(
-                "trajectory.inner", choices=set(_KINDS) - {"scaled"}
-            )
-            inner = _build_plain(cfg, inner_kind)
-            return ScaledWall(inner=inner, k=cfg.get_float("trajectory.k"))
-        return _build_plain(cfg, kind)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"trajectory block invalid: {exc}") from None
-
-
-def _build_plain(cfg: ScenarioConfig, kind: str) -> WallTrajectory:
-    L0 = cfg.get_float("trajectory.L0")
-    if kind == "linear":
-        return LinearWall(L0=L0, q=cfg.get_float("trajectory.q"))
-    if kind == "reversing_linear":
-        return ReversingLinearWall(
-            L0=L0, q=cfg.get_float("trajectory.q"), T=cfg.get_float("trajectory.T")
-        )
-    return SmoothPeriodicWall(
-        L0=L0, q=cfg.get_float("trajectory.q"), omega=cfg.get_float("trajectory.omega")
-    )
+    kind = cfg.get_str("trajectory.kind", choices=[*_KINDS, "scaled"])
+    if kind != "scaled":
+        return _build(cfg, "trajectory", _KINDS[kind])
+    inner = _build(cfg, "trajectory", _KINDS[cfg.get_str("trajectory.inner", choices=_KINDS)])
+    return _build(cfg, "trajectory", ScaledWall, inner=inner)
 
 
 def build_gaussian(cfg: ScenarioConfig) -> GaussianParams:
-    try:
-        return GaussianParams(
-            d=cfg.get_float("gaussian.d"),
-            x0=cfg.get_float("gaussian.x0", 0.0),
-            p0=cfg.get_float("gaussian.p0", 0.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"gaussian block invalid: {exc}") from None
+    return _build(cfg, "gaussian", GaussianParams)

@@ -12,6 +12,14 @@ Each trajectory subclass supplies these in one closed-form pass,
 ``_kinematics(t)``; nothing here is computed by numerical differentiation,
 and quadrature only backs the wall action integral of L'^2 - L L'' where a
 trajectory has no closed form.
+
+Each constructor checks its own fields, once, and its messages lead with
+the field's name.  The arithmetic takes squares of the scales, L0 L in tau
+and a L0^2 in kappa, so every scale (hbar, m, d, L0, k, T, omega) must be
+positive and at most ``SCALE_MAX`` = 1e150, and q, x0 and p0 at most 1e150
+in size.  hbar, m, d, L0 and k also enter as inverse squares, so each must be
+at least 1e-150; T and omega have no floor, since nothing fails as they
+shrink.
 """
 
 from __future__ import annotations
@@ -61,17 +69,40 @@ def _require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+#: the largest size of any value a constructor bounds, and the inverse of
+#: the smallest scale it takes among those the arithmetic divides by
+SCALE_MAX = 1e150
+
+
+def _require_scale(floor: bool = True, **values: float) -> None:
+    """Each value positive and at most SCALE_MAX, and with ``floor`` at
+    least 1 / SCALE_MAX; NaN and inf fail too."""
+    for name, value in values.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be positive")
+        if not value <= SCALE_MAX:
+            raise DomainError(f"{name} must be at most {SCALE_MAX:g}, got {value}")
+        if floor and value < 1 / SCALE_MAX:
+            raise DomainError(f"{name} must be at least {1 / SCALE_MAX:g}, got {value}")
+
+
+def _require_size(**values: float) -> None:
+    """Each value at most SCALE_MAX in size; NaN and inf fail too."""
+    for name, value in values.items():
+        if not abs(value) <= SCALE_MAX:
+            raise DomainError(f"{name} must be at most {SCALE_MAX:g} in size, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Unit system for a computation.  Defaults give hbar = m = 1."""
+    """Unit system for a computation.  Defaults give hbar = m = 1; each
+    lies in [1e-150, 1e150]."""
 
     hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0 and self.mass > 0):
-            raise DomainError("hbar and mass must be positive")
-        _require_finite(hbar=self.hbar, mass=self.mass)
+        _require_scale(hbar=self.hbar, mass=self.mass)
 
 
 @dataclass(frozen=True)
@@ -79,7 +110,8 @@ class GaussianParams:
     """Initial Gaussian packet: width d, centre x0, mean momentum p0.
 
     The packet is (2 pi)^{-1/4} d^{-1/2} exp(-(x-x0)^2/(4 d^2) + i p0 x / hbar),
-    so d is the position standard deviation.
+    so d is the position standard deviation, in [1e-150, 1e150]; x0 and p0
+    are at most 1e150 in size.
     """
 
     d: float
@@ -87,9 +119,8 @@ class GaussianParams:
     p0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.d > 0:
-            raise DomainError("Gaussian width d must be positive")
-        _require_finite(d=self.d, x0=self.x0, p0=self.p0)
+        _require_scale(d=self.d)
+        _require_size(x0=self.x0, p0=self.p0)
 
 
 class Kinematics(NamedTuple):
@@ -184,17 +215,16 @@ class WallTrajectory:
 class LinearWall(WallTrajectory):
     """Uniformly moving wall, L(t) = L0 + q t.
 
-    For q < 0 the box collapses at t = L0/|q|; the validity window is cut
-    at 99% of that time.
+    L0 lies in [1e-150, 1e150] and |q| <= 1e150.  For q < 0 the box
+    collapses at t = L0/|q|; the validity window is cut at 99% of that time.
     """
 
     L0: float
     q: float
 
     def __post_init__(self) -> None:
-        if not self.L0 > 0:
-            raise DomainError("L0 must be positive")
-        _require_finite(L0=self.L0, q=self.q)
+        _require_scale(L0=self.L0)
+        _require_size(q=self.q)
         if self.q < 0:
             object.__setattr__(self, "t_max", 0.99 * self.L0 / abs(self.q))
 
@@ -217,6 +247,8 @@ class ReversingLinearWall(WallTrajectory):
     The velocity jumps from +q to -q at t = T/2, so the motion is cyclic in
     L but not in L'.  Scalar evaluation uses the half-open convention: the
     switch time itself, ``turn`` = T/2, belongs to the contraction leg.
+    L0 lies in [1e-150, 1e150], |q| <= 1e150 and 0 < T <= 1e150, and the
+    wall must not collapse before the turn.
     """
 
     L0: float
@@ -224,13 +256,11 @@ class ReversingLinearWall(WallTrajectory):
     T: float
 
     def __post_init__(self) -> None:
-        if not self.L0 > 0:
-            raise DomainError("L0 must be positive")
-        if not self.T > 0:
-            raise DomainError("T must be positive")
-        _require_finite(L0=self.L0, q=self.q, T=self.T)
+        _require_scale(L0=self.L0)
+        _require_size(q=self.q)
+        _require_scale(floor=False, T=self.T)
         if self.L0 + self.q * self.T / 2 <= 0:
-            raise DomainError("wall collapses before the turning point")
+            raise DomainError("L0 + q*T/2 must be positive: the wall collapses before its turn")
         object.__setattr__(self, "t_max", self.T)
         object.__setattr__(self, "turn", self.T / 2)
 
@@ -262,9 +292,10 @@ class ReversingLinearWall(WallTrajectory):
 class SmoothPeriodicWall(WallTrajectory):
     """Breathing wall L(t) = L0 sqrt((1+q) / (1 + q cos(omega t))).
 
-    Requires |q| < 1.  L(0) = L0, and the motion repeats with period
-    2 pi / omega.  tau has the closed form (t + (q/omega) sin(omega t)) /
-    (L0^2 (1+q)), and Omega^2 = -L''/L simplifies to
+    Requires |q| < 1, L0 in [1e-150, 1e150] and 0 < omega <= 1e150.
+    L(0) = L0, and the motion repeats with period 2 pi / omega.  tau has the
+    closed form (t + (q/omega) sin(omega t)) / (L0^2 (1+q)), and
+    Omega^2 = -L''/L simplifies to
     q omega^2 (q (cos 2 omega t - 5) - 4 cos omega t) / (8 u^2) with
     u = 1 + q cos(omega t).
     """
@@ -274,13 +305,10 @@ class SmoothPeriodicWall(WallTrajectory):
     omega: float
 
     def __post_init__(self) -> None:
-        if not self.L0 > 0:
-            raise DomainError("L0 must be positive")
+        _require_scale(L0=self.L0)
         if not abs(self.q) < 1:
-            raise DomainError("|q| must be < 1 to keep the wall finite")
-        if not self.omega > 0:
-            raise DomainError("omega must be positive")
-        _require_finite(L0=self.L0, omega=self.omega)
+            raise DomainError("q must lie in (-1, 1) to keep the wall finite")
+        _require_scale(floor=False, omega=self.omega)
 
     def _kinematics(self, t: float) -> Kinematics:
         L0, q, w = self.L0, self.q, self.omega
@@ -315,7 +343,8 @@ class SmoothPeriodicWall(WallTrajectory):
 
 @dataclass(frozen=True)
 class ScaledWall(WallTrajectory):
-    """Trajectory obtained by scaling all lengths of ``inner`` by k > 0.
+    """Trajectory obtained by scaling all lengths of ``inner`` by k, which
+    lies in [1e-150, 1e150].
 
     L(t) = k * inner.L(t), so tau scales by k^{-2} and omega_squared is
     unchanged; the turn, if any, stays where it is.  Used for checking how
@@ -326,9 +355,7 @@ class ScaledWall(WallTrajectory):
     k: float
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise DomainError("scale factor k must be positive")
-        _require_finite(k=self.k)
+        _require_scale(k=self.k)
         object.__setattr__(self, "t_max", self.inner.t_max)
         object.__setattr__(self, "turn", self.inner.turn)
 

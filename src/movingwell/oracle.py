@@ -339,7 +339,7 @@ def unconfined_tdlo_propagate(
     vals = initial_gaussian(gauss, constants, x)
     peak0 = float(np.max(np.abs(vals)))
     if max(abs(vals[0]), abs(vals[-1])) > 1e-12 * peak0:
-        raise DomainError("initial Gaussian already touches the artificial box")
+        raise DomainError("x_min/x_max must keep the initial Gaussian off the artificial box")
 
     w2 = traj.omega_squared if spec.potential == "tdlo" else lambda t: 0.0
 

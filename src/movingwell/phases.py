@@ -327,8 +327,6 @@ def fig_mode_phases(
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     sizes = [float(v) for v in Lbar0_values]
-    if any(v <= 0 for v in sizes):
-        raise DomainError("box sizes must be positive")
     ns = np.arange(n_max + 1)
     nus = ns + 1
     gamma = np.empty((len(sizes), n_max + 1), dtype=float)

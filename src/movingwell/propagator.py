@@ -311,10 +311,11 @@ def _evaluate(
     L, v, tau = _leg(traj, t)
     kappa = _nome(state, constants, tau)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    # a point that is not finite gives 0, as on every route: +-inf lies past
-    # every wall and the packet vanishes there; as NaN it runs through the
-    # arithmetic quietly, and the wall-free form's 0 keeps the wall term finite
-    far = ~np.isfinite(xa)
+    # a point past the walls gives 0 and a point that is not finite too, as
+    # on every route: as NaN each runs through the arithmetic quietly and
+    # never reaches the term count, and the wall-free form, which keeps the
+    # values past the walls, masks only the points that are not finite
+    far = ~np.isfinite(xa) if wall_free else ~_in_box(xa, L, sector)
     xa = np.where(far, np.nan, xa)
     z = math.pi * xa / L
     chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state, 0.0))
@@ -322,10 +323,9 @@ def _evaluate(
     if wall_free:
         w = z - state.offset
         out = pre * chirp * ((-1j * kappa) ** -0.5 * np.exp(-1j * w**2 / (math.pi * kappa)))
-        out[far] = 0.0
     else:
-        bracket = _theta_bracket(z, state.offset, kappa, sector)
-        out = np.where(_in_box(xa, L, sector), pre * chirp * bracket, 0.0)
+        out = pre * chirp * _theta_bracket(z, state.offset, kappa, sector)
+    out[far] = 0.0
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -89,12 +89,12 @@ def truncation_bound(kappa: complex, z=0.0, tol: float = 1e-15, cap: int = _TERM
     kappa = _validate(2, kappa, tol)
     if cap < 1:
         raise DomainError("cap must be at least 1")
-    b = kappa.imag
+    pb = math.pi * kappa.imag
     zi = _finite_max(np.abs(np.asarray(z, dtype=complex).imag))
-    log_tol = math.log(tol)
-    # larger root of  pi b n^2 - 2 zi n + log_tol = 0
-    disc = zi * zi - math.pi * b * log_tol
-    n_star = (zi + math.sqrt(disc)) / (math.pi * b)
+    # larger root of  pi b n^2 - 2 zi n + ln(tol) = 0, written so that an
+    # overflowing pi b gives the root 0 rather than inf / inf
+    r = zi / pb
+    n_star = r + math.sqrt(r * r - math.log(tol) / pb)
     # ceil(n_star) > cap exactly when n_star > cap; an overflowed root is
     # past any cap and has no integer ceiling
     if n_star > cap:
@@ -162,8 +162,11 @@ def _sum_engine(kind, kappa_re, kappa_im, w_re, w_im, e0_re, e0_im, n_max):
         e_2w = _unit(2 * wr)
     # g = e^{i pi kappa +- 2 i w}, the real part of its exponent merged
     rot = cmath.exp(1j * pk_re)
-    g_up = e_2w * (rot * np.exp(-2 * np.asarray(half_pk_im + w_im, dtype=float)))
-    g_dn = e_2w.conj() * (rot * np.exp(-2 * np.asarray(half_pk_im - w_im, dtype=float)))
+    # past pi Im kappa ~ 1e308 the exponent leaves the double range; it is
+    # negative, and e^{-inf} = 0 is the term it stands for
+    with np.errstate(over="ignore"):
+        g_up = e_2w * (rot * np.exp(-2 * np.asarray(half_pk_im + w_im, dtype=float)))
+        g_dn = e_2w.conj() * (rot * np.exp(-2 * np.asarray(half_pk_im - w_im, dtype=float)))
     q = cmath.exp(1j * math.pi * complex(float(kappa_re), float(kappa_im)))
     sign = -1 if kind == 4 else 1
     scale = 1.0

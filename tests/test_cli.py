@@ -7,6 +7,7 @@ full resolution is covered elsewhere.
 """
 
 import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from movingwell import cli, phases
-from movingwell.config import ConfigError, ScenarioConfig
+from movingwell import cli, core, phases
+from movingwell.config import ConfigError, ScenarioConfig, parse_config
 from movingwell.core import ConvergenceError, PhysicalConstants, SmoothPeriodicWall
 
 REPO = Path(__file__).resolve().parents[1]
@@ -432,6 +433,95 @@ class TestConfigErrors:
         assert "unused config keys: bogus.key" in res.stderr
 
 
+#: shipped config -> the command it drives
+SHIPPED = {
+    "basis": "basis-check", "cycle": "cycle", "evolve": "evolve", "fig1": "fig1",
+    "fig2": "fig2", "locality": "locality", "locality_scaled": "locality",
+    "oracle": "oracle-compare", "phase": "phase", "theta": "theta-check",
+}
+#: keys that pick a route or a kind rather than a value
+CHOICE_KEYS = {"trajectory.kind", "trajectory.inner", "evolve.route"}
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "abc", "1e-300", "1e300"]
+#: the hostile cases that run to the end, which they must keep doing
+RUNS_THROUGH = {
+    "cycle": {"trajectory.q=-1", "trajectory.q=0", "trajectory.q=1e-300", "trajectory.T=1e-300"},
+    "evolve": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
+               "time.t_list=0", "time.t_list=1e-300", "time.t_list=1e300", "grid.x_min=-1",
+               "grid.x_min=0", "grid.x_min=1e-300", "grid.x_max=-1", "grid.x_max=0",
+               "grid.x_max=1e-300", "grid.x_max=1e300"},
+    "fig1": {"fig1.n_max=0", "fig1.omega=1e-300"},
+    "fig2": {"trajectory.omega=1e-300"},
+    "locality": {"trajectory.q=-1", "trajectory.q=0", "trajectory.q=1e-300", "time.t_list=0",
+                 "time.t_list=1e-300", "time.t_list=1e300"},
+    "locality_scaled": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
+                        "time.t=0", "time.t=1e-300", "time.t=1e300"},
+    "oracle": {"time.t=1e-300"},
+    "phase": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
+              "phase.n_max=0"},
+    "theta": {"tolerances.theta_tol=1e300"},
+}
+B = core.SCALE_MAX
+#: (config, key, edge) for each bound on a value the config reads
+BOUNDS = [
+    ("phase", "trajectory.L0", 1 / B), ("phase", "trajectory.L0", B),
+    ("evolve", "gaussian.d", 1 / B), ("evolve", "gaussian.d", B),
+    ("evolve", "gaussian.x0", B), ("locality", "gaussian.p0", -B),
+    ("locality_scaled", "trajectory.k", 1 / B), ("locality_scaled", "trajectory.k", B),
+    ("evolve", "constants.hbar", 1 / B), ("evolve", "constants.hbar", B),
+    ("evolve", "constants.mass", 1 / B), ("evolve", "constants.mass", B),
+    ("evolve", "trajectory.omega", B), ("cycle", "trajectory.T", B),
+    ("cycle", "trajectory.q", B), ("locality", "trajectory.q", -B),
+    ("fig1", "fig1.Lbar0_list", 1 / B), ("fig1", "fig1.Lbar0_list", B),
+    ("fig1", "fig1.omega", B),
+]
+
+
+def _run_in_process(tmp_path, capsys, name, changes):
+    """Exit code and stderr of the shipped config ``name`` with ``changes``,
+    the Crank-Nicolson commands at 256 points."""
+    raw = parse_config(CONFIGS / f"{name}.cfg")
+    if name in ("fig2", "oracle"):
+        raw["solver.n_points"] = "256"
+    raw.update(changes)
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in raw.items()))
+    code = cli.main([SHIPPED[name], "--config", cfg, "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+class TestHostileConfigs:
+    """Each key of each shipped config set to each hostile value ends in exit
+    0 or 3, or in exit 2 naming the key; never in an uncaught exception."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_key_and_value(self, tmp_path, capsys, name):
+        keys = [k for k in parse_config(CONFIGS / f"{name}.cfg") if k not in CHOICE_KEYS]
+        bad = []
+        for key in keys:
+            for value in HOSTILE:
+                try:
+                    code, err = _run_in_process(tmp_path, capsys, name, {key: value})
+                except Exception as exc:  # noqa: BLE001 - the failure the sweep looks for
+                    bad.append(f"{key}={value}: uncaught {type(exc).__name__}: {exc}")
+                    continue
+                if f"{key}={value}" in RUNS_THROUGH.get(name, ()):
+                    ok = code == 0
+                else:
+                    ok = code in (0, 3) or (code == 2 and key in err)
+                if not ok:
+                    bad.append(f"{key}={value}: exit {code}: {err.strip()[-200:]}")
+        assert not bad, "\n".join(bad)
+
+    @pytest.mark.parametrize("name, key, edge", BOUNDS)
+    def test_a_bound_takes_its_edge_and_names_its_key_past_it(self, tmp_path, capsys, name,
+                                                               key, edge):
+        code, err = _run_in_process(tmp_path, capsys, name, {key: repr(edge)})
+        assert f"{key} must be at" not in err, err
+        past = math.nextafter(edge, 0.0 if abs(edge) < 1 else math.copysign(math.inf, edge))
+        code, err = _run_in_process(tmp_path, capsys, name, {key: repr(past)})
+        assert code == 2
+        assert f"config error: {key} must be at" in err
+
+
 class TestLocality:
     def test_time_past_the_collapse_leaves_no_output(self, tmp_path):
         # the wall closes in at q = -1: t = 120 lies past t_max = 99
@@ -502,12 +592,18 @@ class TestLocality:
 
 
 class TestEvolve:
-    def test_grid_past_any_term_count_is_a_convergence_failure(self, tmp_path, capsys):
+    def test_grid_past_the_walls_reads_zero_there(self, tmp_path, capsys):
+        # points past the walls never reach the chirp or the term count
         text = (CONFIGS / "evolve.cfg").read_text()
         cfg = write_cfg(tmp_path, text.replace("grid.x_max=20", "grid.x_max=1e300"))
-        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "convergence failure: series needs inf terms" in capsys.readouterr().err
-        assert not list(tmp_path.glob("evolve_*.csv"))
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""  # main prints every warning it caught
+        for i in range(3):
+            rows = read_rows(tmp_path / f"evolve_{i:03d}.csv")
+            past = rows[:, 0] > 50.0
+            assert past.sum() == 2000
+            assert not rows[past, 1:].any()
+            assert np.isfinite(rows).all() and rows[0, 3] > 0
 
     def test_snapshots_and_plot_script(self, tmp_path):
         res = run_cli("evolve", "--config", str(CONFIGS / "evolve.cfg"),

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import movingwell
+from movingwell import core
 from movingwell.basis import BasisIndex, basis_solution
 from movingwell.core import (
     DomainError,
@@ -264,6 +265,58 @@ def test_non_finite_parameters_are_rejected(bad):
     for make in makers:
         with pytest.raises(DomainError):
             make()
+
+
+B = core.SCALE_MAX
+#: (maker, field, edge) for each bound a constructor makes
+EDGES = [
+    (lambda v: PhysicalConstants(hbar=v), "hbar", 1 / B),
+    (lambda v: PhysicalConstants(hbar=v), "hbar", B),
+    (lambda v: PhysicalConstants(mass=v), "mass", 1 / B),
+    (lambda v: PhysicalConstants(mass=v), "mass", B),
+    (lambda v: GaussianParams(d=v), "d", 1 / B),
+    (lambda v: GaussianParams(d=v), "d", B),
+    (lambda v: GaussianParams(d=1.0, x0=v), "x0", -B),
+    (lambda v: GaussianParams(d=1.0, p0=v), "p0", B),
+    (lambda v: LinearWall(L0=v, q=1.0), "L0", 1 / B),
+    (lambda v: LinearWall(L0=v, q=1.0), "L0", B),
+    (lambda v: LinearWall(L0=10.0, q=v), "q", B),
+    (lambda v: LinearWall(L0=10.0, q=v), "q", -B),
+    (lambda v: ReversingLinearWall(L0=v, q=1.0, T=4.0), "L0", 1 / B),
+    (lambda v: ReversingLinearWall(L0=10.0, q=v, T=4.0), "q", B),
+    (lambda v: ReversingLinearWall(L0=10.0, q=1.0, T=v), "T", B),
+    (lambda v: SmoothPeriodicWall(L0=v, q=0.1, omega=1.0), "L0", B),
+    (lambda v: SmoothPeriodicWall(L0=10.0, q=0.1, omega=v), "omega", B),
+    (lambda v: ScaledWall(inner=LinearWall(L0=10.0, q=0.0), k=v), "k", 1 / B),
+    (lambda v: ScaledWall(inner=LinearWall(L0=10.0, q=0.0), k=v), "k", B),
+]
+
+
+@pytest.mark.parametrize("make, name, edge", EDGES)
+def test_bounds_take_their_edge_and_refuse_past_it(make, name, edge):
+    make(edge)
+    past = math.nextafter(edge, 0.0 if abs(edge) < 1 else math.copysign(math.inf, edge))
+    with pytest.raises(DomainError, match=f"^{name} must be at "):
+        make(past)
+
+
+def test_time_and_frequency_have_no_floor():
+    # nothing divides by T or omega, so neither needs a lower bound
+    ReversingLinearWall(L0=10.0, q=1.0, T=1e-300)
+    SmoothPeriodicWall(L0=10.0, q=0.1, omega=1e-300)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PhysicalConstants(mass=0.0), "mass must be positive"),
+    (lambda: GaussianParams(d=-1.0), "d must be positive"),
+    (lambda: SmoothPeriodicWall(L0=10.0, q=1.0, omega=1.0), "q must lie in (-1, 1)"),
+    (lambda: ReversingLinearWall(L0=10.0, q=-6.0, T=4.0), "L0 + q*T/2 must be positive"),
+    (lambda: ScaledWall(inner=LinearWall(L0=10.0, q=0.0), k=0.0), "k must be positive"),
+])
+def test_messages_lead_with_the_field(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value).startswith(message)
 
 
 def test_wavefunction_grid_norm_and_immutability():

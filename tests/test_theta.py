@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -157,6 +158,16 @@ def test_truncation_cap():
     # a root that overflows is past any cap, not an OverflowError
     with pytest.raises(ConvergenceError, match="series needs inf terms"):
         truncation_bound(1j, 1e200j)
+
+
+def test_huge_im_kappa_sums_to_its_limit_without_warning():
+    # pi Im kappa overflows a double: every term but theta_3's and theta_4's
+    # leading 1 vanishes, and nothing may raise or warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncation_bound(1e308j, 0.1) == 1
+        assert theta(2, 0.1, 1e308j) == 0
+        assert theta(3, 0.1, 1e308j) == 1
 
 
 def test_reduction_step_cap():
