@@ -72,6 +72,8 @@ _BABY = 24
 _CHUNK = 512
 #: points per pass of the mode sum, a whole number of chunks
 _SLAB = 8 * _CHUNK
+#: intervals of the box grid on which ``schrodinger_residual`` compares
+_RESIDUAL_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -358,13 +360,13 @@ def schrodinger_residual(
     t: float,
     potential: str = "well",
     dt: float = 1e-3,
-    n_points: int = 1024,
 ) -> float:
     """Relative equation residual of the mode solution at time t.
 
     Compares the centred time difference i hbar (psi(t+dt) - psi(t-dt)) /
-    (2 dt) against H psi(t) with the analytic spatial derivative, on grid
-    interior points a safe margin away from the walls.  ``potential``
+    (2 dt) against H psi(t) with the analytic spatial derivative, on the
+    interior points of a ``_RESIDUAL_POINTS``-interval grid of the box, a
+    safe margin away from the walls.  ``potential``
     selects H: "well" is the bare box, "tdlo" adds the quadratic term
     (m/2) W(t) x^2 that accelerating walls induce.  Returns
     ||residual||_2 / ||H psi||_2; for an exact family this decays as dt^2.
@@ -377,13 +379,12 @@ def schrodinger_residual(
         raise DomainError("dt must be positive")
     if t - dt < traj.turn <= t + dt:
         raise DomainError(f"the probe window t +- {dt:g} crosses the wall's turn at {traj.turn:g}")
-    if n_points < 8 * idx.nu:
-        raise DomainError(
-            f"n_points = {n_points} cannot resolve nu = {idx.nu}; need at least {8 * idx.nu}"
-        )
+    if _RESIDUAL_POINTS < 8 * idx.nu:
+        raise DomainError(f"the residual grid resolves nu <= {_RESIDUAL_POINTS // 8}, "
+                          f"not nu = {idx.nu}")
     hbar, m = constants.hbar, constants.mass
     L, v, _, _, w2 = traj.kinematics(t)
-    grid = np.linspace(*_box_interval(L, _box_of(idx)), n_points + 1)
+    grid = np.linspace(*_box_interval(L, _box_of(idx)), _RESIDUAL_POINTS + 1)
     xa = grid[4:-4]
     # the wall must not cross the retained points within the stencil window
     margin = 4 * (grid[1] - grid[0])

@@ -72,6 +72,7 @@ from .phases import (
 )
 from .propagator import (
     LOCALITY_TOL,
+    _packet_scale,
     contraction_coefficients,
     evolve_sum,
     evolve_theta_general,
@@ -123,6 +124,15 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
         except DomainError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     return times
+
+
+def _gaussian(cfg: ScenarioConfig, traj):
+    """The gaussian block, its width checked against the box it starts in
+    (``_packet_scale``, which the routes' gate runs too) so that an
+    (L0/d)^2 out of range names both keys."""
+    gauss = build_gaussian(cfg)
+    _keyed(_packet_scale, {"d": "gaussian.d", "L0": "trajectory.L0"}, gauss, traj.length(0.0))
+    return gauss
 
 
 def _grid_from(cfg: ScenarioConfig, x_min: float, x_max: float, n: int = 2000):
@@ -275,7 +285,7 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
+    gauss = _gaussian(cfg, traj)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
     times = _get_times(cfg, "time.t", traj, listed=True)
@@ -315,7 +325,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
+    gauss = _gaussian(cfg, traj)
     sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
     tol = cfg.get_float("tolerances.locality_tol", LOCALITY_TOL)
     if isinstance(traj, ScaledWall):
@@ -346,7 +356,7 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     _require(not math.isinf(traj.turn), "cycle",
              "needs trajectory.kind=reversing_linear, or kind=scaled with that inner")
-    gauss = build_gaussian(cfg)
+    gauss = _gaussian(cfg, traj)
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
     (t,) = _get_times(cfg, "time.t", traj, traj.t_max)
@@ -405,14 +415,16 @@ def cmd_fig1(cfg: ScenarioConfig, seed: int):
     sizes = cfg.get_float_list("fig1.Lbar0_list", [100.0, 400.0, 800.0, 1000.0])
     n_max = cfg.get_int("fig1.n_max", 30, 0, MAX_FIG1_MODES)
     q = cfg.get_float("fig1.q", 0.1)
-    # q = 0 leaves no geometric phase, and the curves' ratio would be 0/0
-    _require(q != 0, "fig1.q", "must be nonzero for a moving wall")
     omega = cfg.get_float("fig1.omega", 1.0)
     tol = cfg.get_float("tolerances.fig1_tol", 1e-9)
     # the breathing walls check their own L0, q and omega
     keys = {"L0": "fig1.Lbar0_list", "q": "fig1.q", "omega": "fig1.omega"}
     data = _keyed(fig_mode_phases, keys, constants, Lbar0_values=sizes, n_max=n_max,
                   q=q, omega=omega)
+    # gamma goes as q^2: at q = 0, or where q^2 underflows, every phase is
+    # 0 and the curves' ratio below 0/0
+    _require(not np.any(np.abs(data["gamma"]) < sys.float_info.min), "fig1.q",
+             "must be nonzero, with every geometric phase, which goes as q^2, a normal double")
     rows = []
     for i, L0 in enumerate(data["Lbar0"]):
         for j, n in enumerate(data["n"]):
@@ -432,7 +444,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     """Confined theta evolution against the wall-free PDE oracle."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
+    gauss = _gaussian(cfg, traj)
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
     (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
@@ -453,7 +465,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     """Crank-Nicolson in the fixed frame against the theta closed form."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = build_gaussian(cfg)
+    gauss = _gaussian(cfg, traj)
     (t,) = _get_times(cfg, "time.t", traj, 2.0)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)

@@ -19,7 +19,10 @@ and a L0^2 in kappa, so every scale (hbar, m, d, L0, k, T, omega) must be
 positive and at most ``SCALE_MAX`` = 1e150, and q, x0 and p0 at most 1e150
 in size.  hbar, m, d, L0 and k also enter as inverse squares, so each must be
 at least 1e-150; T and omega have no floor, since nothing fails as they
-shrink.
+shrink.  A product of two fields is bounded where they meet: the reversing
+wall's box at its turn, L0 + q T/2, at most 1e154, so that its square is a
+double, and a packet's L0 / d, where it meets the box, at most 1e150
+(``propagator``).
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def _require_finite(**values: float) -> None:
 #: the largest size of any value a constructor bounds, and the inverse of
 #: the smallest scale it takes among those the arithmetic divides by
 SCALE_MAX = 1e150
+#: relative tolerance of ``WallTrajectory.is_cyclic`` on L and L'
+_CYCLIC_RTOL = 1e-9
 
 
 def _require_scale(floor: bool = True, **values: float) -> None:
@@ -200,14 +205,15 @@ class WallTrajectory:
         """Cycle length for periodic motions; None otherwise."""
         return None
 
-    def is_cyclic(self, T: float, rtol: float = 1e-9) -> bool:
-        """True when both L and L' return to their t=0 values at t=T."""
+    def is_cyclic(self, T: float) -> bool:
+        """True when both L and L' return to their t=0 values at t=T, to
+        ``_CYCLIC_RTOL`` relative."""
         L0, v0, *_ = self.kinematics(0.0)
         L1, v1, *_ = self.kinematics(T)
         scale_v = max(abs(v0), abs(v1), 1e-30)
         return (
-            abs(L1 - L0) <= rtol * abs(L0)
-            and abs(v1 - v0) <= rtol * max(scale_v, abs(L0))
+            abs(L1 - L0) <= _CYCLIC_RTOL * abs(L0)
+            and abs(v1 - v0) <= _CYCLIC_RTOL * max(scale_v, abs(L0))
         )
 
 
@@ -248,7 +254,9 @@ class ReversingLinearWall(WallTrajectory):
     L but not in L'.  Scalar evaluation uses the half-open convention: the
     switch time itself, ``turn`` = T/2, belongs to the contraction leg.
     L0 lies in [1e-150, 1e150], |q| <= 1e150 and 0 < T <= 1e150, and the
-    wall must not collapse before the turn.
+    box at the turn, L0 + q T/2, lies in (0, 1e154]: the wall must not
+    collapse before the turn, and the square of the box there, which the
+    contraction family's kappa takes, must be a double.
     """
 
     L0: float
@@ -259,8 +267,11 @@ class ReversingLinearWall(WallTrajectory):
         _require_scale(L0=self.L0)
         _require_size(q=self.q)
         _require_scale(floor=False, T=self.T)
-        if self.L0 + self.q * self.T / 2 <= 0:
+        if self.half_length <= 0:
             raise DomainError("L0 + q*T/2 must be positive: the wall collapses before its turn")
+        # kappa takes the square of the box at the turn, which must be a double
+        if not self.half_length <= 1e154:
+            raise DomainError(f"q and T must keep L0 + q*T/2 <= 1e154, got {self.half_length:g}")
         object.__setattr__(self, "t_max", self.T)
         object.__setattr__(self, "turn", self.T / 2)
 
@@ -403,13 +414,6 @@ class WaveFunctionGrid:
         object.__setattr__(self, "values", val)
         n = math.sqrt(float(np.trapezoid(np.abs(val) ** 2, pos)))
         object.__setattr__(self, "norm", n)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.positions[1] - self.positions[0])
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
 
 
 @dataclass(frozen=True)

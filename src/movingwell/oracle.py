@@ -13,6 +13,11 @@ Two solvers, both run by one Crank-Nicolson engine (``_cn_engine``):
   the same compensating quadratic potential on a large static box: the
   same H~ with the wall at rest, L = L0 and L' = 0.
 
+Both always carry the trajectory's own (m/2) Omega^2(t) x^2, Omega^2 =
+-L''/L, the one Hamiltonian whose solutions the closed forms give; it
+vanishes for a wall at constant speed, so a ``LinearWall`` gives the bare
+box and, unconfined, free propagation.
+
 Each step is Crank-Nicolson in Cayley's form: one tridiagonal solve,
 psi <- 2 (1 + i h H~ / 2 hbar)^{-1} psi - psi, with no right-hand-side band
 product.
@@ -39,8 +44,6 @@ from .core import (
 )
 from .propagator import initial_gaussian
 
-_POTENTIALS = ("infinite_well", "tdlo")
-
 # modulus at the artificial edges (relative to the peak) above which the
 # unconfined run is considered contaminated
 EDGE_GATE = 1e-10
@@ -65,12 +68,8 @@ class FrameMap:
         return self.traj.length(0.0)
 
     def scale(self, t: float) -> float:
-        """L(t)/L0 = e^{xi(t)}."""
+        """L(t)/L0, the dilation factor."""
         return self.traj.length(t) / self.L0
-
-    def xi(self, t: float) -> float:
-        """Log of the dilation factor; xi(0) = 0."""
-        return math.log(self.scale(t))
 
 
 def to_fixed_frame(psi: WaveFunctionGrid, fmap: FrameMap, t: float) -> WaveFunctionGrid:
@@ -104,22 +103,20 @@ class SolverSpec:
     n_points counts subdivisions; grids carry n_points + 1 samples with the
     Dirichlet walls included.  x_min/x_max bound the large static box of the
     unconfined solver and are ignored by the fixed-frame solver, whose
-    domain comes with the initial state.
+    domain comes with the initial state.  The Hamiltonian is not a choice:
+    both runs carry the trajectory's own Omega^2(t).
     """
 
     n_points: int = 4096
     dt: float = 1e-3
     x_min: float | None = None
     x_max: float | None = None
-    potential: str = "tdlo"
 
     def __post_init__(self) -> None:
         if self.n_points < 8 or self.n_points & (self.n_points - 1):
             raise DomainError("n_points must be a power of two, at least 8")
         if not self.dt > 0:
             raise DomainError("dt must be positive")
-        if self.potential not in _POTENTIALS:
-            raise DomainError(f"potential must be one of {_POTENTIALS}")
         if (self.x_min is None) != (self.x_max is None):
             raise DomainError("x_min and x_max must be given together")
         if self.x_min is not None and not self.x_min < self.x_max:
@@ -282,10 +279,9 @@ def evolve_fixed_frame(
     central-difference form, which keeps the band matrix Hermitian and the
     stepping unitary.  A norm drift beyond 1e-6 aborts.
 
-    With potential tag "tdlo" the compensating quadratic potential of the
-    accelerating box is included (transformed to the fixed frame); with
-    "infinite_well" the box is bare, which coincides with "tdlo" whenever
-    the wall speed is constant.
+    The Hamiltonian always includes the trajectory's compensating quadratic
+    potential (m/2) Omega^2(t) x^2, transformed to the fixed frame; for a
+    wall at constant speed Omega^2 = 0 and the box is bare.
     """
     if psi0_tilde.time != 0.0:
         raise DomainError("initial state must be given at t=0")
@@ -305,11 +301,10 @@ def evolve_fixed_frame(
     n_steps = _step_count(t_final, spec.dt)
     traj = fmap.traj
     traj._check(t_final)
-    tdlo = spec.potential == "tdlo"
 
     def frame(t):
         L, v, _, _, w2 = traj.kinematics(t)
-        return L, v, w2 if tdlo else 0.0
+        return L, v, w2
 
     full = _cn_engine(y, vals, fmap.L0, frame, spec.dt, n_steps, constants, turn=traj.turn)
     return WaveFunctionGrid(positions=y, values=full, time=t_final)
@@ -327,9 +322,9 @@ def unconfined_tdlo_propagate(
     Integrates P^2/2m + (m/2) Omega^2(t) x^2 from the Gaussian on a large
     static Dirichlet box given by spec.x_min/x_max.  The box is artificial:
     the state must stay away from its edges, and an edge amplitude above
-    1e-10 of the peak aborts with a diagnostic (enlarge the domain).  With
-    potential tag "infinite_well" the quadratic term is dropped and the run
-    is free propagation.
+    1e-10 of the peak aborts with a diagnostic (enlarge the domain).  The
+    quadratic term is always the trajectory's own; for a wall at constant
+    speed Omega^2 = 0 and the run is free propagation.
     """
     if spec.x_min is None:
         raise DomainError("unconfined run needs spec.x_min/x_max")
@@ -340,8 +335,6 @@ def unconfined_tdlo_propagate(
     peak0 = float(np.max(np.abs(vals)))
     if max(abs(vals[0]), abs(vals[-1])) > 1e-12 * peak0:
         raise DomainError("x_min/x_max must keep the initial Gaussian off the artificial box")
-
-    w2 = traj.omega_squared if spec.potential == "tdlo" else lambda t: 0.0
 
     def edge_check(v, t_now):
         edge = max(abs(v[0]), abs(v[-1]))
@@ -354,6 +347,6 @@ def unconfined_tdlo_propagate(
             )
 
     # the static box is the fixed frame with the wall at rest
-    full = _cn_engine(x, vals, 1.0, lambda t: (1.0, 0.0, w2(t)), spec.dt, n_steps,
-                      constants, edge_check=edge_check)
+    full = _cn_engine(x, vals, 1.0, lambda t: (1.0, 0.0, traj.omega_squared(t)), spec.dt,
+                      n_steps, constants, edge_check=edge_check)
     return WaveFunctionGrid(positions=x, values=full, time=t_final)

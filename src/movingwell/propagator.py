@@ -49,12 +49,16 @@ agree to near machine precision; keeping them separate is the point, since
 each validates the other.
 
 All propagators require the initial packet to sit well inside the box:
-the Gaussian mass beyond the walls must not exceed 1e-6 (DomainError), and
-a width above a tenth of the box earns a LocalizationWarning.  Whether the
-packet has met a wall later on is measured, not guessed: the bracket's
-leading modular term is the packet with no walls, so psi minus it is what
-the walls add, and that term decides the locality verdict and the
-wall-free route's warning.
+the Gaussian mass beyond the walls must not exceed 1e-6 (DomainError), the
+box must hold at most 1e150 packet widths, and a width above a tenth of
+the box earns a LocalizationWarning.  Whether the packet has met a wall
+later on is measured, not guessed: the bracket's leading modular term is
+the packet with no walls, so psi minus it is what the walls add, and that
+term decides the locality verdict and the wall-free route's warning.  Past
+a wall's turn the closed forms measure it once more, just before the
+turn, where the contraction family takes the packet as the free Gaussian:
+if what the walls had added by then could put them more than 1e-3 (L2)
+off, they refuse the packet, and the mode sum follows it instead.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ from .basis import (
     _turn_leg,
 )
 from .core import (
+    SCALE_MAX,
     ConvergenceError,
     DomainError,
     GaussianParams,
@@ -96,6 +101,8 @@ TAIL_GATE = 1e-6
 WIDTH_WARN = 0.1
 #: largest wall term |psi - psi_wall-free| that still counts as no wall contact
 LOCALITY_TOL = 1e-10
+#: free widths on each side of the packet's centre that ``_turn_error`` sums
+_TURN_WIDTHS = 12.0
 #: coefficients below this fraction of the largest one are negligible
 _COEFF_FLOOR = 1e-13
 #: guard labels an expansion keeps past its last coefficient above the floor
@@ -106,6 +113,8 @@ _MODE_LIMIT = 20000
 _TABLE_MARGIN = 8.0
 #: i^j for j mod 4, exact
 _I_POWERS = np.array([1, 1j, -1, -1j])
+#: intervals of the box grid on which ``contraction_coefficients`` projects
+_PROJECTION_POINTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +173,29 @@ def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
     return complex(out) if np.ndim(x) == 0 else out
 
 
+def _outside(X: float, sigma: float, L: float, sector: str) -> float:
+    """The mass of a Gaussian density centred at X, with standard deviation
+    sigma, beyond the walls of a box of size L."""
+    lo, hi = _box_interval(L, sector)
+    root2s = math.sqrt(2.0) * sigma
+    return 0.5 * (math.erfc((X - lo) / root2s) + math.erfc((hi - X) / root2s))
+
+
+def _packet_scale(gauss: GaussianParams, L0: float) -> None:
+    """At most SCALE_MAX packet widths in the box, the bound every scale
+    has: kappa takes a L0^2 ~ (L0/d)^2, which overflows past about 1e154
+    widths, and Im kappa ~ 4 pi (d/L0)^2 is then already far below what the
+    theta reduction reaches in its ``_STEP_CAP`` steps."""
+    if not L0 / gauss.d <= SCALE_MAX:
+        raise DomainError(
+            f"the box may hold at most {SCALE_MAX:g} packet widths, "
+            f"but L0 / d = {L0 / gauss.d:g}"
+        )
+
+
 def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
-    lo, hi = _box_interval(L0, sector)
-    root2d = math.sqrt(2.0) * gauss.d
-    tail = 0.5 * (math.erfc((gauss.x0 - lo) / root2d) + math.erfc((hi - gauss.x0) / root2d))
+    _packet_scale(gauss, L0)
+    tail = _outside(gauss.x0, gauss.d, L0, sector)
     if tail > TAIL_GATE:
         raise DomainError(
             f"initial packet leaks {tail:.3e} of its mass past the walls "
@@ -223,9 +251,11 @@ def _packet_state(gauss, traj, constants, t: float = 0.0) -> _PacketState:
     turn.  The family sees it at t_ref with its box L(t_ref) and wall speed
     L'(t_ref).
 
-    At t_ref the packet is the freely spread Gaussian, exact up to the same
-    exponentially small wall tails as the wall-free form:
-    (2 pi)^{-1/4} (d s)^{-1/2} e^{-A (x - X)^2 + i k0 x - i p0^2 t_ref/(2 m hbar)}.
+    At t_ref the packet is taken as the freely spread Gaussian,
+    (2 pi)^{-1/4} (d s)^{-1/2} e^{-A (x - X)^2 + i k0 x - i p0^2 t_ref/(2 m hbar)},
+    which holds up to the same exponentially small wall tails as the
+    wall-free form as long as the walls left the packet alone until then;
+    ``_checked_state`` measures that for the closed forms.
     """
     hbar, m = constants.hbar, constants.mass
     t_ref = 0.0 if t < traj.turn else traj.turn
@@ -422,19 +452,22 @@ def expansion_coefficients(
 
     Before a wall's turn this is the initial family, projected at t = 0;
     from the turn on it is the contraction family, projected at the turn
-    where the packet is the freely spread and drifted Gaussian (see
-    ``_packet_state``), and the expansion is tagged "contraction".  The
-    projections are exact Gaussian integrals extended over the full line,
-    legitimate because the wall-tail gate has already bounded the mass
-    outside the box.  The expansion ends where ``contraction_coefficients``
-    ends too (``_expansion_end``): _COEFF_RUN = 3 labels past the last one
-    whose coefficient reaches _COEFF_FLOOR = 1e-13 of the largest.  Emits
-    TruncationWarning when the retained modes capture less than
-    1 - tail_tol of the packet's norm.
+    where the packet is taken as the freely spread and drifted Gaussian (see
+    ``_packet_state``), and the expansion is tagged "contraction".  That
+    projection is the analytic reference ``contraction_coefficients`` is
+    tested against, so unlike the closed forms it does not check that the
+    walls left the packet alone until the turn.  The projections are exact
+    Gaussian integrals extended over the full line, legitimate because the
+    wall-tail gate has already bounded the mass outside the box.  The
+    expansion ends where ``contraction_coefficients`` ends too
+    (``_expansion_end``): _COEFF_RUN = 3 labels past the last one whose
+    coefficient reaches _COEFF_FLOOR = 1e-13 of the largest.  Emits
+    TruncationWarning when the retained modes capture less than 1 - tail_tol
+    of the packet's norm.
     """
     traj._check(t)
-    state = _checked_state(gauss, traj, constants, t, sector)
-    coeffs = _truncated_expansion(state, sector)
+    _initial_gate(gauss, traj.length(0.0), sector)
+    coeffs = _truncated_expansion(_packet_state(gauss, traj, constants, t), sector)
     expansion = SpectralExpansion(sector, coeffs, "contraction" if t >= traj.turn else "initial")
     captured = expansion.captured_norm
     if 1.0 - captured > tail_tol:
@@ -516,9 +549,54 @@ def evolve_theta_general(
 
 def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketState:
     """The packet in the family that holds t, once it passes the gate of
-    every route: inside the box at t = 0."""
+    the closed forms: inside the box at t = 0 and, from a wall's turn on,
+    near enough the free Gaussian there, which the contraction family
+    resums.  Both gates hold a squared L2 error to TAIL_GATE: at t = 0 the
+    mass the Gaussian has beyond the walls, at the turn the square of
+    ``_turn_error``'s bound."""
     _initial_gate(gauss, traj.length(0.0), sector)
+    error = _turn_error(gauss, traj, constants, sector) if 0 < traj.turn <= t else 0.0
+    if not error**2 <= TAIL_GATE:
+        raise DomainError(
+            f"the closed form cannot reach t = {t}: the walls met the packet before their "
+            f"turn at {traj.turn:g}, and resumming the free Gaussian there could be "
+            f"{error:.3e} off in L2; the mode sum (evolve.route=sum) follows the packet"
+        )
     return _packet_state(gauss, traj, constants, t)
+
+
+def _turn_error(gauss, traj, constants, sector: str) -> float:
+    """A bound, sqrt(2) E, on the L2 error of the closed form past the
+    wall's turn, where E is the distance over the whole line between the
+    packet just before the turn and the free Gaussian there: E^2 is the
+    free Gaussian's mass beyond the walls plus ||psi - psi_wall-free||^2
+    over the box.  The closed form resums the free Gaussian folded into
+    the box, so its error is the difference's box part plus its outside
+    part folded in, at most the sum of their norms, and that is at most
+    sqrt(2) E.
+
+    The box term is the trapezoid sum over the packet's span,
+    _TURN_WIDTHS free widths sigma on each side of its centre, at sigma / 8
+    and at most ``_PROJECTION_POINTS`` intervals: each wall's images are
+    Gaussians of width sigma, so |psi - psi_wall-free|^2 varies on that
+    scale.  Once the outside mass alone brings the bound past TAIL_GATE,
+    the box term is skipped.
+    """
+    hbar, m, turn = constants.hbar, constants.mass, traj.turn
+    sigma = gauss.d * math.hypot(1.0, hbar * turn / (2.0 * m * gauss.d**2))
+    X = gauss.x0 + gauss.p0 * turn / m
+    before = math.nextafter(turn, 0.0)
+    L = traj.length(before)
+    outside = _outside(X, sigma, L, sector)
+    if not 2.0 * outside <= TAIL_GATE:
+        return math.sqrt(2.0 * outside)
+    lo, hi = _box_interval(L, sector)
+    a, b = max(lo, X - _TURN_WIDTHS * sigma), min(hi, X + _TURN_WIDTHS * sigma)
+    xa = np.linspace(a, b, min(math.ceil(8.0 * (b - a) / sigma), _PROJECTION_POINTS) + 1)
+    state = _packet_state(gauss, traj, constants)
+    psi = _evaluate(state, traj, constants, before, xa, sector=sector)
+    free = _evaluate(state, traj, constants, before, xa, wall_free=True)
+    return math.sqrt(2.0 * (float(np.trapezoid(np.abs(psi - free) ** 2, xa)) + outside))
 
 
 def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
@@ -569,7 +647,6 @@ def contraction_coefficients(
     traj: WallTrajectory,
     constants: PhysicalConstants,
     tail_tol: float = 1e-14,
-    grid_points: int = 2**15,
 ) -> SpectralExpansion:
     """Re-expand an initial-family expansion in the post-turn family.
 
@@ -577,10 +654,10 @@ def contraction_coefficients(
     ``expansion_coefficients`` gives it at t = 0, and ``traj`` a wall that
     turns; anything else raises DomainError.  Its mode sum is evaluated at
     the turn and projected onto the contraction modes by the trapezoid rule
-    on a uniform grid of ``grid_points`` intervals.  The trapezoid sums
-    against e^{+-i pi nu x / L_h} for every nu come from one length-2N FFT
-    of the weighted samples, and the cos and sin families are their
-    half-sum and half-difference.  This is the numerical counterpart of
+    on a uniform grid of N = ``_PROJECTION_POINTS`` = 2^15 intervals.  The
+    trapezoid sums against e^{+-i pi nu x / L_h} for every nu come from one
+    length-2N FFT of the weighted samples, and the cos and sin families are
+    their half-sum and half-difference.  This is the numerical counterpart of
     ``expansion_coefficients(..., t=traj.turn)``, which projects the packet
     at the turn analytically; each validates the other, and both end by
     ``_expansion_end``.  Emits TruncationWarning when the projected modes
@@ -593,7 +670,8 @@ def contraction_coefficients(
             "the symmetric box"
         )
     L_h, v_h, tau_h = _turn_leg(traj)
-    xg = np.linspace(*_box_interval(L_h, "symmetric"), grid_points + 1)
+    n = _PROJECTION_POINTS
+    xg = np.linspace(*_box_interval(L_h, "symmetric"), n + 1)
     # the initial family evaluated AT the turn: basis_solution has
     # already switched there, so sum the pre-turn leg explicitly
     pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, "symmetric")
@@ -601,18 +679,18 @@ def contraction_coefficients(
     # trig with their clock at zero; the conjugate chirp and the
     # trapezoid weights go into the projected samples once
     rate = _chirp_rate(constants, L_h, -v_h)
-    g = (L_h / grid_points) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+    g = (L_h / n) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
     g[[0, -1]] *= 0.5
     # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
     # so sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
     # times (-+i)^nu; cos and sin are the half-sum and half-difference
-    spectrum = np.fft.fft(g, 2 * grid_points)
+    spectrum = np.fft.fft(g, 2 * n)
     n_fit = max(2 * start.n_max + 8, 16)
     projected = np.zeros((len(_FAMILIES["symmetric"]), n_fit + 1), dtype=complex)
     for family, row in zip(_FAMILIES["symmetric"], projected):
         nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
-        up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * grid_points)]
-        down = _I_POWERS[nu % 4] * spectrum[nu % (2 * grid_points)]
+        up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * n)]
+        down = _I_POWERS[nu % 4] * spectrum[nu % (2 * n)]
         row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
     kept = tuple(projected[:, : _expansion_end(projected) + 1])
     contraction = SpectralExpansion("symmetric", kept, "contraction")

@@ -53,6 +53,8 @@ _STEP_CAP = 64
 #: most series terms ``truncation_bound`` allows; only the direct series of
 #: ``jacobi_transform`` can reach it, near the real axis
 _TERM_CAP = 10**6
+#: absolute tolerance of ``theta`` and ``jacobi_transform``
+_TOL = 1e-15
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -63,7 +65,7 @@ _TWO_PI_HI = 6.2831853069365025
 _TWO_PI_LO = 2.430840202602477e-10
 
 
-def _validate(kind: int, kappa: complex, tol: float) -> complex:
+def _validate(kind: int, kappa: complex) -> complex:
     if kind not in _VALID_KINDS:
         raise DomainError(f"kind must be one of {_VALID_KINDS}, got {kind!r}")
     kappa = complex(kappa)
@@ -71,24 +73,22 @@ def _validate(kind: int, kappa: complex, tol: float) -> complex:
         raise DomainError("kappa must be finite")
     if kappa.imag <= 0:
         raise DomainError(f"Im kappa must be positive, got {kappa.imag}")
-    if not 0 < tol < 1:
-        raise DomainError("tol must lie in (0, 1)")
     return kappa
 
 
-def truncation_bound(kappa: complex, z=0.0, tol: float = 1e-15, cap: int = _TERM_CAP) -> int:
+def truncation_bound(kappa: complex, z=0.0, tol: float = _TOL) -> int:
     """Smallest index N >= 1 beyond which all series terms are below tol.
 
     Term n of any of the three series is bounded by
     2 exp(-pi Im(kappa) n^2 + 2 n |Im z|), so N is the larger root of the
     exponent crossing ln(tol), rounded up; entries of z that are not finite
     are left out, since their terms are not finite at any N.  Raises
-    ConvergenceError when N would exceed ``cap``, as it does when the root
-    overflows.
+    ConvergenceError when N would exceed ``_TERM_CAP``, as it does when the
+    root overflows.
     """
-    kappa = _validate(2, kappa, tol)
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
+    kappa = _validate(2, kappa)
+    if not 0 < tol < 1:
+        raise DomainError("tol must lie in (0, 1)")
     pb = math.pi * kappa.imag
     zi = _finite_max(np.abs(np.asarray(z, dtype=complex).imag))
     # larger root of  pi b n^2 - 2 zi n + ln(tol) = 0, written so that an
@@ -97,10 +97,10 @@ def truncation_bound(kappa: complex, z=0.0, tol: float = 1e-15, cap: int = _TERM
     n_star = r + math.sqrt(r * r - math.log(tol) / pb)
     # ceil(n_star) > cap exactly when n_star > cap; an overflowed root is
     # past any cap and has no integer ceiling
-    if n_star > cap:
+    if n_star > _TERM_CAP:
         n = n_star if n_star == math.inf else math.ceil(n_star)
         raise ConvergenceError(
-            f"series needs {n} terms, above the cap of {cap}; "
+            f"series needs {n} terms, above the cap of {_TERM_CAP}; "
             "Im kappa is too small for direct summation"
         )
     return max(1, math.ceil(n_star))
@@ -208,14 +208,14 @@ def _to_cell(kind, kr, ki, wr, wi, er, ei, quasi=True):
     return wr, wi, er, ei
 
 
-def _sum_direct(kind: int, z: np.ndarray, kappa: complex, tol: float):
+def _sum_direct(kind: int, z: np.ndarray, kappa: complex):
     """Direct series at the given parameter: kappa takes no T- or S-step,
     but z is shifted into its cell, as the engine's recurrence needs."""
     kr, ki = _LD(kappa.real), _LD(kappa.imag)
     wr, wi, er, ei = _to_cell(
         kind, kr, ki, np.asarray(z.real, dtype=_LD), np.asarray(z.imag, dtype=_LD), _LD(0), _LD(0)
     )
-    n_max = truncation_bound(kappa, 1j * _finite_max(np.abs(wi.astype(float))), tol)
+    n_max = truncation_bound(kappa, 1j * _finite_max(np.abs(wi.astype(float))))
     return _sum_engine(kind, kr, ki, wr, wi, er, ei, n_max)
 
 
@@ -283,12 +283,13 @@ def _pointwise(z, evaluate):
     return complex(out[0]) if z_in.ndim == 0 else out
 
 
-def theta(kind: int, z, kappa: complex, tol: float = 1e-15):
+def theta(kind: int, z, kappa: complex):
     """Evaluate theta_kind(z, kappa) for scalar or array z.
 
     Every call first maps kappa to the fundamental domain and z to its
     period cell (``_reduce``), then sums the reduced series, truncated at an
-    absolute tolerance of tol / |front| on the reduced series.  There
+    absolute tolerance of ``_TOL`` / |front| = 1e-15 / |front| on the reduced
+    series.  There
     Im kappa >= sqrt(3)/2, so about 5 terms reach 1e-15 whatever t is, and
     never more than 17 even at the 1e-300 floor of the reduced tolerance.
     ConvergenceError is raised when the reduction would exceed
@@ -296,12 +297,12 @@ def theta(kind: int, z, kappa: complex, tol: float = 1e-15):
     1e-200).  An entry of z that is not finite
     gives NaN, and the other entries come out as they would without it.
     """
-    kappa = _validate(kind, kappa, tol)
+    kappa = _validate(kind, kappa)
 
     def evaluate(z_arr):
         kind_r, kr, ki, wr, wi, er, ei, front = _reduce(kind, z_arr, kappa)
         front = complex(front)
-        tol_r = min(max(tol / abs(front), 1e-300), 0.5)
+        tol_r = min(max(_TOL / abs(front), 1e-300), 0.5)
         w_probe = 1j * _finite_max(np.abs(wi.astype(float)))
         n_max = truncation_bound(complex(float(kr), float(ki)), w_probe, tol_r)
         return front * _sum_engine(kind_r, kr, ki, wr, wi, er, ei, n_max)
@@ -309,7 +310,7 @@ def theta(kind: int, z, kappa: complex, tol: float = 1e-15):
     return _pointwise(z, evaluate)
 
 
-def jacobi_transform(kind: int, z, kappa: complex, tol: float = 1e-15):
+def jacobi_transform(kind: int, z, kappa: complex):
     """Right-hand side of the modular identity, built from the direct series.
 
     For kind 2:  (-i kappa)^{-1/2} e^{-i z^2/(pi kappa)} theta_4(z/kappa, -1/kappa)
@@ -317,19 +318,19 @@ def jacobi_transform(kind: int, z, kappa: complex, tol: float = 1e-15):
 
     The dual series is summed directly (never re-routed) and the prefactor
     is applied as an ordinary product, so comparing against ``theta``
-    exercises a genuinely different evaluation path.  Entries of z that are
-    not finite give NaN, as in ``theta``.  Near the real axis the direct
-    series can need more than ``_TERM_CAP`` terms, and ConvergenceError is
-    raised.
+    exercises a genuinely different evaluation path; its terms are summed to
+    ``_TOL``.  Entries of z that are not finite give NaN, as in ``theta``.
+    Near the real axis the direct series can need more than ``_TERM_CAP``
+    terms, and ConvergenceError is raised.
     """
     if kind not in (2, 3):
         raise DomainError(f"kind must be 2 or 3, got {kind!r}")
-    kappa = _validate(kind, kappa, tol)
+    kappa = _validate(kind, kappa)
     dual = 4 if kind == 2 else 3
     kappa_d = -1.0 / kappa
 
     def evaluate(z_arr):
         front = (-1j * kappa) ** -0.5 * np.exp(-1j * z_arr * z_arr / (math.pi * kappa))
-        return front * _sum_direct(dual, z_arr / kappa, kappa_d, tol)
+        return front * _sum_direct(dual, z_arr / kappa, kappa_d)
 
     return _pointwise(z, evaluate)

@@ -226,7 +226,7 @@ def test_residual_validation():
     with pytest.raises(DomainError):
         schrodinger_residual(BasisIndex("even", 2), traj, C, 1.0, potential="box")
     with pytest.raises(DomainError):
-        schrodinger_residual(BasisIndex("even", 200), traj, C, 1.0, n_points=1024)
+        schrodinger_residual(BasisIndex("even", 200), traj, C, 1.0)
     with pytest.raises(DomainError):
         schrodinger_residual(BasisIndex("even", 2), traj, C, 1.0, dt=-1.0)
 

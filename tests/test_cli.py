@@ -522,6 +522,22 @@ class TestHostileConfigs:
         assert f"config error: {key} must be at" in err
 
 
+    @pytest.mark.parametrize("name, changes", [
+        ("cycle", {"trajectory.q": "1e150", "trajectory.T": "1e150"}),
+        ("evolve", {"trajectory.L0": "1e150", "gaussian.d": "1e-150"}),
+        ("fig1", {"fig1.q": "1e-300"}),
+    ], ids=["turn-box", "widths-in-box", "fig1-q-underflow"])
+    def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes):
+        # the box at the turn (about 5e299, whose square overflowed), L0 / d
+        # (a L0^2 overflowed to an unkeyed "Im kappa must be positive") and
+        # a q whose square underflows (every gamma 0, then 0/0 through numpy)
+        code, err = _run_in_process(tmp_path, capsys, name, changes)
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("config error: ")
+        assert all(key in line for key in changes)
+
+
 class TestLocality:
     def test_time_past_the_collapse_leaves_no_output(self, tmp_path):
         # the wall closes in at q = -1: t = 120 lies past t_max = 99
@@ -731,6 +747,22 @@ class TestEvolve:
 
 
 class TestCycle:
+    def test_closed_form_refuses_a_packet_the_walls_met_before_the_turn(self, tmp_path,
+                                                                       capsys):
+        # the packet spreads into the wall before the turn at t = 5; resumming
+        # the free Gaussian there put the closed form 0.40 (L2) off the mode
+        # sum, and evolve wrote that CSV with exit 0
+        text = (REVERSING + "trajectory.L0=20\ntrajectory.q=1\ntrajectory.T=10\n"
+                "gaussian.d=0.5\ngaussian.x0=-5.5\ntime.t_list=7\n")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot reach t = 7.0" in err and "evolve.route=sum" in err
+        assert not (tmp_path / "a" / "evolve_000.csv").exists()
+        cfg = write_cfg(tmp_path, text + "evolve.route=sum\n", "sum.cfg")
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "evolve_000.csv").exists()
+
     def test_full_cycle_closes(self, tmp_path):
         res = run_cli("cycle", "--config", str(CONFIGS / "cycle.cfg"),
                       "--out", str(tmp_path))

@@ -324,7 +324,6 @@ def test_wavefunction_grid_norm_and_immutability():
     psi = (2 * math.pi) ** -0.25 * np.exp(-(x**2) / 4.0)
     grid = WaveFunctionGrid(positions=x, values=psi, time=0.0)
     assert grid.norm == pytest.approx(1.0, abs=1e-9)
-    assert grid.spacing == pytest.approx(0.005)
     with pytest.raises(ValueError):
         grid.values[3] = 0.0
     with pytest.raises(DomainError):

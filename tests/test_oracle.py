@@ -42,9 +42,7 @@ def l2(values, x):
 def test_frame_map_basics():
     fmap = FrameMap(traj=LinearWall(L0=100.0, q=2.0))
     assert fmap.L0 == 100.0
-    assert fmap.xi(0.0) == 0.0
     assert fmap.scale(3.0) == pytest.approx(1.06, rel=1e-15)
-    assert fmap.xi(3.0) == pytest.approx(math.log(1.06), rel=1e-14)
 
 
 def test_frame_round_trip_and_norm():
@@ -122,19 +120,6 @@ def test_fixed_frame_second_order_convergence():
     assert 3.5 < e1 / e2 < 4.5
 
 
-def test_fixed_frame_potential_tags_agree_for_constant_speed():
-    # Omega^2 = 0 for a uniformly moving wall, so bare box and tdlo coincide
-    gauss = GaussianParams(d=1.0)
-    traj = LinearWall(L0=40.0, q=1.0)
-    fmap = FrameMap(traj=traj)
-    N = 512
-    y = np.linspace(-20.0, 20.0, N + 1)
-    g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(gauss, C, y), time=0.0)
-    a = evolve_fixed_frame(g0, fmap, SolverSpec(n_points=N, dt=1e-3, potential="tdlo"), 0.5, C)
-    b = evolve_fixed_frame(g0, fmap, SolverSpec(n_points=N, dt=1e-3, potential="infinite_well"), 0.5, C)
-    np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-14)
-
-
 def test_fixed_frame_validation():
     traj = LinearWall(L0=10.0, q=1.0)
     fmap = FrameMap(traj=traj)
@@ -206,8 +191,6 @@ def test_solver_spec_validation():
     with pytest.raises(DomainError):
         SolverSpec(dt=0.0)
     with pytest.raises(DomainError):
-        SolverSpec(potential="harmonic")
-    with pytest.raises(DomainError):
         SolverSpec(x_min=-3.0)  # bound without its partner
     with pytest.raises(DomainError):
         SolverSpec(x_min=3.0, x_max=-3.0)
@@ -234,16 +217,6 @@ def test_unconfined_second_order_convergence():
         ref = free_gaussian(1.0, 1.0, out.positions)
         errs.append(l2(out.values - ref, out.positions))
     assert 3.5 < errs[0] / errs[1] < 4.5
-
-
-def test_unconfined_bare_tag_ignores_wall_curvature():
-    # with the potential dropped, even a breathing wall leaves the packet free
-    gauss = GaussianParams(d=1.0)
-    traj = SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0)
-    spec = SolverSpec(n_points=2048, dt=5e-4, x_min=-24.0, x_max=24.0, potential="infinite_well")
-    out = unconfined_tdlo_propagate(gauss, traj, spec, 1.0, C)
-    ref = free_gaussian(1.0, 1.0, out.positions)
-    assert l2(out.values - ref, out.positions) < 5e-5
 
 
 def test_unconfined_edge_contamination_aborts():
@@ -393,18 +366,20 @@ CAYLEY_TOL = 6e-14
 
 def cayley_draw(i):
     """Draw i of the cross-check: a breathing wall, a reversing wall whose
-    turn falls inside a step, or the unconfined static box, in turn, with
-    the tdlo potential on for draws 0-2, off for 3-5, and so on."""
+    turn falls inside a step, or the unconfined static box, in turn.  The
+    unconfined box takes the breathing wall's Omega^2 for draws 0-2, a
+    uniformly moving wall's zero for 3-5, and so on."""
     rng = np.random.default_rng(i)
     kind = ("breathing", "reversing", "unconfined")[i % 3]
-    potential = ("tdlo", "infinite_well")[(i // 3) % 2]
+    curved = (i // 3) % 2 == 0
     n = int(rng.choice([64, 128, 256]))
     steps = int(rng.integers(40, 160))
     gauss = GaussianParams(d=0.6 + 0.6 * rng.random(), x0=rng.uniform(-1, 1), p0=rng.uniform(-1, 1))
     if kind == "unconfined":
-        traj = SmoothPeriodicWall(L0=100.0, q=rng.uniform(0.02, 0.3), omega=rng.uniform(0.5, 2.0))
+        q, omega = rng.uniform(0.02, 0.3), rng.uniform(0.5, 2.0)
+        traj = SmoothPeriodicWall(L0=100.0, q=q, omega=omega) if curved else LinearWall(100.0, q)
         t = rng.uniform(0.2, 1.0)
-        spec = SolverSpec(n_points=n, dt=t / steps, x_min=-15.0, x_max=15.0, potential=potential)
+        spec = SolverSpec(n_points=n, dt=t / steps, x_min=-15.0, x_max=15.0)
         return kind, lambda: unconfined_tdlo_propagate(gauss, traj, spec, t, C)
     L0 = rng.uniform(24.0, 40.0)
     if kind == "breathing":
@@ -416,7 +391,7 @@ def cayley_draw(i):
         t = turn * (1.0 + rng.uniform(0.05, 0.9))
     y = np.linspace(-L0 / 2, L0 / 2, n + 1)
     g0 = WaveFunctionGrid(positions=y, values=initial_gaussian(gauss, C, y), time=0.0)
-    spec = SolverSpec(n_points=n, dt=t / steps, potential=potential)
+    spec = SolverSpec(n_points=n, dt=t / steps)
     return kind, lambda: evolve_fixed_frame(g0, FrameMap(traj=traj), spec, t, C)
 
 
@@ -443,9 +418,8 @@ def test_cayley_step_matches_the_two_sided_loop(monkeypatch):
         seen.add((kind, w2 != 0.0, lp != 0.0))
     # (route, tdlo term, dilation term): a reversing wall has Omega^2 = 0
     # on both legs, the static box has L' = 0
-    assert seen == {("breathing", True, True), ("breathing", False, True),
-                    ("reversing", False, True), ("unconfined", True, False),
-                    ("unconfined", False, False)}
+    assert seen == {("breathing", True, True), ("reversing", False, True),
+                    ("unconfined", True, False), ("unconfined", False, False)}
 
 
 def small_system(n=16):

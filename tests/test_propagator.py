@@ -784,7 +784,7 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
     # the sum takes its units e^{i pi nu x / L_h} for nu = 1, 2 and the
     # chirp, the projection its conjugate chirp
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
-    grid_points = 2**12
+    grid_points = propagator._PROJECTION_POINTS
     calls = []
     for name in ("exp", "sin", "cos"):
         original = getattr(np, name)
@@ -796,7 +796,7 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
 
         monkeypatch.setattr(np, name, counting)
     start = expansion_coefficients(G1, traj, C)
-    con = contraction_coefficients(start, traj, C, grid_points=grid_points)
+    con = contraction_coefficients(start, traj, C)
     assert con.n_max > 10
     assert calls == ["exp"] * 4
 

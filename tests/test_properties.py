@@ -12,8 +12,11 @@ the exact solution.  Two more sweeps run past a reversing wall's turn, on
 offset and boosted packets that keep clear of the walls until the turn:
 the closed cycle route against the re-expansion route, and CN, with the
 turn anywhere inside a step, against the re-expansion route in the
-symmetric box and against the closed form for the single wall.  The draws
-are derandomized, so the sweeps are the same on every run.
+symmetric box and against the closed form for the single wall.  A last
+sweep takes packets that the walls meet before the turn: wherever the
+closed form past the turn is more than sqrt(TAIL_GATE) off the
+re-expansion, it must refuse the packet.  The draws are derandomized, so
+the sweeps are the same on every run.
 """
 
 import math
@@ -24,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from movingwell import (
+    DomainError,
     FrameMap,
     GaussianParams,
     LinearWall,
@@ -41,6 +45,7 @@ from movingwell import (
     initial_gaussian,
     to_fixed_frame,
 )
+from movingwell import propagator
 from movingwell.basis import _box_interval
 
 C = PhysicalConstants()
@@ -245,6 +250,57 @@ def test_closed_cycle_matches_reexpansion_past_the_turn(case):
         closed = evolve_theta_general(gauss, traj, C, t, x)
         numeric = evolve_sum(reexpanded(gauss, traj), traj, C, t, x)
     assert float(np.max(np.abs(closed - numeric))) <= CYCLE_ROUTE_TOL
+
+
+def wall_touched_cycle(i):
+    """Draw i of a reversing wall and a packet whose free centre at the turn
+    lies from 3 widths past a wall to 10 widths inside it, so that the walls
+    have met it before the turn, strongly or barely: (gauss, traj)."""
+    rng = np.random.default_rng(2500 + i)
+    while True:
+        L0, turn, d = rng.uniform(15.0, 60.0), rng.uniform(0.5, 6.0), rng.uniform(0.3, 1.5)
+        traj = ReversingLinearWall(L0=L0, q=rng.uniform(-1.0, 2.0), T=2.0 * turn)
+        width = d * abs(1.0 + 1j * C.hbar * turn / (2.0 * C.mass * d * d))
+        # the centre at the turn, c widths inside one wall, and a start
+        # that the initial gate admits with |p0| <= 2
+        X = rng.choice([-1.0, 1.0]) * (traj.length(turn) / 2 - rng.uniform(-3.0, 10.0) * width)
+        reach = L0 / 2 - 5.5 * d
+        lo, hi = max(-reach, X - 2.0 * turn), min(reach, X + 2.0 * turn)
+        if lo < hi:
+            x0 = rng.uniform(lo, hi)
+            return GaussianParams(d=d, x0=x0, p0=C.mass * (X - x0) / turn), traj
+
+
+def test_turn_gate_refuses_every_packet_the_closed_form_gets_wrong():
+    # past the turn the closed form resums the free Gaussian there; against
+    # the re-expansion, which follows the walls, its L2 gap over the box is
+    # what the walls did before the turn.  Wherever that gap passes
+    # sqrt(TAIL_GATE), the closed form must refuse the packet
+    tol = math.sqrt(propagator.TAIL_GATE)
+    refused, admitted = [], []
+    for i in range(40):
+        gauss, traj = wall_touched_cycle(i)
+        turn = traj.turn
+        L = traj.length(turn)
+        x = np.linspace(-L / 2, L / 2, 4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            summed = evolve_sum(reexpanded(gauss, traj), traj, C, turn, x)
+        state = propagator._packet_state(gauss, traj, C, turn)
+        resummed = propagator._evaluate(state, traj, C, turn, x)
+        gap = math.sqrt(float(np.trapezoid(np.abs(resummed - summed) ** 2, x)))
+        try:
+            evolve_theta_general(gauss, traj, C, turn, x)
+        except DomainError as exc:
+            assert f"t = {turn}" in str(exc) and "evolve.route=sum" in str(exc)
+            refused.append(gap)
+            continue
+        assert gap <= tol, (i, gap)
+        admitted.append(gap)
+    # the sweep crosses the tolerance both ways, and admits packets the
+    # walls touched well above rounding
+    assert max(refused) > tol and min(refused) < tol
+    assert max(admitted) > 1e-8
 
 
 #: CN error ratio of the coarse and fine runs past the turn (measured

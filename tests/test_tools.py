@@ -5,20 +5,49 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_src_lines_total_is_the_sum_of_its_modules():
-    # the code-size counter the design aim is measured by
+def run_counter(src):
     run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(ROOT / "src")],
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(src)],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    header, *rows, total = [line.split() for line in run.stdout.splitlines()]
-    assert header == ["module", "lines", "code"]
+    return [line.split() for line in run.stdout.splitlines()]
+
+
+def test_src_lines_total_is_the_sum_of_its_modules():
+    # the code-size and option counter the design aim is measured by
+    header, *rows, total = run_counter(ROOT / "src")
+    assert header == ["module", "lines", "code", "options"]
     assert total[0] == "total"
     modules = {row[0] for row in rows}
     assert "movingwell/core.py" in modules and len(modules) == len(rows)
-    for col in (1, 2):
+    for col in (1, 2, 3):
         assert int(total[col]) == sum(int(row[col]) for row in rows)
-    assert all(0 < int(code) <= int(phys) for _, phys, code in rows)
+    assert all(0 < int(code) <= int(phys) for _, phys, code, _ in rows)
+
+
+def test_options_count_the_defaults_a_caller_may_leave_out(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "def _g(a=1): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = field(init=False)\n"
+        "    def m(self, k=3): pass\n"
+        "    def _n(self, k=3): pass\n"
+        "class P:\n"
+        "    w: int = 0\n"
+        "    def m(self, k=3, j=4): pass\n"
+        "@dataclass\n"
+        "class _Q:\n"
+        "    y: int = 0\n",
+        encoding="utf-8",
+    )
+    # f: b, c; D: y and m's k; P: m's k and j, not its class attribute w
+    (_, (_, _, _, options), _) = run_counter(tmp_path)
+    assert int(options) == 6
