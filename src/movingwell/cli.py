@@ -126,12 +126,14 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
     return times
 
 
-def _gaussian(cfg: ScenarioConfig, traj):
+def _gaussian(cfg: ScenarioConfig, traj, constants):
     """The gaussian block, its width checked against the box it starts in
-    (``_packet_scale``, which the routes' gate runs too) so that an
-    (L0/d)^2 out of range names both keys."""
+    and the mass (``_packet_scale``, which the routes' gate runs too) so
+    that an (L0/d)^2 out of range, or an m d^2 that underflows, names the
+    keys of the product."""
     gauss = build_gaussian(cfg)
-    _keyed(_packet_scale, {"d": "gaussian.d", "L0": "trajectory.L0"}, gauss, traj.length(0.0))
+    keys = {"d": "gaussian.d", "L0": "trajectory.L0", "mass": "constants.mass"}
+    _keyed(_packet_scale, keys, gauss, traj.length(0.0), constants.mass)
     return gauss
 
 
@@ -285,7 +287,7 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj)
+    gauss = _gaussian(cfg, traj, constants)
     route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
     times = _get_times(cfg, "time.t", traj, listed=True)
@@ -325,7 +327,7 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj)
+    gauss = _gaussian(cfg, traj, constants)
     sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
     tol = cfg.get_float("tolerances.locality_tol", LOCALITY_TOL)
     if isinstance(traj, ScaledWall):
@@ -356,7 +358,7 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     _require(not math.isinf(traj.turn), "cycle",
              "needs trajectory.kind=reversing_linear, or kind=scaled with that inner")
-    gauss = _gaussian(cfg, traj)
+    gauss = _gaussian(cfg, traj, constants)
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
     (t,) = _get_times(cfg, "time.t", traj, traj.t_max)
@@ -444,7 +446,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     """Confined theta evolution against the wall-free PDE oracle."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj)
+    gauss = _gaussian(cfg, traj, constants)
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
     (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
@@ -465,7 +467,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     """Crank-Nicolson in the fixed frame against the theta closed form."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj)
+    gauss = _gaussian(cfg, traj, constants)
     (t,) = _get_times(cfg, "time.t", traj, 2.0)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)

@@ -50,21 +50,25 @@ each validates the other.
 
 All propagators require the initial packet to sit well inside the box:
 the Gaussian mass beyond the walls must not exceed 1e-6 (DomainError), the
-box must hold at most 1e150 packet widths, and a width above a tenth of
-the box earns a LocalizationWarning.  Whether the packet has met a wall
-later on is measured, not guessed: the bracket's leading modular term is
-the packet with no walls, so psi minus it is what the walls add, and that
-term decides the locality verdict and the wall-free route's warning.  Past
-a wall's turn the closed forms measure it once more, just before the
-turn, where the contraction family takes the packet as the free Gaussian:
-if what the walls had added by then could put them more than 1e-3 (L2)
-off, they refuse the packet, and the mode sum follows it instead.
+box must hold at most 1e150 packet widths, m d^2 must be a normal double,
+and a width above a tenth of the box earns a LocalizationWarning.  Whether
+the packet has met a wall later on is measured, not guessed: the
+bracket's leading modular term is the packet with no walls, so psi minus
+it is what the walls add, and that term decides the locality verdict and
+the wall-free route's warning.  Past a wall's turn the closed forms bound
+it once more, at the turn, where the contraction family takes the packet
+as the free Gaussian.  On the wall's linear leg the walls add images of
+the free Gaussian's mass in the neighbouring image cells, so the bound is
+one erf difference per cell (``_turn_error``).  If what the walls had
+added by then could put the closed forms more than 1e-3 (L2) off, they
+refuse the packet; in the symmetric box the mode sum follows it instead.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +105,6 @@ TAIL_GATE = 1e-6
 WIDTH_WARN = 0.1
 #: largest wall term |psi - psi_wall-free| that still counts as no wall contact
 LOCALITY_TOL = 1e-10
-#: free widths on each side of the packet's centre that ``_turn_error`` sums
-_TURN_WIDTHS = 12.0
 #: coefficients below this fraction of the largest one are negligible
 _COEFF_FLOOR = 1e-13
 #: guard labels an expansion keeps past its last coefficient above the floor
@@ -173,28 +175,42 @@ def initial_gaussian(gauss: GaussianParams, constants: PhysicalConstants, x):
     return complex(out) if np.ndim(x) == 0 else out
 
 
+def _mass(X: float, sigma: float, a: float, b: float) -> float:
+    """The mass on [a, b] of a Gaussian density centred at X, with standard
+    deviation sigma: the difference of the two tails on the far side of X,
+    so that a small mass keeps its digits.  Either end may be infinite."""
+    root2s = math.sqrt(2.0) * sigma
+    if a + b > 2.0 * X:
+        return 0.5 * (math.erfc((a - X) / root2s) - math.erfc((b - X) / root2s))
+    return 0.5 * (math.erfc((X - b) / root2s) - math.erfc((X - a) / root2s))
+
+
 def _outside(X: float, sigma: float, L: float, sector: str) -> float:
     """The mass of a Gaussian density centred at X, with standard deviation
     sigma, beyond the walls of a box of size L."""
     lo, hi = _box_interval(L, sector)
-    root2s = math.sqrt(2.0) * sigma
-    return 0.5 * (math.erfc((X - lo) / root2s) + math.erfc((hi - X) / root2s))
+    return _mass(X, sigma, -math.inf, lo) + _mass(X, sigma, hi, math.inf)
 
 
-def _packet_scale(gauss: GaussianParams, L0: float) -> None:
+def _packet_scale(gauss: GaussianParams, L0: float, mass: float) -> None:
     """At most SCALE_MAX packet widths in the box, the bound every scale
     has: kappa takes a L0^2 ~ (L0/d)^2, which overflows past about 1e154
     widths, and Im kappa ~ 4 pi (d/L0)^2 is then already far below what the
-    theta reduction reaches in its ``_STEP_CAP`` steps."""
+    theta reduction reaches in its ``_STEP_CAP`` steps.  And m d^2 a normal
+    double: the packet spreads at hbar / (2 m d^2)."""
     if not L0 / gauss.d <= SCALE_MAX:
         raise DomainError(
             f"the box may hold at most {SCALE_MAX:g} packet widths, "
             f"but L0 / d = {L0 / gauss.d:g}"
         )
+    if not mass * gauss.d**2 >= sys.float_info.min:
+        raise DomainError(f"mass * d^2 must be at least {sys.float_info.min:g}, "
+                          f"got {mass * gauss.d**2:g}")
 
 
-def _initial_gate(gauss: GaussianParams, L0: float, sector: str) -> None:
-    _packet_scale(gauss, L0)
+def _initial_gate(gauss: GaussianParams, traj, constants, sector: str) -> None:
+    L0 = traj.length(0.0)
+    _packet_scale(gauss, L0, constants.mass)
     tail = _outside(gauss.x0, gauss.d, L0, sector)
     if tail > TAIL_GATE:
         raise DomainError(
@@ -337,6 +353,10 @@ def _evaluate(
     and keeps the values beyond the walls: in either sector this is the
     packet under the same L''/L history with no walls, so psi minus it is
     exactly what the walls add.
+
+    A value in the box that is not finite raises ConvergenceError.  That
+    happens to a boosted packet: once |p0| d / hbar passes about 27, Re E
+    falls below -708, e^E underflows to 0 and the bracket overflows.
     """
     L, v, tau = _leg(traj, t)
     kappa = _nome(state, constants, tau)
@@ -345,7 +365,8 @@ def _evaluate(
     # on every route: as NaN each runs through the arithmetic quietly and
     # never reaches the term count, and the wall-free form, which keeps the
     # values past the walls, masks only the points that are not finite
-    far = ~np.isfinite(xa) if wall_free else ~_in_box(xa, L, sector)
+    inside = _in_box(xa, L, sector)
+    far = ~np.isfinite(xa) if wall_free else ~inside
     xa = np.where(far, np.nan, xa)
     z = math.pi * xa / L
     chirp = np.exp(1j * _chirp_rate(constants, L, v) * xa**2 + _exponent(state, 0.0))
@@ -356,6 +377,12 @@ def _evaluate(
     else:
         out = pre * chirp * _theta_bracket(z, state.offset, kappa, sector)
     out[far] = 0.0
+    if not np.isfinite(out[inside]).all():
+        d = 0.5 * math.sqrt((1.0 / state.spread).real)
+        raise ConvergenceError(
+            f"the closed form is not finite in the box at p0 d / hbar = {state.k0 * d:.4g}: "
+            "past about 27 its e^E underflows; the mode sum (evolve.route=sum) takes the packet"
+        )
     return complex(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -466,7 +493,7 @@ def expansion_coefficients(
     of the packet's norm.
     """
     traj._check(t)
-    _initial_gate(gauss, traj.length(0.0), sector)
+    _initial_gate(gauss, traj, constants, sector)
     coeffs = _truncated_expansion(_packet_state(gauss, traj, constants, t), sector)
     expansion = SpectralExpansion(sector, coeffs, "contraction" if t >= traj.turn else "initial")
     captured = expansion.captured_norm
@@ -553,50 +580,56 @@ def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketStat
     near enough the free Gaussian there, which the contraction family
     resums.  Both gates hold a squared L2 error to TAIL_GATE: at t = 0 the
     mass the Gaussian has beyond the walls, at the turn the square of
-    ``_turn_error``'s bound."""
-    _initial_gate(gauss, traj.length(0.0), sector)
+    ``_turn_error``'s closed-form bound.  A refused packet is sent to the
+    mode sum in the symmetric box, the one box its re-expansion knows."""
+    _initial_gate(gauss, traj, constants, sector)
     error = _turn_error(gauss, traj, constants, sector) if 0 < traj.turn <= t else 0.0
     if not error**2 <= TAIL_GATE:
+        follow = ("the mode sum (evolve.route=sum) follows the packet" if sector == "symmetric"
+                  else "no route follows it there in the single-wall box")
         raise DomainError(
             f"the closed form cannot reach t = {t}: the walls met the packet before their "
             f"turn at {traj.turn:g}, and resumming the free Gaussian there could be "
-            f"{error:.3e} off in L2; the mode sum (evolve.route=sum) follows the packet"
+            f"{error:.3e} off in L2; {follow}"
         )
     return _packet_state(gauss, traj, constants, t)
 
 
 def _turn_error(gauss, traj, constants, sector: str) -> float:
-    """A bound, sqrt(2) E, on the L2 error of the closed form past the
-    wall's turn, where E is the distance over the whole line between the
-    packet just before the turn and the free Gaussian there: E^2 is the
-    free Gaussian's mass beyond the walls plus ||psi - psi_wall-free||^2
-    over the box.  The closed form resums the free Gaussian folded into
-    the box, so its error is the difference's box part plus its outside
-    part folded in, at most the sum of their norms, and that is at most
-    sqrt(2) E.
+    """A bound, sqrt(2 (B^2 + P_out)), on the L2 error of the closed form
+    past the wall's turn.  The closed form resums the free Gaussian at the
+    turn folded into the box.  The packet there differs from it by the
+    wall term over the box, whose norm is at most B, and by the free
+    Gaussian's part beyond the walls folded in.  That part's mass is P_out,
+    and its pieces from the two sides fold onto opposite ends of the box,
+    so its norm is sqrt(P_out) up to their overlap, which is e^{-24} of it
+    or less wherever 2 P_out <= TAIL_GATE.  The error is at most the sum
+    of the two norms, and that is at most the bound.
 
-    The box term is the trapezoid sum over the packet's span,
-    _TURN_WIDTHS free widths sigma on each side of its centre, at sigma / 8
-    and at most ``_PROJECTION_POINTS`` intervals: each wall's images are
-    Gaussians of width sigma, so |psi - psi_wall-free|^2 varies on that
-    scale.  Once the outside mass alone brings the bound past TAIL_GATE,
-    the box term is skipped.
+    B is closed-form on a linear leg before the turn, which every wall
+    that turns has (``ReversingLinearWall``, also rescaled); a wall that
+    turns with L'' != 0 needs another bound.  On that leg the bracket is
+    the method of images in the co-moving frame: image n != 0 is the free
+    Gaussian's part in image cell n, the box shifted by n L, reflected into
+    the box with a phase of modulus 1.  Its norm over the box is sqrt(P_n),
+    P_n the free Gaussian's mass in that cell, so the wall term's norm is
+    at most B = sum_{n != 0} sqrt(P_n).
+
+    B sums the two neighbouring cells, n = +-1.  The others cannot move a
+    decision: a packet with 2 P_out <= TAIL_GATE sits 4.89 free widths
+    sigma or more inside both walls, so the box spans 9.78 sigma or more
+    and every further cell lies 14.6 sigma or more from its centre, where
+    all of them add less than 1e-23 to B.  Only a packet that P_out refuses
+    on its own can have more there, and the figure its refusal prints
+    leaves it out.
     """
     hbar, m, turn = constants.hbar, constants.mass, traj.turn
     sigma = gauss.d * math.hypot(1.0, hbar * turn / (2.0 * m * gauss.d**2))
     X = gauss.x0 + gauss.p0 * turn / m
-    before = math.nextafter(turn, 0.0)
-    L = traj.length(before)
-    outside = _outside(X, sigma, L, sector)
-    if not 2.0 * outside <= TAIL_GATE:
-        return math.sqrt(2.0 * outside)
+    L = traj.length(turn)
     lo, hi = _box_interval(L, sector)
-    a, b = max(lo, X - _TURN_WIDTHS * sigma), min(hi, X + _TURN_WIDTHS * sigma)
-    xa = np.linspace(a, b, min(math.ceil(8.0 * (b - a) / sigma), _PROJECTION_POINTS) + 1)
-    state = _packet_state(gauss, traj, constants)
-    psi = _evaluate(state, traj, constants, before, xa, sector=sector)
-    free = _evaluate(state, traj, constants, before, xa, wall_free=True)
-    return math.sqrt(2.0 * (float(np.trapezoid(np.abs(psi - free) ** 2, xa)) + outside))
+    images = sum(math.sqrt(_mass(X, sigma, lo + n * L, hi + n * L)) for n in (-1, 1))
+    return math.sqrt(2.0 * (images**2 + _outside(X, sigma, L, sector)))
 
 
 def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
@@ -604,7 +637,7 @@ def _wall_term(gauss, traj, constants, t: float, xa: np.ndarray, sector: str):
     wall-free form there, and sup |psi - psi_wall-free|: what the walls add."""
     state = _checked_state(gauss, traj, constants, t, sector)
     psi = _evaluate(state, traj, constants, t, xa, sector=sector)
-    free = _evaluate(state, traj, constants, t, xa, wall_free=True)
+    free = _evaluate(state, traj, constants, t, xa, sector, wall_free=True)
     return psi, free, float(np.max(np.abs(psi - free)))
 
 

@@ -522,23 +522,40 @@ class TestHostileConfigs:
         assert f"config error: {key} must be at" in err
 
 
-    @pytest.mark.parametrize("name, changes", [
-        ("cycle", {"trajectory.q": "1e150", "trajectory.T": "1e150"}),
-        ("evolve", {"trajectory.L0": "1e150", "gaussian.d": "1e-150"}),
-        ("fig1", {"fig1.q": "1e-300"}),
-    ], ids=["turn-box", "widths-in-box", "fig1-q-underflow"])
-    def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes):
+    @pytest.mark.parametrize("name, changes, named", [
+        ("cycle", {"trajectory.q": "1e150", "trajectory.T": "1e150"}, None),
+        ("evolve", {"trajectory.L0": "1e150", "gaussian.d": "1e-150"}, None),
+        ("fig1", {"fig1.q": "1e-300"}, None),
+        ("evolve", {"trajectory.L0": "1", "gaussian.d": "1e-150", "constants.mass": "1e-150",
+                    "grid.x_min": "-0.4", "grid.x_max": "0.4"},
+         ["gaussian.d", "constants.mass"]),
+    ], ids=["turn-box", "widths-in-box", "fig1-q-underflow", "mass-width-underflow"])
+    def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes,
+                                                     named):
         # the box at the turn (about 5e299, whose square overflowed), L0 / d
-        # (a L0^2 overflowed to an unkeyed "Im kappa must be positive") and
-        # a q whose square underflows (every gamma 0, then 0/0 through numpy)
+        # (a L0^2 overflowed to an unkeyed "Im kappa must be positive"), a q
+        # whose square underflows (every gamma 0, then 0/0 through numpy)
+        # and an m d^2 that underflows (a ZeroDivisionError in the packet's
+        # spread; L0 = 1 keeps L0 / d in bounds).  The line names the keys
+        # of the product: all the changed ones unless ``named`` lists them
         code, err = _run_in_process(tmp_path, capsys, name, changes)
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith("config error: ")
-        assert all(key in line for key in changes)
+        assert all(key in line for key in named or changes)
 
 
 class TestLocality:
+    def test_boost_the_closed_form_cannot_carry_gives_no_verdict(self, tmp_path, capsys):
+        # at p0 = -30 every row read sup_error=nan ... verdict=fail, a
+        # spurious nonlocality verdict
+        text = (CONFIGS / "locality.cfg").read_text() + "gaussian.p0=-30\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["locality", "--config", cfg, "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "locality.csv").exists()
+        assert "convergence failure: " in err and "p0 d / hbar = -30" in err
+
     def test_time_past_the_collapse_leaves_no_output(self, tmp_path):
         # the wall closes in at q = -1: t = 120 lies past t_max = 99
         cfg = write_cfg(
@@ -705,6 +722,22 @@ class TestEvolve:
             assert np.max(np.abs(ours[:, 1:3] - ref[:, 1:3])) < 1e-12
 
 
+    def test_boost_the_closed_form_cannot_carry_exits_3_without_csv(self, tmp_path, capsys):
+        # at |p0| d / hbar = 28 the closed form's e^E underflows and its
+        # bracket overflows: evolve wrote two CSVs with norm=nan and exit 0
+        text = (CONFIGS / "evolve.cfg").read_text()
+        text = text.replace("time.t_list=0,3.141592653589793,6.283185307179586",
+                            "time.t_list=0,0.5") + "gaussian.p0=28\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not list((tmp_path / "a").glob("*.csv"))
+        assert "convergence failure: " in err and "p0 d / hbar = 28" in err
+        assert "evolve.route=sum" in err
+        cfg = write_cfg(tmp_path, text.replace("route=theta_general", "route=sum"), "sum.cfg")
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert "t=0 norm=1.000000000000" in capsys.readouterr().out
+
     @pytest.mark.parametrize("times, built", [("1,1.5", 0), ("1,2,3,4", 1)],
                              ids=["before-the-turn", "through-the-turn"])
     def test_sum_reexpands_once_and_only_past_the_turn(self, monkeypatch, times, built):
@@ -762,6 +795,21 @@ class TestCycle:
         cfg = write_cfg(tmp_path, text + "evolve.route=sum\n", "sum.cfg")
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "evolve_000.csv").exists()
+
+    def test_single_wall_refusal_names_no_route_that_refuses_it(self, tmp_path, capsys):
+        # the re-expansion past the turn knows the symmetric box only, so in
+        # the single-wall box evolve.route=sum refuses the packet too, and
+        # the closed form's refusal must not send the user there
+        text = (REVERSING + "trajectory.L0=20\ntrajectory.q=1\ntrajectory.T=10\n"
+                "gaussian.d=0.5\ngaussian.x0=2.5\nevolve.sector=single_wall\ntime.t_list=7\n")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot reach t = 7.0" in err and "evolve.route=sum" not in err
+        assert not list((tmp_path / "a").glob("*.csv"))
+        cfg = write_cfg(tmp_path, text + "evolve.route=sum\n", "sum.cfg")
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+        assert "evolve.sector must be symmetric" in capsys.readouterr().err
 
     def test_full_cycle_closes(self, tmp_path):
         res = run_cli("cycle", "--config", str(CONFIGS / "cycle.cfg"),

@@ -500,6 +500,31 @@ def test_initial_gate_rejects_leaky_packet():
         )
 
 
+def test_packet_whose_m_d2_underflows_is_refused_where_it_enters():
+    # the spread hbar t / (2 m d^2) divided by 0 in _packet_state
+    heavy = PhysicalConstants(mass=1e-150)
+    with pytest.raises(DomainError, match=r"mass \* d\^2 must be at least"):
+        evolve_theta_general(GaussianParams(d=1e-150), LinearWall(L0=1.0, q=0.0), heavy, 0.0, 0.0)
+
+
+def test_boost_past_the_closed_form_raises_rather_than_nan():
+    # at |p0| d / hbar = 28, Re E = -784: e^E underflows to 0, the bracket
+    # overflows, and the closed form read NaN at the packet's peak; the
+    # wall term of the locality check was NaN too, and its verdict "fail"
+    x = np.linspace(-20.0, 20.0, 2001)
+    gauss = GaussianParams(d=1.0, p0=28.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match=r"p0 d / hbar = 28\b.*evolve\.route=sum"):
+            evolve_theta_general(gauss, SMOOTH, C, 0.0, x)
+        with pytest.raises(ConvergenceError, match=r"p0 d / hbar = -30\b"):
+            locality_compare(GaussianParams(d=1.0, p0=-30.0), C, LinearWall(L0=100.0, q=2.0),
+                             LinearWall(L0=100.0, q=0.0), 1.0, x)
+    # the mode sum it points to takes the packet
+    psi = evolve_sum(expansion_coefficients(gauss, SMOOTH, C), SMOOTH, C, 0.0, x)
+    assert float(np.trapezoid(np.abs(psi) ** 2, x)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_wide_packet_warns_but_still_runs():
     # d/L0 = 0.102: inside the tail gate but wide enough to warn; the norm
     # deficit from the walls also trips the truncation warning

@@ -15,7 +15,9 @@ turn anywhere inside a step, against the re-expansion route in the
 symmetric box and against the closed form for the single wall.  A last
 sweep takes packets that the walls meet before the turn: wherever the
 closed form past the turn is more than sqrt(TAIL_GATE) off the
-re-expansion, it must refuse the packet.  The draws are derandomized, so
+re-expansion, it must refuse the packet; on such packets, in both
+sectors, the image cells' bound B must hold the wall term just before
+the turn.  The draws are derandomized, so
 the sweeps are the same on every run.
 """
 
@@ -252,7 +254,7 @@ def test_closed_cycle_matches_reexpansion_past_the_turn(case):
     assert float(np.max(np.abs(closed - numeric))) <= CYCLE_ROUTE_TOL
 
 
-def wall_touched_cycle(i):
+def wall_touched_cycle(i, sector="symmetric"):
     """Draw i of a reversing wall and a packet whose free centre at the turn
     lies from 3 widths past a wall to 10 widths inside it, so that the walls
     have met it before the turn, strongly or barely: (gauss, traj)."""
@@ -261,11 +263,13 @@ def wall_touched_cycle(i):
         L0, turn, d = rng.uniform(15.0, 60.0), rng.uniform(0.5, 6.0), rng.uniform(0.3, 1.5)
         traj = ReversingLinearWall(L0=L0, q=rng.uniform(-1.0, 2.0), T=2.0 * turn)
         width = d * abs(1.0 + 1j * C.hbar * turn / (2.0 * C.mass * d * d))
-        # the centre at the turn, c widths inside one wall, and a start
-        # that the initial gate admits with |p0| <= 2
-        X = rng.choice([-1.0, 1.0]) * (traj.length(turn) / 2 - rng.uniform(-3.0, 10.0) * width)
+        # the box centres at t = 0 and at the turn; the centre at the turn,
+        # c widths inside one wall, and a start that the initial gate admits
+        # with |p0| <= 2 (and a further m L'/2 in the single-wall box)
+        c0, c1 = (sum(_box_interval(L, sector)) / 2 for L in (L0, traj.length(turn)))
+        X = c1 + rng.choice([-1.0, 1.0]) * (traj.length(turn) / 2 - rng.uniform(-3.0, 10.0) * width)
         reach = L0 / 2 - 5.5 * d
-        lo, hi = max(-reach, X - 2.0 * turn), min(reach, X + 2.0 * turn)
+        lo, hi = max(c0 - reach, X - 2.0 * turn), min(c0 + reach, X + 2.0 * turn)
         if lo < hi:
             x0 = rng.uniform(lo, hi)
             return GaussianParams(d=d, x0=x0, p0=C.mass * (X - x0) / turn), traj
@@ -301,6 +305,44 @@ def test_turn_gate_refuses_every_packet_the_closed_form_gets_wrong():
     # walls touched well above rounding
     assert max(refused) > tol and min(refused) < tol
     assert max(admitted) > 1e-8
+
+
+#: how far the wall term's squared norm just before the turn, by the
+#: trapezoid on TURN_POINTS, may pass B^2 (measured at most 1.22e-7 on the
+#: test's 18 draws and on 42 draws of both sectors; the worst draw's
+#: excess falls to 1.2e-9 at 2,000,001 points, so it is the quadrature's)
+IMAGE_SLACK = 3e-7
+TURN_POINTS = 200_001
+
+
+def test_image_cells_bound_the_wall_term_at_the_turn():
+    # on the linear leg before the turn, psi - psi_wall-free is the images
+    # of the free Gaussian's mass in the neighbouring cells, so its squared
+    # norm over the box is at most B^2, which _turn_error's bound
+    # sqrt(2 (B^2 + P_out)) carries.  Equal where one wall carries the
+    # mass, half of it where both carry the same
+    both = ReversingLinearWall(L0=15.0, q=-1.0, T=8.0)
+    cases = [(wall_touched_cycle(i, sector), sector)
+             for i, sector in enumerate(["symmetric", "single_wall"] * 8)]
+    cases += [((GaussianParams(d=0.6, x0=sum(_box_interval(15.0, sector)) / 2), both), sector)
+              for sector in ("symmetric", "single_wall")]
+    ratios = []
+    for (gauss, traj), sector in cases:
+        turn = traj.turn
+        before = math.nextafter(turn, 0.0)
+        x = np.linspace(*_box_interval(traj.length(before), sector), TURN_POINTS)
+        state = propagator._packet_state(gauss, traj, C)
+        psi = propagator._evaluate(state, traj, C, before, x, sector)
+        free = propagator._evaluate(state, traj, C, before, x, sector, wall_free=True)
+        box = float(np.trapezoid(np.abs(psi - free) ** 2, x))
+        sigma = gauss.d * math.hypot(1.0, C.hbar * turn / (2.0 * C.mass * gauss.d**2))
+        X = gauss.x0 + gauss.p0 * turn / C.mass
+        outside = propagator._outside(X, sigma, traj.length(turn), sector)
+        images = propagator._turn_error(gauss, traj, C, sector) ** 2 / 2 - outside
+        assert box <= images * (1.0 + IMAGE_SLACK), (sector, gauss, traj, box / images)
+        ratios.append(box / images)
+    # B is the wall term itself where one wall carries the mass
+    assert max(ratios) > 1.0 - IMAGE_SLACK and min(ratios) < 0.6
 
 
 #: CN error ratio of the coarse and fine runs past the turn (measured
