@@ -46,12 +46,13 @@ quantifies the jump between the families there.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, PhysicalConstants, WallTrajectory
+from .core import ConvergenceError, DomainError, PhysicalConstants, WallTrajectory
 
 #: a family of modes: labels n >= first, nu = step n + shift, sin or cos
 _Family = namedtuple("_Family", "sector first step shift sine")
@@ -149,6 +150,19 @@ def _mode_parts(idx: BasisIndex, constants: PhysicalConstants, L: float, v: floa
     return _chirp_rate(constants, L, v), _clock_phase(idx.nu, constants, tau), k, trig
 
 
+def _clock(constants: PhysicalConstants, tau: float) -> float:
+    """2 pi hbar tau / m, the clock both routes read: minus kappa's real
+    part, and 4 / (pi nu^2) of mode nu's phase; a static-box revival is 8
+    of it.  Once |clock| eps reaches 1 its last bit is worth 1 or more, so
+    reducing it by whole revivals keeps no fractional digit: the phases
+    are noise, and ConvergenceError says so."""
+    clock = 2.0 * math.pi * constants.hbar * tau / constants.mass
+    if not abs(clock) * sys.float_info.epsilon < 1.0:
+        raise ConvergenceError(f"the clock 2 pi hbar tau / m = {clock:.3g} is past 1/eps, "
+                               "where reducing it by whole revivals keeps no digit")
+    return clock
+
+
 def _clock_phase(nu: int, constants: PhysicalConstants, tau: float) -> float:
     """hbar pi^2 nu^2 tau / (2 m), the phase mode nu carries at clock tau."""
     return constants.hbar * math.pi**2 * nu**2 * tau / (2.0 * constants.mass)
@@ -170,8 +184,10 @@ def _mode_sum(coeffs, constants: PhysicalConstants, L: float, v: float, tau: flo
     step, so ``_blocked_sum`` evaluates all these real-coefficient
     polynomials in one w at once, with an error of order n eps sum |a_n|
     (see the module docstring).  A family whose coefficients all vanish is
-    skipped.  sqrt(2/L), the chirp and the box mask are applied once.
+    skipped.  sqrt(2/L), the chirp and the box mask are applied once.  A
+    clock past every digit raises ConvergenceError (``_clock``).
     """
+    _clock(constants, tau)
     families = [(f, c) for f, c in zip(_FAMILIES[sector], coeffs) if np.any(c[f.first :])]
     # +-inf lies outside the box; as NaN it runs through the sum quietly
     x = np.where(np.isinf(x), np.nan, x)

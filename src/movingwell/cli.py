@@ -15,8 +15,10 @@ family that holds each t, and the Crank-Nicolson runs split the step the
 turn falls in.  Each route has one library call: the closed form is
 ``evolve_theta_general`` and the mode sum ``evolve_sum`` over the family
 that holds t, which ``_mode_sums`` builds once per run for ``evolve`` and
-``cycle`` alike.  The closed cycle is ``evolve.route=theta_general``;
-``cycle`` compares it with the re-expansion route and the static box.
+``cycle`` alike.  Every ``evolve`` route takes either box of
+``evolve.sector``, the re-expansion past a turn included.  The closed
+cycle is ``evolve.route=theta_general``; ``cycle`` compares it with the
+re-expansion route and the static box.
 """
 
 from __future__ import annotations
@@ -270,8 +272,7 @@ def _mode_sums(gauss, traj, constants, times, x, sector="symmetric", tail_tol=1e
     families = {False: expansion_coefficients(gauss, traj, constants, sector=sector,
                                               tail_tol=tail_tol)}
     if any(t >= traj.turn for t in times):
-        families[True] = contraction_coefficients(families[False], traj, constants,
-                                                  tail_tol=tail_tol)
+        families[True] = contraction_coefficients(families[False], traj, constants)
     return [evolve_sum(families[t >= traj.turn], traj, constants, t, x) for t in times]
 
 
@@ -281,9 +282,8 @@ _ROUTES = ("sum", "theta_general", "unconfined_approx")
 def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """Propagate the packet along one route; one CSV per requested time.
 
-    Every route runs through a wall's turn.  ``sum`` sums the family that
-    holds each t (``_mode_sums``); its re-expansion past the turn exists
-    for the symmetric box only.
+    Every route takes either box and runs through a wall's turn.  ``sum``
+    sums the family that holds each t (``_mode_sums``).
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
@@ -292,22 +292,12 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
     times = _get_times(cfg, "time.t", traj, listed=True)
     x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
-    past_turn = any(t >= traj.turn for t in times)
-    # the wall-free form, and the re-expansion past a turn, know the
-    # symmetric box only
-    any_box = route == "theta_general" or (route == "sum" and not past_turn)
-    _require(any_box or sector == "symmetric", "evolve.sector",
-             f"must be symmetric for evolve.route={route}"
-             + " past the wall's turn" * (route == "sum"))
-
     if route == "sum":
         tail_tol = cfg.get_float("tolerances.tail_tol", 1e-14)
         psis = _mode_sums(gauss, traj, constants, times, x, sector, tail_tol)
-    elif route == "theta_general":
-        psis = [evolve_theta_general(gauss, traj, constants, t, x, sector=sector)
-                for t in times]
     else:
-        psis = [evolve_unconfined_approx(gauss, traj, constants, t, x) for t in times]
+        closed = evolve_theta_general if route == "theta_general" else evolve_unconfined_approx
+        psis = [closed(gauss, traj, constants, t, x, sector=sector) for t in times]
 
     csvs, lines = [], []
     for i, (t, psi) in enumerate(zip(times, psis)):

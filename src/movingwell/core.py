@@ -206,14 +206,16 @@ class WallTrajectory:
         return None
 
     def is_cyclic(self, T: float) -> bool:
-        """True when both L and L' return to their t=0 values at t=T, to
-        ``_CYCLIC_RTOL`` relative."""
+        """True when both L and L' return to their t=0 values at t=T > 0, to
+        ``_CYCLIC_RTOL`` relative: L against L0, L' against the larger of
+        its two values and the span's own speed L0/T."""
+        if not T > 0:
+            raise DomainError(f"a cycle needs T > 0, got {T}")
         L0, v0, *_ = self.kinematics(0.0)
         L1, v1, *_ = self.kinematics(T)
-        scale_v = max(abs(v0), abs(v1), 1e-30)
         return (
-            abs(L1 - L0) <= _CYCLIC_RTOL * abs(L0)
-            and abs(v1 - v0) <= _CYCLIC_RTOL * max(scale_v, abs(L0))
+            abs(L1 - L0) <= _CYCLIC_RTOL * L0
+            and abs(v1 - v0) <= _CYCLIC_RTOL * max(abs(v0), abs(v1), L0 / T)
         )
 
 

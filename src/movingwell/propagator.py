@@ -40,13 +40,15 @@ largest label and the captured norm follow from the arrays.  No module but
 ``basis`` names a family.  An expansion holds in one solution family only.
 ``expansion_coefficients(..., t)`` projects the packet analytically onto
 the family that holds t; ``contraction_coefficients`` re-expands an
-initial-family expansion numerically at the turn.  Both end where
-``_expansion_end`` says: three guard labels past the last one whose
-coefficient reaches 1e-13 of the largest.
+initial-family expansion of either box numerically at the turn.  Both
+end where ``_expansion_end`` says: three guard labels past the last one
+whose coefficient reaches 1e-13 of the largest.
 
 Both routes (truncated mode sum, theta closed form) are provided and should
 agree to near machine precision; keeping them separate is the point, since
-each validates the other.
+each validates the other.  Both read one clock, 2 pi hbar tau / m, and
+both raise ConvergenceError once it passes 1/eps, where it keeps no
+fractional digit (``basis._clock``).
 
 All propagators require the initial packet to sit well inside the box:
 the Gaussian mass beyond the walls must not exceed 1e-6 (DomainError), the
@@ -61,7 +63,9 @@ as the free Gaussian.  On the wall's linear leg the walls add images of
 the free Gaussian's mass in the neighbouring image cells, so the bound is
 one erf difference per cell (``_turn_error``).  If what the walls had
 added by then could put the closed forms more than 1e-3 (L2) off, they
-refuse the packet; in the symmetric box the mode sum follows it instead.
+refuse the packet, and the mode sum follows it instead in either box.
+Every route takes both boxes: the wall-free form and the re-expansion
+as well as the closed form and the mode sum.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .basis import (
     BasisIndex,
     _box_interval,
     _chirp_rate,
+    _clock,
     _in_box,
     _leg,
     _mode_sum,
@@ -308,9 +313,7 @@ def _exponent(state: _PacketState, k):
 
 def _nome(state: _PacketState, constants, tau: float) -> complex:
     """kappa at phase clock tau of the state's family."""
-    return 1j * math.pi / (state.a * state.L_ref**2) - (
-        2.0 * math.pi * constants.hbar * tau / constants.mass
-    )
+    return 1j * math.pi / (state.a * state.L_ref**2) - _clock(constants, tau)
 
 
 def _theta_bracket(z, c, kappa: complex, sector: str):
@@ -566,8 +569,8 @@ def evolve_theta_general(
 
       kappa_c(t) = i pi / (a_h L_h^2) - 2 pi hbar (tau(t) - tau(t_h)) / m
 
-    (``_packet_state``).  In the symmetric box this is the closed route
-    through the expand-reverse-contract cycle; the mode sum of
+    (``_packet_state``).  In either box this is the closed route through
+    the expand-reverse-contract cycle; the mode sum of
     ``contraction_coefficients`` is its numerical counterpart.
     """
     state = _checked_state(gauss, traj, constants, t, sector)
@@ -581,16 +584,14 @@ def _checked_state(gauss, traj, constants, t: float, sector: str) -> _PacketStat
     resums.  Both gates hold a squared L2 error to TAIL_GATE: at t = 0 the
     mass the Gaussian has beyond the walls, at the turn the square of
     ``_turn_error``'s closed-form bound.  A refused packet is sent to the
-    mode sum in the symmetric box, the one box its re-expansion knows."""
+    mode sum, whose re-expansion at the turn follows it in either box."""
     _initial_gate(gauss, traj, constants, sector)
     error = _turn_error(gauss, traj, constants, sector) if 0 < traj.turn <= t else 0.0
     if not error**2 <= TAIL_GATE:
-        follow = ("the mode sum (evolve.route=sum) follows the packet" if sector == "symmetric"
-                  else "no route follows it there in the single-wall box")
         raise DomainError(
             f"the closed form cannot reach t = {t}: the walls met the packet before their "
             f"turn at {traj.turn:g}, and resumming the free Gaussian there could be "
-            f"{error:.3e} off in L2; {follow}"
+            f"{error:.3e} off in L2; the mode sum (evolve.route=sum) follows the packet"
         )
     return _packet_state(gauss, traj, constants, t)
 
@@ -647,6 +648,7 @@ def evolve_unconfined_approx(
     constants: PhysicalConstants,
     t: float,
     x,
+    sector: str = "symmetric",
 ):
     """Wall-free limit of the theta form, for any packet the gate admits.
 
@@ -659,13 +661,14 @@ def evolve_unconfined_approx(
 
     For a wall moving at constant speed this expression collapses to the
     free-space Gaussian exactly, independent of the speed.  The closed
-    form is evaluated at the same x, and LocalizationWarning is emitted
-    when the dropped wall term, sup |psi - psi_wall-free| over x, exceeds
-    LOCALITY_TOL = 1e-10.  A point that is not finite gives 0, as on the
-    other routes, and so leaves the wall term alone.
+    form is evaluated at the same x in the box ``sector``, the symmetric
+    box or the single moving wall on [0, L], and LocalizationWarning is
+    emitted when the dropped wall term, sup |psi - psi_wall-free| over x,
+    exceeds LOCALITY_TOL = 1e-10.  A point that is not finite gives 0, as
+    on the other routes, and so leaves the wall term alone.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    _, free, wall = _wall_term(gauss, traj, constants, t, xa, "symmetric")
+    _, free, wall = _wall_term(gauss, traj, constants, t, xa, sector)
     if wall > LOCALITY_TOL:
         _warn(
             f"the walls add {wall:.3e} to the wall-free form at t = {t}; "
@@ -679,56 +682,59 @@ def contraction_coefficients(
     start: SpectralExpansion,
     traj: WallTrajectory,
     constants: PhysicalConstants,
-    tail_tol: float = 1e-14,
 ) -> SpectralExpansion:
     """Re-expand an initial-family expansion in the post-turn family.
 
-    ``start`` is the symmetric-box initial-family expansion of a packet, as
+    ``start`` is the initial-family expansion of a packet in either box, as
     ``expansion_coefficients`` gives it at t = 0, and ``traj`` a wall that
     turns; anything else raises DomainError.  Its mode sum is evaluated at
-    the turn and projected onto the contraction modes by the trapezoid rule
-    on a uniform grid of N = ``_PROJECTION_POINTS`` = 2^15 intervals.  The
-    trapezoid sums against e^{+-i pi nu x / L_h} for every nu come from one
-    length-2N FFT of the weighted samples, and the cos and sin families are
-    their half-sum and half-difference.  This is the numerical counterpart of
+    the turn on the box [lo, lo + L_h] of ``start.sector`` and projected
+    onto that box's contraction modes by the trapezoid rule on a uniform
+    grid of N = ``_PROJECTION_POINTS`` = 2^15 intervals.  The trapezoid sums
+    against e^{+-i pi nu x / L_h} for every nu <= N come from one length-2N
+    FFT of the weighted samples, and a cos or sin family takes their
+    half-sum or half-difference.  The projection reads labels up to
+    2 n_max + 8 of ``start``, at least 16, and none whose nu passes N,
+    where the FFT's bins fold back.  This is the numerical counterpart of
     ``expansion_coefficients(..., t=traj.turn)``, which projects the packet
     at the turn analytically; each validates the other, and both end by
     ``_expansion_end``.  Emits TruncationWarning when the projected modes
-    capture less than 1 - max(tail_tol, 1e-10) of unit norm.
+    capture a norm more than 1e-10 away from 1, either way.
     """
-    initial = isinstance(start, SpectralExpansion) and start.family == "initial"
-    if not (initial and start.sector == "symmetric"):
-        raise DomainError(
-            "contraction_coefficients re-expands an initial-family expansion of "
-            "the symmetric box"
-        )
+    if not (isinstance(start, SpectralExpansion) and start.family == "initial"):
+        raise DomainError("contraction_coefficients re-expands an initial-family expansion")
     L_h, v_h, tau_h = _turn_leg(traj)
-    n = _PROJECTION_POINTS
-    xg = np.linspace(*_box_interval(L_h, "symmetric"), n + 1)
+    sector, families, n = start.sector, _FAMILIES[start.sector], _PROJECTION_POINTS
+    lo, hi = _box_interval(L_h, sector)
+    xg = np.linspace(lo, hi, n + 1)
     # the initial family evaluated AT the turn: basis_solution has
     # already switched there, so sum the pre-turn leg explicitly
-    pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, "symmetric")
+    pre = _mode_sum(start.coeffs, constants, L_h, v_h, tau_h, xg, sector)
     # the contraction modes at the turn are sqrt(2/L_h) e^{i rate x^2}
     # trig with their clock at zero; the conjugate chirp and the
     # trapezoid weights go into the projected samples once
     rate = _chirp_rate(constants, L_h, -v_h)
     g = (L_h / n) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
     g[[0, -1]] *= 0.5
-    # on x_j = -L_h/2 + j L_h/N the trig argument is pi nu j/N - pi nu/2,
-    # so sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
-    # times (-+i)^nu; cos and sin are the half-sum and half-difference
+    # on x_j = lo + j L_h/N, lo = -q L_h/2 (q = 1 in the symmetric box, 0
+    # for the single wall), the trig argument is pi nu j/N - q pi nu/2, so
+    # sum_j g_j e^{+-i pi nu x_j/L_h} is bin -+nu of one length-2N FFT
+    # times (-+i)^(q nu); cos and sin are the half-sum and half-difference
+    q = int(-2.0 * lo / L_h)
     spectrum = np.fft.fft(g, 2 * n)
-    n_fit = max(2 * start.n_max + 8, 16)
-    projected = np.zeros((len(_FAMILIES["symmetric"]), n_fit + 1), dtype=complex)
-    for family, row in zip(_FAMILIES["symmetric"], projected):
+    # no label past nu = N, whose bins fold back onto lower ones
+    last = min((n - f.shift) // f.step for f in families)
+    n_fit = min(max(2 * start.n_max + 8, 16), last)
+    projected = np.zeros((len(families), n_fit + 1), dtype=complex)
+    for family, row in zip(families, projected):
         nu = family.step * np.arange(family.first, n_fit + 1) + family.shift
-        up = _I_POWERS[-nu % 4] * spectrum[-nu % (2 * n)]
-        down = _I_POWERS[nu % 4] * spectrum[nu % (2 * n)]
+        up = _I_POWERS[-q * nu % 4] * spectrum[-nu % (2 * n)]
+        down = _I_POWERS[q * nu % 4] * spectrum[nu % (2 * n)]
         row[family.first :] = (up - down) / 2j if family.sine else (up + down) / 2
     kept = tuple(projected[:, : _expansion_end(projected) + 1])
-    contraction = SpectralExpansion("symmetric", kept, "contraction")
+    contraction = SpectralExpansion(sector, kept, "contraction")
     captured = contraction.captured_norm
-    if 1.0 - captured > max(tail_tol, 1e-10):
+    if abs(1.0 - captured) > 1e-10:
         _warn(
             f"contraction-family modes capture {captured:.12f} of unit norm",
             TruncationWarning,

@@ -446,20 +446,29 @@ HOSTILE = ["nan", "inf", "-inf", "-1", "0", "abc", "1e-300", "1e300"]
 RUNS_THROUGH = {
     "cycle": {"trajectory.q=-1", "trajectory.q=0", "trajectory.q=1e-300", "trajectory.T=1e-300"},
     "evolve": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
-               "time.t_list=0", "time.t_list=1e-300", "time.t_list=1e300", "grid.x_min=-1",
+               "time.t_list=0", "time.t_list=1e-300", "grid.x_min=-1",
                "grid.x_min=0", "grid.x_min=1e-300", "grid.x_max=-1", "grid.x_max=0",
                "grid.x_max=1e-300", "grid.x_max=1e300"},
     "fig1": {"fig1.n_max=0", "fig1.omega=1e-300"},
-    "fig2": {"trajectory.omega=1e-300"},
     "locality": {"trajectory.q=-1", "trajectory.q=0", "trajectory.q=1e-300", "time.t_list=0",
-                 "time.t_list=1e-300", "time.t_list=1e300"},
+                 "time.t_list=1e-300"},
     "locality_scaled": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
-                        "time.t=0", "time.t=1e-300", "time.t=1e300"},
+                        "time.t=0", "time.t=1e-300"},
     "oracle": {"time.t=1e-300"},
     "phase": {"trajectory.q=0", "trajectory.q=1e-300", "trajectory.omega=1e-300",
               "phase.n_max=0"},
     "theta": {"tolerances.theta_tol=1e300"},
 }
+#: the hostile cases whose clock 2 pi hbar tau / m passes 1/eps (5.71e296,
+#: 3.59e297, 6.28e296 and 3.57e295), which wrote noise with exit 0: they
+#: must exit 3 naming the clock
+NO_DIGIT_LEFT = {
+    "evolve": {"time.t_list=1e300"},
+    "fig2": {"trajectory.omega=1e-300"},
+    "locality": {"time.t_list=1e300"},
+    "locality_scaled": {"time.t=1e300"},
+}
+CLOCK_FAILURE = "convergence failure: the clock 2 pi hbar tau / m = "
 B = core.SCALE_MAX
 #: (config, key, edge) for each bound on a value the config reads
 BOUNDS = [
@@ -505,6 +514,8 @@ class TestHostileConfigs:
                     continue
                 if f"{key}={value}" in RUNS_THROUGH.get(name, ()):
                     ok = code == 0
+                elif f"{key}={value}" in NO_DIGIT_LEFT.get(name, ()):
+                    ok = code == 3 and CLOCK_FAILURE in err
                 else:
                     ok = code in (0, 3) or (code == 2 and key in err)
                 if not ok:
@@ -674,14 +685,6 @@ class TestEvolve:
         ("evolve.route=theta_centered\ntrajectory.kind=linear\n", "",
          "evolve.route='theta_centered' not one of ['sum', 'theta_general', "
          "'unconfined_approx']"),
-        # the wall-free form knows the symmetric box only, and so does the
-        # re-expansion that route=sum takes past the turn, at 0.5 here
-        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\n",
-         "gaussian.x0=20\nevolve.sector=single_wall\n",
-         "evolve.sector must be symmetric for evolve.route=unconfined_approx"),
-        ("evolve.route=sum\ntrajectory.kind=reversing_linear\ntrajectory.T=1\n",
-         "gaussian.x0=50\nevolve.sector=single_wall\n",
-         "evolve.sector must be symmetric for evolve.route=sum past the wall's turn"),
     ])
     def test_route_mismatch_names_its_keys(self, tmp_path, route_keys, packet, message):
         cfg = write_cfg(
@@ -703,12 +706,21 @@ class TestEvolve:
          "gaussian.x0=3\n",
          "evolve.route=sum\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
          "gaussian.x0=3\n"),
-    ], ids=["unconfined_approx", "cycle"])
+        ("evolve.route=unconfined_approx\ntrajectory.kind=linear\ngaussian.x0=53\n"
+         "gaussian.p0=0.5\nevolve.sector=single_wall\n",
+         "evolve.route=theta_general\ntrajectory.kind=linear\ngaussian.x0=53\n"
+         "gaussian.p0=0.5\nevolve.sector=single_wall\n"),
+        ("evolve.route=theta_general\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+         "gaussian.x0=53\nevolve.sector=single_wall\n",
+         "evolve.route=sum\ntrajectory.kind=reversing_linear\ntrajectory.T=4\n"
+         "gaussian.x0=53\nevolve.sector=single_wall\n"),
+    ], ids=["unconfined_approx", "cycle", "unconfined_approx-single_wall", "cycle-single_wall"])
     def test_offset_packets_run_on_every_closed_route(self, tmp_path, route_keys,
                                                       reference_keys):
         # the wall-free form and the closed form through the reversing
         # wall's cycle (before and past the turn at t = 2) take an offset or
-        # boosted packet and agree with their references on the whole box
+        # boosted packet in either box and agree with their references on
+        # the whole box
         base = "trajectory.L0=100\ntrajectory.q=2\ngaussian.d=1\ntime.t_list=1,3\n"
         rows = []
         for name, keys in (("route", route_keys), ("reference", reference_keys)):
@@ -737,6 +749,18 @@ class TestEvolve:
         cfg = write_cfg(tmp_path, text.replace("route=theta_general", "route=sum"), "sum.cfg")
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         assert "t=0 norm=1.000000000000" in capsys.readouterr().out
+
+    def test_clock_past_every_digit_exits_3_without_csv(self, tmp_path, capsys):
+        # every value and product lies in its bound, yet at t = pi the clock
+        # 2 pi hbar tau / m reads 1.79e297, where whole revivals span more
+        # than its last digit: evolve wrote noise with exit 0
+        text = (CONFIGS / "evolve.cfg").read_text().replace("gaussian.d=1\n", "")
+        text += "constants.hbar=1e150\nconstants.mass=1e-150\ngaussian.d=1e-75\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not list((tmp_path / "a").glob("*.csv"))
+        assert f"{CLOCK_FAILURE}1.79e+297 is past 1/eps" in err
 
     @pytest.mark.parametrize("times, built", [("1,1.5", 0), ("1,2,3,4", 1)],
                              ids=["before-the-turn", "through-the-turn"])
@@ -797,19 +821,21 @@ class TestCycle:
         assert (tmp_path / "b" / "evolve_000.csv").exists()
 
     def test_single_wall_refusal_names_no_route_that_refuses_it(self, tmp_path, capsys):
-        # the re-expansion past the turn knows the symmetric box only, so in
-        # the single-wall box evolve.route=sum refuses the packet too, and
-        # the closed form's refusal must not send the user there
+        # the packet spreads into the fixed wall before the turn at t = 5:
+        # the closed form refuses it and sends the user to evolve.route=sum,
+        # whose re-expansion at the turn follows it in the single-wall box
+        # too (it exited 2 there: "evolve.sector must be symmetric")
         text = (REVERSING + "trajectory.L0=20\ntrajectory.q=1\ntrajectory.T=10\n"
                 "gaussian.d=0.5\ngaussian.x0=2.5\nevolve.sector=single_wall\ntime.t_list=7\n")
         cfg = write_cfg(tmp_path, text)
         assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
         err = capsys.readouterr().err
-        assert "cannot reach t = 7.0" in err and "evolve.route=sum" not in err
+        assert "cannot reach t = 7.0" in err and "evolve.route=sum" in err
         assert not list((tmp_path / "a").glob("*.csv"))
         cfg = write_cfg(tmp_path, text + "evolve.route=sum\n", "sum.cfg")
-        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
-        assert "evolve.sector must be symmetric" in capsys.readouterr().err
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert "evolve[0]: route=sum t=7 " in capsys.readouterr().out
+        assert (tmp_path / "b" / "evolve_000.csv").exists()
 
     def test_full_cycle_closes(self, tmp_path):
         res = run_cli("cycle", "--config", str(CONFIGS / "cycle.cfg"),
@@ -887,6 +913,15 @@ class TestPhase:
             "config error: trajectory is not cyclic over [0, 4.0]; geometric phase undefined\n"
         )
         assert not (tmp_path / "phase.csv").exists()
+
+    def test_fastest_breathing_wall_closes_its_cycle(self, tmp_path, capsys):
+        # at omega = 1e150 the wall speed at the period's end, a rounding of
+        # about 1e135, was measured against L0 = 100: "not cyclic", exit 2
+        text = (CONFIGS / "phase.cfg").read_text().replace("omega=1\n", "omega=1e150\n")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("phase: modes=11 worst_closure=")
+        assert read_rows(tmp_path / "phase.csv")[:, 6].max() <= 1e-6
 
     def test_retired_node_keys_are_noted_as_unused(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f"{BREATHING}phase.n_max=0\nphase.time_nodes=64\n")

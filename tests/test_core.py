@@ -218,11 +218,18 @@ def test_scaled_wall_relations():
 
 
 def test_smooth_periodic_is_cyclic():
-    traj = SmoothPeriodicWall(L0=100.0, q=0.1, omega=1.0)
-    assert traj.is_cyclic(traj.period)
-    assert not traj.is_cyclic(0.37 * traj.period)
+    # at omega = 1e150, L' at the period's end is a rounding of about 1e135
+    # from 0: against L0 it stayed open, against the span's own speed
+    # L0 / T ~ 1.6e151 it closes
+    for omega in (1.0, 1e150):
+        traj = SmoothPeriodicWall(L0=100.0, q=0.1, omega=omega)
+        assert traj.is_cyclic(traj.period)
+        assert not traj.is_cyclic(0.37 * traj.period)
+    assert traj.velocity(traj.period) != 0.0
     # static wall is cyclic over any horizon
     assert LinearWall(L0=10.0, q=0.0).is_cyclic(5.0)
+    with pytest.raises(DomainError, match="T > 0"):
+        traj.is_cyclic(0.0)
 
 
 def test_validation_errors():

@@ -33,6 +33,7 @@ from movingwell.core import (
     TruncationWarning,
 )
 from movingwell.propagator import (
+    SpectralExpansion,
     contraction_coefficients,
     evolve_sum,
     evolve_theta_general,
@@ -231,8 +232,8 @@ SINGLE_WALL_CYCLE_TOL = {1.0: 6e-14, 4.0: 6e-13}
 
 @pytest.mark.parametrize("k", [1.0, 4.0], ids=["bare", "k4"])
 def test_single_wall_mode_sum_agrees_with_theta_general_past_the_turn(k):
-    # the single-wall box has no re-expansion: its contraction family is
-    # projected at the turn by expansion_coefficients(..., t)
+    # the contraction family as expansion_coefficients(..., t) projects it
+    # at the turn; test_properties checks the re-expansion against it
     rev = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     wall = rev if k == 1.0 else ScaledWall(inner=rev, k=k)
     L0 = wall.length(0.0)
@@ -408,17 +409,24 @@ def test_nome_parameter():
     assert theta_nome(boosted, LinearWall(L0=100.0, q=3.0), C, 7.0).imag > 0
 
 
-def test_unconfined_equals_free_gaussian_any_speed():
-    # the wall-free form must not know the wall speed: for every constant-
-    # speed trajectory it reduces to the same free Gaussian
+@pytest.mark.parametrize("sector, gauss", [
+    ("symmetric", G1),
+    ("single_wall", GaussianParams(d=1.0, x0=50.0, p0=0.3)),
+])
+def test_unconfined_equals_free_gaussian_any_speed(sector, gauss):
+    # the wall-free form must not know the wall speed, nor which wall
+    # moves: for every constant-speed trajectory it reduces to the same
+    # free Gaussian
     t = 3.0
-    x = np.linspace(-8.0, 8.0, 41)
-    s = 1.0 + 1j * C.hbar * t / (2.0 * C.mass * G1.d**2)
-    free = (2 * math.pi) ** -0.25 * (G1.d * s) ** -0.5 * np.exp(
-        -(x**2) / (4 * G1.d**2 * s)
+    x = gauss.x0 + np.linspace(-8.0, 8.0, 41)
+    s = 1.0 + 1j * C.hbar * t / (2.0 * C.mass * gauss.d**2)
+    X = gauss.x0 + gauss.p0 * t / C.mass
+    free = (2 * math.pi) ** -0.25 * (gauss.d * s) ** -0.5 * np.exp(
+        -((x - X) ** 2) / (4 * gauss.d**2 * s)
+        + 1j * gauss.p0 * x / C.hbar - 1j * gauss.p0**2 * t / (2 * C.mass * C.hbar)
     )
     for q in [0.0, 2.0, -0.5]:
-        ua = evolve_unconfined_approx(G1, LinearWall(L0=100.0, q=q), C, t, x)
+        ua = evolve_unconfined_approx(gauss, LinearWall(L0=100.0, q=q), C, t, x, sector=sector)
         assert np.max(np.abs(ua - free)) < 1e-14
 
 
@@ -826,6 +834,23 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
     assert calls == ["exp"] * 4
 
 
+def test_reexpansion_reads_no_bin_past_the_grid():
+    # at d = 0.0055 on this wall the projection asked for labels up to
+    # 2 n_max + 8 = 31,676, past nu = N = 2^15, where the length-2N FFT's
+    # bins mirror lower ones: it captured 1.459 of unit norm and did not warn
+    traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
+    start = expansion_coefficients(GaussianParams(d=0.0055), traj, C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = contraction_coefficients(start, traj, C)
+    assert ours.n_max == (propagator._PROJECTION_POINTS - 1) // 2
+    assert abs(1.0 - ours.captured_norm) <= 1e-10
+    # a norm above 1 warns as a deficit does
+    grown = SpectralExpansion("symmetric", tuple(1.1 * c for c in start.coeffs))
+    with pytest.warns(TruncationWarning, match="capture 1.21"):
+        contraction_coefficients(grown, traj, C)
+
+
 def test_cycle_routes_agree_throughout():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     x = np.linspace(-10.0, 10.0, 41)
@@ -864,16 +889,18 @@ def test_cycle_validation():
         evolve_theta_general(leaky, traj, C, 3.0, 0.0)
 
 
-def test_contraction_coefficients_reexpands_only_an_initial_symmetric_expansion():
+def test_contraction_coefficients_reexpands_only_an_initial_expansion():
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     start = expansion_coefficients(G1, traj, C)
     assert contraction_coefficients(start, traj, C).family == "contraction"
+    # a single-wall start re-expands in the single-wall contraction family
+    wall = expansion_coefficients(GaussianParams(d=1.0, x0=50.0), traj, C, sector="single_wall")
+    ours = contraction_coefficients(wall, traj, C)
+    assert (ours.sector, ours.family, len(ours.coeffs)) == ("single_wall", "contraction", 1)
     refused = {
         "contraction family": expansion_coefficients(G1, traj, C, t=3.0),
         "its own output": contraction_coefficients(start, traj, C),
-        "single wall": expansion_coefficients(
-            GaussianParams(d=1.0, x0=50.0), traj, C, sector="single_wall"
-        ),
+        "its own single-wall output": ours,
         "a packet": G1,
     }
     for bad in refused.values():
