@@ -74,7 +74,7 @@ from .phases import (
 )
 from .propagator import (
     LOCALITY_TOL,
-    _packet_scale,
+    _packet_fits,
     contraction_coefficients,
     evolve_sum,
     evolve_theta_general,
@@ -128,14 +128,14 @@ def _get_times(cfg: ScenarioConfig, key: str, traj, default=_MISSING,
     return times
 
 
-def _gaussian(cfg: ScenarioConfig, traj, constants):
-    """The gaussian block, its width checked against the box it starts in
-    and the mass (``_packet_scale``, which the routes' gate runs too) so
-    that an (L0/d)^2 out of range, or an m d^2 that underflows, names the
-    keys of the product."""
+def _gaussian(cfg: ScenarioConfig, traj, constants, sector: str):
+    """The gaussian block, checked against the ``sector`` box it starts in
+    and the mass (``_packet_fits``, which the routes' gate runs too) so
+    that an (L0/d)^2 out of range, an m d^2 that underflows, or a packet
+    that leaks past the walls names the keys of the product."""
     gauss = build_gaussian(cfg)
-    keys = {"d": "gaussian.d", "L0": "trajectory.L0", "mass": "constants.mass"}
-    _keyed(_packet_scale, keys, gauss, traj.length(0.0), constants.mass)
+    keys = {"x0": "gaussian.x0", "d": "gaussian.d", "L0": "trajectory.L0", "mass": "constants.mass"}
+    _keyed(_packet_fits, keys, gauss, traj.length(0.0), constants.mass, sector)
     return gauss
 
 
@@ -283,15 +283,20 @@ def cmd_evolve(cfg: ScenarioConfig, seed: int):
     """Propagate the packet along one route; one CSV per requested time.
 
     Every route takes either box and runs through a wall's turn.  ``sum``
-    sums the family that holds each t (``_mode_sums``).
+    sums the family that holds each t (``_mode_sums``).  The default grid
+    spans the largest box over t = 0 and every requested t, so no CSV
+    leaves out part of its box.
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj, constants)
-    route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     sector = cfg.get_str("evolve.sector", "symmetric", choices=_BOX_SECTORS)
+    gauss = _gaussian(cfg, traj, constants, sector)
+    route = cfg.get_str("evolve.route", "theta_general", choices=_ROUTES)
     times = _get_times(cfg, "time.t", traj, listed=True)
-    x = _grid_from(cfg, *_box_interval(traj.length(0.0), sector))
+    L = max(traj.length(t) for t in (0.0, *times))
+    key = "time.t_list" if cfg.has("time.t_list") else "time.t"
+    _require(L < math.inf, key, "takes the box past the double range")
+    x = _grid_from(cfg, *_box_interval(L, sector))
     if route == "sum":
         tail_tol = cfg.get_float("tolerances.tail_tol", 1e-14)
         psis = _mode_sums(gauss, traj, constants, times, x, sector, tail_tol)
@@ -317,8 +322,8 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
     """
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj, constants)
     sector = cfg.get_str("scenario.sector", "symmetric", choices=_BOX_SECTORS)
+    gauss = _gaussian(cfg, traj, constants, sector)
     tol = cfg.get_float("tolerances.locality_tol", LOCALITY_TOL)
     if isinstance(traj, ScaledWall):
         baseline = traj.inner
@@ -326,9 +331,14 @@ def cmd_locality(cfg: ScenarioConfig, seed: int):
         baseline = LinearWall(L0=traj.length(0.0), q=0.0)
     times = _get_times(cfg, "time.t", traj, listed=True)
     x = _grid_from(cfg, gauss.x0 - 8 * gauss.d, gauss.x0 + 8 * gauss.d)
+    # a grid that leaves a box names the keys that set its edges
+    edges = [key if cfg.has(key) else f"gaussian.x0 {sign} 8 gaussian.d"
+             for key, sign in (("grid.x_min", "-"), ("grid.x_max", "+"))]
+    grid = {"comparison grid": "comparison grid from {} to {}".format(*edges)}
     rows, lines = [], []
     for t in times:
-        rep = locality_compare(gauss, constants, traj, baseline, t, x, tol=tol, sector=sector)
+        rep = _keyed(locality_compare, grid, gauss, constants, traj, baseline, t, x,
+                     tol=tol, sector=sector)
         rows.append((t, rep.sup_error, rep.l2_error, rep.wall_amplitude,
                      {"pass": 0.0, "warn": 1.0, "fail": 2.0}[rep.verdict]))
         lines.append(
@@ -348,7 +358,7 @@ def cmd_cycle(cfg: ScenarioConfig, seed: int):
     traj = build_trajectory(cfg)
     _require(not math.isinf(traj.turn), "cycle",
              "needs trajectory.kind=reversing_linear, or kind=scaled with that inner")
-    gauss = _gaussian(cfg, traj, constants)
+    gauss = _gaussian(cfg, traj, constants, "symmetric")
     route_tol = cfg.get_float("tolerances.cycle_route_tol", 1e-9)
     static_tol = cfg.get_float("tolerances.cycle_static_tol", 1e-10)
     (t,) = _get_times(cfg, "time.t", traj, traj.t_max)
@@ -436,7 +446,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     """Confined theta evolution against the wall-free PDE oracle."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj, constants)
+    gauss = _gaussian(cfg, traj, constants, "symmetric")
     tol = cfg.get_float("tolerances.fig2_tol", 1e-3)
     (T,) = _get_times(cfg, "time.t", traj, "period")
     _require(T > 0, "time.t", "must be positive")
@@ -457,7 +467,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     """Crank-Nicolson in the fixed frame against the theta closed form."""
     constants = build_constants(cfg)
     traj = build_trajectory(cfg)
-    gauss = _gaussian(cfg, traj, constants)
+    gauss = _gaussian(cfg, traj, constants, "symmetric")
     (t,) = _get_times(cfg, "time.t", traj, 2.0)
     _require(t > 0, "time.t", "must be positive")
     tol = cfg.get_float("tolerances.oracle_tol", 1e-4)

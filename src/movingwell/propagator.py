@@ -197,12 +197,14 @@ def _outside(X: float, sigma: float, L: float, sector: str) -> float:
     return _mass(X, sigma, -math.inf, lo) + _mass(X, sigma, hi, math.inf)
 
 
-def _packet_scale(gauss: GaussianParams, L0: float, mass: float) -> None:
+def _packet_fits(gauss: GaussianParams, L0: float, mass: float, sector: str) -> None:
     """At most SCALE_MAX packet widths in the box, the bound every scale
     has: kappa takes a L0^2 ~ (L0/d)^2, which overflows past about 1e154
     widths, and Im kappa ~ 4 pi (d/L0)^2 is then already far below what the
     theta reduction reaches in its ``_STEP_CAP`` steps.  And m d^2 a normal
-    double: the packet spreads at hbar / (2 m d^2)."""
+    double: the packet spreads at hbar / (2 m d^2).  And at most TAIL_GATE
+    of the packet's norm past the walls of the box it starts in.  Each
+    message names x0, d, L0 or mass, which the CLI reads as their keys."""
     if not L0 / gauss.d <= SCALE_MAX:
         raise DomainError(
             f"the box may hold at most {SCALE_MAX:g} packet widths, "
@@ -211,17 +213,18 @@ def _packet_scale(gauss: GaussianParams, L0: float, mass: float) -> None:
     if not mass * gauss.d**2 >= sys.float_info.min:
         raise DomainError(f"mass * d^2 must be at least {sys.float_info.min:g}, "
                           f"got {mass * gauss.d**2:g}")
+    tail = _outside(gauss.x0, gauss.d, L0, sector)
+    if tail > TAIL_GATE:
+        raise DomainError(
+            f"initial packet leaks {tail:.3e} of its norm past the walls "
+            f"(limit {TAIL_GATE:.0e}): at x0 = {gauss.x0:g} and d = {gauss.d:g} "
+            f"it cannot be represented in the box of L0 = {L0:g}"
+        )
 
 
 def _initial_gate(gauss: GaussianParams, traj, constants, sector: str) -> None:
     L0 = traj.length(0.0)
-    _packet_scale(gauss, L0, constants.mass)
-    tail = _outside(gauss.x0, gauss.d, L0, sector)
-    if tail > TAIL_GATE:
-        raise DomainError(
-            f"initial packet leaks {tail:.3e} of its mass past the walls "
-            f"(limit {TAIL_GATE:.0e}); it cannot be represented in the box"
-        )
+    _packet_fits(gauss, L0, constants.mass, sector)
     if gauss.d / L0 > WIDTH_WARN:
         _warn(
             f"packet width d = {gauss.d} is {gauss.d / L0:.2f} of the box; "
@@ -789,7 +792,9 @@ def locality_compare(
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     for traj in (traj_a, traj_b):
         if not np.all(_in_box(xa, traj.length(t), sector)):
-            raise DomainError("comparison grid leaves the box of one trajectory")
+            lo, hi = _box_interval(traj.length(t), sector)
+            raise DomainError(f"comparison grid spans [{xa.min():g}, {xa.max():g}], which "
+                              f"leaves the box [{lo:g}, {hi:g}] of one trajectory at t = {t:g}")
     psi_a, _, wall_a = _wall_term(gauss, traj_a, constants, t, xa, sector)
     psi_b, _, wall_b = _wall_term(gauss, traj_b, constants, t, xa, sector)
     diff = psi_a - psi_b

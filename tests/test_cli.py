@@ -540,15 +540,34 @@ class TestHostileConfigs:
         ("evolve", {"trajectory.L0": "1", "gaussian.d": "1e-150", "constants.mass": "1e-150",
                     "grid.x_min": "-0.4", "grid.x_max": "0.4"},
          ["gaussian.d", "constants.mass"]),
-    ], ids=["turn-box", "widths-in-box", "fig1-q-underflow", "mass-width-underflow"])
+        ("locality", {"gaussian.x0": "45"},
+         ["gaussian.x0 - 8 gaussian.d", "gaussian.x0 + 8 gaussian.d", "spans [37, 53]",
+          "box [-51, 51]", "at t = 1"]),
+        ("locality", {"grid.x_max": "60"},
+         ["gaussian.x0 - 8 gaussian.d", "grid.x_max", "spans [-8, 60]", "box [-51, 51]",
+          "at t = 1"]),
+        ("evolve", {"gaussian.d": "20"}, ["gaussian.x0", "gaussian.d", "trajectory.L0"]),
+        ("evolve", {"gaussian.d": "1e150"}, ["gaussian.x0", "gaussian.d", "trajectory.L0"]),
+        ("cycle", {"gaussian.d": "20"}, ["gaussian.x0", "gaussian.d", "trajectory.L0"]),
+        ("cycle", {"gaussian.d": "1e150"}, ["gaussian.x0", "gaussian.d", "trajectory.L0"]),
+        ("evolve", {"trajectory.kind": "linear", "trajectory.q": "1e150", "time.t_list": "1e160"},
+         ["time.t_list takes the box past the double range"]),
+    ], ids=["turn-box", "widths-in-box", "fig1-q-underflow", "mass-width-underflow",
+            "locality-default-grid", "locality-grid-keys", "evolve-leak", "evolve-leak-wide",
+            "cycle-leak", "cycle-leak-wide", "evolve-box-overflow"])
     def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes,
                                                      named):
         # the box at the turn (about 5e299, whose square overflowed), L0 / d
         # (a L0^2 overflowed to an unkeyed "Im kappa must be positive"), a q
         # whose square underflows (every gamma 0, then 0/0 through numpy)
         # and an m d^2 that underflows (a ZeroDivisionError in the packet's
-        # spread; L0 = 1 keeps L0 / d in bounds).  The line names the keys
-        # of the product: all the changed ones unless ``named`` lists them
+        # spread; L0 = 1 keeps L0 / d in bounds).  Then values inside every
+        # bound that a later gate refuses: a comparison grid that leaves a
+        # box, named by the keys that set its edges, a packet that leaks
+        # past the walls, named by x0, d and L0, and a time whose box (1e310
+        # wide) no grid can span, which wrote a CSV of norm 0 with exit 0.
+        # The line names the keys of the product: all the changed ones
+        # unless ``named`` lists what it must hold
         code, err = _run_in_process(tmp_path, capsys, name, changes)
         assert code == 2
         (line,) = err.splitlines()
@@ -648,6 +667,21 @@ class TestEvolve:
             assert past.sum() == 2000
             assert not rows[past, 1:].any()
             assert np.isfinite(rows).all() and rows[0, 3] > 0
+
+    def test_default_grid_spans_the_largest_box(self, tmp_path, capsys):
+        # the single-wall box is 23 wide at t = 7; a grid on the box at t = 0
+        # left out its last 3 and printed norm=0.995563
+        text = (REVERSING + "trajectory.L0=20\ntrajectory.q=1\ntrajectory.T=10\n"
+                "gaussian.d=0.5\ngaussian.x0=2.5\nevolve.sector=single_wall\n"
+                "evolve.route=sum\ntime.t_list=0,7\n")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        norms = [float(line.split("norm=")[1].split()[0])
+                 for line in capsys.readouterr().out.splitlines()]
+        assert len(norms) == 2 and all(abs(n - 1) < 1e-5 for n in norms)
+        for i in range(2):
+            rows = read_rows(tmp_path / f"evolve_{i:03d}.csv")
+            assert rows[0, 0] == 0.0 and rows[-1, 0] == 23.0
 
     def test_snapshots_and_plot_script(self, tmp_path):
         res = run_cli("evolve", "--config", str(CONFIGS / "evolve.cfg"),
@@ -785,10 +819,11 @@ class TestEvolve:
 
     def test_sum_past_the_turn_warns_once_per_family(self, tmp_path):
         # a tail_tol below the captured deficit makes the initial expansion
-        # warn: built once, it warns once, before the turn and past it alike
+        # warn: built once, it warns once, before the turn and past it alike.
+        # The grid is the box at t = 0, which the pinned bytes were written on
         base = (f"{REVERSING}trajectory.L0=100\ntrajectory.q=2\ntrajectory.T=4\n"
                 "gaussian.d=1\nevolve.route=sum\ntime.t_list=1,3\n"
-                "tolerances.tail_tol=1e-20\n")
+                "tolerances.tail_tol=1e-20\ngrid.x_min=-50\ngrid.x_max=50\n")
         out = tmp_path / "out"
         res = run_cli("evolve", "--config", write_cfg(tmp_path, base), "--out", str(out))
         assert res.returncode == 0, res.stderr

@@ -309,6 +309,16 @@ def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
     # 5e-15.
     monkeypatch.setattr(theta_module, "_LD", np.float64)
     monkeypatch.setattr(theta_module, "_PI_LD", np.float64(math.pi))
+    # and no part of the reduction stays extended: every pass sees w in
+    # complex128 and e0 in float64
+    dtypes = set()
+    to_cell = theta_module._to_cell
+
+    def recording(kind, kr, ki, w, er, ei, quasi=True):
+        dtypes.update(np.asarray(a).dtype for a in (w, er, ei))
+        return to_cell(kind, kr, ki, w, er, ei, quasi)
+
+    monkeypatch.setattr(theta_module, "_to_cell", recording)
     worst = 0.0
     for kind in (2, 3, 4):
         rng = np.random.default_rng(250 + kind)
@@ -318,6 +328,49 @@ def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
             ref = mp_theta(kind, z, kappa, dps=60)
             worst = max(worst, abs(theta(kind, z, kappa) - ref) / max(1.0, abs(ref)))
     assert 5e-15 < worst <= 5e-13
+    assert dtypes == {np.dtype(np.complex128), np.dtype(np.float64)}
+
+
+#: near-axis kappas that take 1, 2, 3 and 4 S-steps
+S_STEP_KAPPAS = {1: 0.02 + 1e-3j, 2: 0.033 + 1e-3j, 3: 0.069 + 1e-3j, 4: 0.179 + 1e-3j}
+
+
+@pytest.mark.parametrize("steps", sorted(S_STEP_KAPPAS))
+def test_masked_shifts_couple_no_points(steps, monkeypatch):
+    # the reduction shifts only the points that leave their cell; one array
+    # in which some points move and others do not must give each entry the
+    # value of its own one-point call, and the mpmath value
+    kappa = S_STEP_KAPPAS[steps]
+    passes = []
+    to_cell = theta_module._to_cell
+
+    def recording(kind, kr, ki, w, er, ei, quasi=True):
+        before = w.copy()
+        out = to_cell(kind, kr, ki, w, er, ei, quasi)
+        passes.append((out[0].real != before.real, out[0].imag != before.imag))
+        return out
+
+    monkeypatch.setattr(theta_module, "_to_cell", recording)
+    rng = np.random.default_rng(500 + steps)
+    x = np.linspace(-4, 4, 41)
+    quasi_shifted = 0
+    for kind in (2, 3, 4):
+        # every third point (z = 0 among them) on the real axis
+        z = x + 1j * rng.uniform(-0.15, 0.15, x.size) * ((np.arange(x.size) - 20) % 3 != 0)
+        passes.clear()
+        values = theta(kind, z, kappa)
+        assert len(passes) == steps + 1
+        re_moved, im_moved = passes[-1]
+        moved = re_moved | im_moved
+        assert moved.any() and not moved.all()
+        quasi_shifted += im_moved.sum()
+        for value, point in zip(values, z):
+            single = theta(kind, point, kappa)
+            assert abs(value - single) <= 1e-15 * max(1.0, abs(single))
+        for i in (4, 20, 33):
+            ref = mp_theta(kind, z[i], kappa)
+            assert abs(values[i] - ref) <= 5e-15 * max(1.0, abs(ref))
+    assert quasi_shifted > 0
 
 
 def _free_packet(gauss, centre, p, s, y):
