@@ -25,16 +25,16 @@ polynomial in w with real coefficients (the real or the imaginary parts
 of c_n e^{-i phase}).  The polynomials go by baby steps and giant steps
 (Paterson and Stockmeyer, SIAM J. Comput. 2 (1973) 60): the powers w^j
 below a block length B are formed once per point, one real matrix
-product per fixed-width chunk of points sums every block of every
-polynomial, and Horner's rule in w^B runs over the blocks.  The modes
-cost a BLAS product; the per-point numpy calls number about B + 2n/B.
+product per slab of points sums every block of every polynomial, and
+Horner's rule in w^B runs over the blocks.  The modes cost a BLAS
+product; the per-point numpy calls number about B + 2n/B.
 Each power w^j carries a relative error of order j eps and each giant
 step one of order B eps, so with |w| = 1 the error stays of order
 n eps sum |c_n|, as for Horner's rule (Higham, Accuracy and Stability of
 Numerical Algorithms, section 5.1), the same order as forming each
-sin/cos from its rounded argument.  Every matrix product has the same
-shape, so BLAS rounds a point the same in any grid: a point alone gives
-the value it has inside any grid, bit for bit.
+sin/cos from its rounded argument.  Every product spans whole chunks of
+a fixed width, so BLAS rounds a point the same in any grid: a point
+alone gives the value it has inside any grid, bit for bit.
 
 A wall with a finite ``turn`` (the reversing wall, also rescaled) carries
 different solution families on its two legs; ``basis_solution`` returns
@@ -66,9 +66,10 @@ _BOX_SECTORS = tuple(_FAMILIES)
 _MODE_FAMILY = {f.sector: (box, f) for box, fams in _FAMILIES.items() for f in fams}
 _SECTORS = tuple(_MODE_FAMILY)
 #: baby steps per block of the mode sum (``_blocked_sum``), and the points
-#: per matrix product, which every product has: on 2,001-point packet sums
-#: (OpenBLAS, 2-core x86-64) blocks of 12 to 32 and chunks of 256 to 1,024
-#: ran within 10% of each other, and 24 with 512 ran fastest
+#: per chunk, the unit every matrix product's width is a whole number of:
+#: on 2,001-point packet sums (OpenBLAS, 2-core x86-64) blocks of 12 to 32
+#: and chunks of 256 to 1,024 ran within 10% of each other, and 24 with
+#: 512 ran fastest
 _BABY = 24
 _CHUNK = 512
 #: points per pass of the mode sum, a whole number of chunks
@@ -238,23 +239,22 @@ def _blocked_sum(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``coef`` has shape (blocks, rows, _BABY), with the coefficient of
     w^{g _BABY + j} at [g, row, j]; the result has shape (rows, w.size).
-    Paterson and Stockmeyer's baby steps and giant steps: the powers w^j,
-    j <= _BABY, are formed once; one real matrix product per chunk of
-    ``_CHUNK`` points, on the real and imaginary parts of the powers,
-    gives every block's sum over its baby steps; and Horner's rule in
-    w^{_BABY} runs over the blocks.  Every product has the same shape, so
-    BLAS rounds a point's column the same wherever it sits, and a point
-    alone gives the value it has in any grid.  Points go through in slabs
-    of ``_SLAB``, which bounds the buffers.  Products go to separate
-    buffers: an aliased in-place complex multiply rounds a one-point array
-    differently from a longer one.
+    Paterson and Stockmeyer's baby steps and giant steps: points go
+    through in slabs of ``_SLAB``, which bounds the buffers; in each, the
+    powers w^j, j <= _BABY, are formed once; one real matrix product over
+    the slab, on the real and imaginary parts of the powers, gives every
+    block's sum over its baby steps; and Horner's rule in w^{_BABY} runs
+    over the blocks.  Every product spans whole chunks, so BLAS (OpenBLAS,
+    as the tests check) rounds a point's column the same wherever it sits,
+    and a point alone gives the value it has in any grid.
+    Products go to separate buffers: an aliased in-place complex multiply
+    rounds a one-point array differently from a longer one.
     """
     blocks, rows = coef.shape[:2]
     flat = np.ascontiguousarray(coef).reshape(blocks * rows, _BABY)
     out = np.empty((rows, w.size), dtype=complex)
     for s0 in range(0, w.size, _SLAB):
         ws = w[s0 : s0 + _SLAB]
-        chunks = ws.size // _CHUNK
         powers = np.empty((_BABY + 1, ws.size), dtype=complex)
         powers[0] = 1.0
         powers[1] = ws
@@ -262,11 +262,7 @@ def _blocked_sum(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
             np.multiply(powers[j - 1], ws, out=powers[j])
         # a real coefficient scales a power's real and imaginary parts alike
         parts = np.empty((blocks * rows, ws.size), dtype=complex)
-        np.matmul(
-            flat,
-            powers[:_BABY].view(float).reshape(_BABY, chunks, 2 * _CHUNK).swapaxes(0, 1),
-            out=parts.view(float).reshape(-1, chunks, 2 * _CHUNK).swapaxes(0, 1),
-        )
+        np.matmul(flat, powers[:_BABY].view(float), out=parts.view(float))
         acc = parts[-rows:]
         step = np.empty_like(acc)
         for g in range(blocks - 2, -1, -1):
@@ -405,7 +401,8 @@ def schrodinger_residual(
     # the wall must not cross the retained points within the stencil window
     margin = 4 * (grid[1] - grid[0])
     if abs(v) * dt >= margin:
-        raise DomainError("dt too large: the wall crosses interior grid points")
+        raise DomainError(f"dt too large: the wall moves |L'| dt = {abs(v) * dt:.3g} at t = {t:g}, "
+                          f"dt = {dt:g}, past the stencil's margin of 4 grid cells, {margin:.3g}")
     psi_p = basis_solution(idx, traj, constants, t + dt, xa)
     psi_m = basis_solution(idx, traj, constants, t - dt, xa)
     psi, psi_xx = _solution_and_second_derivative(idx, traj, constants, t, xa)

@@ -27,6 +27,7 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -252,9 +253,12 @@ def cmd_basis_check(cfg: ScenarioConfig, seed: int):
     # residual halves twice as fast as dt: second-order evolution check, on
     # levels nu = 3 and 4, one in each family
     ratios = []
+    # a wall too fast for the probe step names the keys that set its speed
+    speed = [f"trajectory.{f.name}" for f in fields(getattr(traj, "inner", traj)) if f.name != "L0"]
+    keys = {"t": "basis.t", "wall": f"wall ({', '.join(speed)})"}
     for nu in (3, 4):
         idx = _level_index(nu)
-        r1 = schrodinger_residual(idx, traj, constants, t, potential="tdlo", dt=2e-3)
+        r1 = _keyed(schrodinger_residual, keys, idx, traj, constants, t, potential="tdlo", dt=2e-3)
         r2 = schrodinger_residual(idx, traj, constants, t, potential="tdlo", dt=1e-3)
         ratios.append(r1 / r2)
         rows.append((1, float(idx.n), r1 / r2))
@@ -479,7 +483,9 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     start = WaveFunctionGrid(
         positions=y, values=initial_gaussian(gauss, constants, y), time=0.0
     )
-    num = evolve_fixed_frame(start, fmap, spec, t, constants)
+    # a packet that does not vanish at the walls names the keys that place it
+    keys = {"initial state": "initial state (gaussian.x0, gaussian.d)", "L0": "trajectory.L0"}
+    num = _keyed(evolve_fixed_frame, keys, start, fmap, spec, t, constants)
     s = fmap.scale(t)
     lab = WaveFunctionGrid(
         positions=y * s,

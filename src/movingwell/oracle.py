@@ -295,8 +295,10 @@ def evolve_fixed_frame(
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         raise DomainError("initial state is identically zero")
-    if max(abs(vals[0]), abs(vals[-1])) > 1e-8 * peak:
-        raise DomainError("initial state must vanish at the fixed-domain walls")
+    edge = max(abs(vals[0]), abs(vals[-1]))
+    if edge > 1e-8 * peak:
+        raise DomainError(f"initial state must vanish at the fixed-domain walls of L0 = "
+                          f"{fmap.L0:g}: its edge-to-peak ratio is {edge / peak:.3e} (limit 1e-08)")
 
     n_steps = _step_count(t_final, spec.dt)
     traj = fmap.traj

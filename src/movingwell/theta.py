@@ -31,17 +31,19 @@ to double.  Every later term follows from t_{m+2} = t_m g q^m with
 q = e^{i pi kappa'}; the reduction leaves |Im w| <= pi Im kappa'/2, so
 |g| <= 1 and no product can overflow.  A call costs the same four cos/sin
 and three or four exp per point whatever the term count.  The reduction
-holds w as one complex ``_LD`` array, so an S-step is two complex
-products and two real divisions, plus two additions from the second one
-on (the first takes about 43 us at 2,001 points on x86-64, where one
-long-double pass takes about 7.4 us), and it shifts w, and e0 with it,
-only at the points that leave their cell; on the benchmark's
-packet rows it is about 40% of a call.  With 80-bit
-``longdouble`` (x86-64 Linux, eps 1.1e-19) real arguments near the axis
-come out within ~6e-16 relative to max(1, |theta|), and out to 10^3
-revivals within ~5e-16 of the sup.  On platforms whose ``longdouble`` is
-plain double (MSVC builds) the same code gives about 1e-13 in that
-near-axis regime (measured with ``_LD`` and ``_PI_LD`` rebound to float64).
+holds its state in two complex ``_LD`` arrays, w and e0, made once per
+call and shifted in place.  An S-step is two complex products, two real
+divisions and two additions into e0 (about 65 us at 2,001 points on
+x86-64, where one long-double pass takes 7 to 9 us).  The period shift
+runs over the whole array once any point leaves its cell, as most do on
+the last pass; the quasi shift, which few points take, touches only
+those.  On the benchmark's packet rows the reduction is about 45% of a
+call.  With 80-bit ``longdouble`` (x86-64 Linux, eps 1.1e-19) real
+arguments near the axis come out within ~6e-16 relative to
+max(1, |theta|), and out to 10^3 revivals within ~5e-16 of the sup.  On
+platforms whose ``longdouble`` is plain double (MSVC builds) the same
+code gives about 1e-13 in that near-axis regime (measured with ``_LD``
+and ``_PI_LD`` rebound to float64).
 """
 
 from __future__ import annotations
@@ -125,10 +127,11 @@ def _unit(angle):
     return out
 
 
-def _sum_engine(kind, kappa_re, kappa_im, w_re, w_im, e0_re, e0_im, n_max):
+def _sum_engine(kind, kappa_re, kappa_im, w, e0, n_max):
     """Sum the ``kind`` series at parameter kappa, argument w, with every
-    term multiplied by exp(e0), over n = 0 .. n_max.  All exponent pieces
-    arrive as extended floats, and |Im w| <= pi Im kappa / 2.
+    term multiplied by exp(e0), over n = 0 .. n_max.  kappa arrives as two
+    extended floats, w and e0 as complex extended arrays, and
+    |Im w| <= pi Im kappa / 2.
 
     The three kinds are one characteristic series over m = 2n + alpha,
     alpha = 1 for theta_2 and 0 otherwise: the pair of terms
@@ -148,31 +151,31 @@ def _sum_engine(kind, kappa_re, kappa_im, w_re, w_im, e0_re, e0_im, n_max):
     shrink and no product can overflow.  The q^m and the theta_4 sign are
     carried by one scalar, and the terms fall geometrically into a plain sum.
     """
-    k = np.rint(np.asarray(e0_im, dtype=float) / (2 * math.pi))
-    phase = np.asarray(e0_im - k * _TWO_PI_HI, dtype=float) - k * _TWO_PI_LO
+    k = np.rint(e0.imag.astype(float) / (2 * math.pi))
+    phase = (e0.imag - k * _TWO_PI_HI).astype(float) - k * _TWO_PI_LO
     pk_re = float(_PI_LD * kappa_re)
     half_pk_im = _PI_LD * kappa_im / 2
-    wr = np.asarray(w_re, dtype=float)
+    wr = w.real.astype(float)
     if kind == 2:
         alpha = 1
         e_w = _unit(wr)
         base = _unit(phase + pk_re / 4)
-        re = e0_re - half_pk_im / 2
-        up = base * e_w * np.exp(np.asarray(re - w_im, dtype=float))
-        dn = base * e_w.conj() * np.exp(np.asarray(re + w_im, dtype=float))
+        re = e0.real - half_pk_im / 2
+        up = base * e_w * np.exp((re - w.imag).astype(float))
+        dn = base * e_w.conj() * np.exp((re + w.imag).astype(float))
         e_2w = e_w * e_w
         total = up + dn
     else:
         alpha = 0
-        up = dn = total = _unit(phase) * np.exp(np.asarray(e0_re, dtype=float))
+        up = dn = total = _unit(phase) * np.exp(e0.real.astype(float))
         e_2w = _unit(2 * wr)
     # g = e^{i pi kappa +- 2 i w}, the real part of its exponent merged
     rot = cmath.exp(1j * pk_re)
     # past pi Im kappa ~ 1e308 the exponent leaves the double range; it is
     # negative, and e^{-inf} = 0 is the term it stands for
     with np.errstate(over="ignore"):
-        g_up = e_2w * (rot * np.exp(-2 * np.asarray(half_pk_im + w_im, dtype=float)))
-        g_dn = e_2w.conj() * (rot * np.exp(-2 * np.asarray(half_pk_im - w_im, dtype=float)))
+        g_up = e_2w * (rot * np.exp(-2 * (half_pk_im + w.imag).astype(float)))
+        g_dn = e_2w.conj() * (rot * np.exp(-2 * (half_pk_im - w.imag).astype(float)))
     q = cmath.exp(1j * math.pi * complex(float(kappa_re), float(kappa_im)))
     sign = -1 if kind == 4 else 1
     scale = 1.0
@@ -184,7 +187,7 @@ def _sum_engine(kind, kappa_re, kappa_im, w_re, w_im, e0_re, e0_im, n_max):
     return total
 
 
-def _to_cell(kind, kr, ki, w, er, ei, quasi=True):
+def _to_cell(kind, kr, ki, w, e0, quasi=True):
     """Shift w by the quasi-period pi kappa (when ``quasi``) and then by the
     period pi into the cell |Im w| <= pi Im kappa / 2, |Re w| <= pi / 2,
     merging the factors the shifts bring into e0:
@@ -192,55 +195,50 @@ def _to_cell(kind, kr, ki, w, er, ei, quasi=True):
         theta(v + j pi kappa) = s^j e^{-i pi kappa j^2 - 2 i j v} theta(v),
 
     s = -1 for theta_4 only, and theta_2(v + n pi) = (-1)^n theta_2(v).
-    Only the points that move are touched: w (complex, extended) is shifted
-    in place at the indices where j or n is nonzero, and Re e0 and Im e0 are
-    updated there, becoming arrays the first time a point moves (until then
-    they are the scalar 0).  Returns (w, Re e0, Im e0).
+    w and e0 (complex, extended) are shifted in place.  The quasi shift
+    touches only the points where j is nonzero, which are few; the period
+    shift runs over the whole array once any point moves, since on the last
+    pass most of them do.
     """
-
-    def moved(e):
-        return np.zeros(w.shape, _LD) if np.ndim(e) == 0 else e
-
     # any integer shift is exact, so j and n may be rounded in doubles
     if quasi:
         j = np.rint(w.imag.astype(float) / (math.pi * float(ki)))
-        at = (j != 0).nonzero()[0]
-        if at.size:
+        at = j.nonzero()
+        if at[0].size:
             j = j[at].astype(_LD)
             pkr, pki = _PI_LD * kr, _PI_LD * ki
             wr = w.real[at] - j * pkr
             wi = w.imag[at] - j * pki
             w.real[at], w.imag[at] = wr, wi
-            er, ei = moved(er), moved(ei)
-            er[at] += j * (pki * j + 2 * wi)
+            e0.real[at] += j * (pki * j + 2 * wi)
             # s^j = e^{i pi j} for theta_4
-            ei[at] -= j * (pkr * j + 2 * wr - (_PI_LD if kind == 4 else 0))
+            e0.imag[at] -= j * (pkr * j + 2 * wr - (_PI_LD if kind == 4 else 0))
     n = np.rint(w.real.astype(float) / math.pi)
-    at = (n != 0).nonzero()[0]
-    if at.size:
-        n = n[at].astype(_LD)
-        w.real[at] -= n * _PI_LD
+    if n.any():
+        n = n.astype(_LD)
+        w.real -= n * _PI_LD
         if kind == 2:
-            ei = moved(ei)
-            ei[at] += _PI_LD * n
-    return w, er, ei
+            e0.imag += _PI_LD * n
 
 
 def _sum_direct(kind: int, z: np.ndarray, kappa: complex):
     """Direct series at the given parameter: kappa takes no T- or S-step,
     but z is shifted into its cell, as the engine's recurrence needs."""
     kr, ki = _LD(kappa.real), _LD(kappa.imag)
-    w, er, ei = _to_cell(kind, kr, ki, z.astype(np.result_type(_LD, 1j)), _LD(0), _LD(0))
+    w = z.astype(np.result_type(_LD, 1j))
+    e0 = np.zeros_like(w)
+    _to_cell(kind, kr, ki, w, e0)
     n_max = truncation_bound(kappa, 1j * _finite_max(np.abs(w.imag.astype(float))))
-    return _sum_engine(kind, kr, ki, w.real, w.imag, er, ei, n_max)
+    return _sum_engine(kind, kr, ki, w, e0, n_max)
 
 
 def _reduce(kind: int, z: np.ndarray, kappa: complex):
     """Map theta_kind(z, kappa) to the fundamental domain of kappa.
 
-    Returns (kind', Re kappa', Im kappa', Re w, Im w, Re e0, Im e0, front),
-    all extended, with theta_kind(z, kappa) = front e^{e0} theta_kind'(w, kappa')
-    pointwise, |Re kappa'| <= 1/2 and |kappa'| >= 1, so Im kappa' >= sqrt(3)/2.
+    Returns (kind', Re kappa', Im kappa', w, e0, front), all extended (w and
+    e0 complex arrays), with theta_kind(z, kappa) = front e^{e0}
+    theta_kind'(w, kappa') pointwise, |Re kappa'| <= 1/2 and |kappa'| >= 1,
+    so Im kappa' >= sqrt(3)/2.
     Each pass takes the exact T-shift kappa -> kappa - m (theta_3 and theta_4
     swap for odd m, theta_2 gains e^{i pi m/4}, kept as an index mod 8),
     reduces Re w by the period pi (theta_2 changes sign on odd shifts), and
@@ -253,15 +251,15 @@ def _reduce(kind: int, z: np.ndarray, kappa: complex):
     step runs only at the stop, because before an S-step it is the real
     shift j pi of w/kappa, which the next pass's period step takes.
     Reducing w at every stage, not only at the end, keeps the merged
-    exponent free of large cancelling terms.  w is held as one complex
-    extended array, so an S-step is two complex products, v = w (1/kappa)
-    and w v, and two real updates of e0 (an assignment while e0 is still
-    0); these are the real operations of the step in the same order.
+    exponent free of large cancelling terms.  w and e0 are made once, as
+    complex extended arrays (e0 = 0), and an S-step is two complex
+    products, v = w (1/kappa) and w v, and two real updates of e0 in place;
+    these are the real operations of the step in the same order.
     """
     kr, ki = _LD(kappa.real), _LD(kappa.imag)
     # complex with both parts in _LD, read at call time
     w = z.astype(np.result_type(_LD, 1j))
-    er = ei = _LD(0)
+    e0 = np.zeros_like(w)
     eighth = 0
     front = 1
     for _ in range(_STEP_CAP):
@@ -272,17 +270,17 @@ def _reduce(kind: int, z: np.ndarray, kappa: complex):
         elif int(m) % 2:
             kind = 7 - kind
         done = kr * kr + ki * ki >= 1
-        w, er, ei = _to_cell(kind, kr, ki, w, er, ei, quasi=done)
+        _to_cell(kind, kr, ki, w, e0, quasi=done)
         if done:
             front = front * np.exp(1j * _PI_LD * eighth / 4)
-            return kind, kr, ki, w.real, w.imag, er, ei, front
+            return kind, kr, ki, w, e0, front
         inv = 1 / (kr + 1j * ki)
         front = front * np.sqrt(1j * inv)
         # w' = w / kappa, e0 -= i w w' / pi, kappa -> -1 / kappa
         v = w * inv
         wv = w * v
-        er = wv.imag / _PI_LD if np.ndim(er) == 0 else er + wv.imag / _PI_LD
-        ei = wv.real / -_PI_LD if np.ndim(ei) == 0 else ei - wv.real / _PI_LD
+        e0.real += wv.imag / _PI_LD
+        e0.imag -= wv.real / _PI_LD
         w, kr, ki = v, -inv.real, -inv.imag
         kind = 6 - kind
     raise ConvergenceError(
@@ -319,12 +317,12 @@ def theta(kind: int, z, kappa: complex):
     kappa = _validate(kind, kappa)
 
     def evaluate(z_arr):
-        kind_r, kr, ki, wr, wi, er, ei, front = _reduce(kind, z_arr, kappa)
+        kind_r, kr, ki, w, e0, front = _reduce(kind, z_arr, kappa)
         front = complex(front)
         tol_r = min(max(_TOL / abs(front), 1e-300), 0.5)
-        w_probe = 1j * _finite_max(np.abs(wi.astype(float)))
+        w_probe = 1j * _finite_max(np.abs(w.imag.astype(float)))
         n_max = truncation_bound(complex(float(kr), float(ki)), w_probe, tol_r)
-        return front * _sum_engine(kind_r, kr, ki, wr, wi, er, ei, n_max)
+        return front * _sum_engine(kind_r, kr, ki, w, e0, n_max)
 
     return _pointwise(z, evaluate)
 

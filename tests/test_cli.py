@@ -552,9 +552,14 @@ class TestHostileConfigs:
         ("cycle", {"gaussian.d": "1e150"}, ["gaussian.x0", "gaussian.d", "trajectory.L0"]),
         ("evolve", {"trajectory.kind": "linear", "trajectory.q": "1e150", "time.t_list": "1e160"},
          ["time.t_list takes the box past the double range"]),
+        ("oracle", {"gaussian.x0": "45"},
+         ["gaussian.x0", "gaussian.d", "trajectory.L0", "edge-to-peak ratio is 1.", "limit 1e-08"]),
+        ("basis", {"trajectory.omega": "1e150"},
+         ["trajectory.q", "trajectory.omega", "basis.t", "|L'| dt = 8.", "4 grid cells, 0.4"]),
     ], ids=["turn-box", "widths-in-box", "fig1-q-underflow", "mass-width-underflow",
             "locality-default-grid", "locality-grid-keys", "evolve-leak", "evolve-leak-wide",
-            "cycle-leak", "cycle-leak-wide", "evolve-box-overflow"])
+            "cycle-leak", "cycle-leak-wide", "evolve-box-overflow", "oracle-walls",
+            "basis-probe-step"])
     def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes,
                                                      named):
         # the box at the turn (about 5e299, whose square overflowed), L0 / d
@@ -566,6 +571,10 @@ class TestHostileConfigs:
         # box, named by the keys that set its edges, a packet that leaks
         # past the walls, named by x0, d and L0, and a time whose box (1e310
         # wide) no grid can span, which wrote a CSV of norm 0 with exit 0.
+        # And two library gates that gave no key: a packet 2.9e-7 of whose
+        # norm lies past the walls passes the leak gate but not the fixed
+        # frame's, whose walls hold a state only where it vanishes, and a
+        # wall that outruns the residual probe's 2e-3 step.
         # The line names the keys of the product: all the changed ones
         # unless ``named`` lists what it must hold
         code, err = _run_in_process(tmp_path, capsys, name, changes)

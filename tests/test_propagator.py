@@ -11,6 +11,7 @@ from movingwell.basis import (
     _BABY,
     _CHUNK,
     _FAMILIES,
+    _SLAB,
     BasisIndex,
     _chirp_rate,
     _clock_phase,
@@ -693,10 +694,13 @@ def test_blocked_mode_sum_at_block_edges(sector, terms):
 
 
 @pytest.mark.parametrize("sector", ["symmetric", "single_wall"])
-@pytest.mark.parametrize("points", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2001])
+@pytest.mark.parametrize(
+    "points", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2001, _SLAB + 1, 2 * _SLAB + 1]
+)
 def test_blocked_mode_sum_is_the_same_in_any_grid(sector, points):
     # a point's value does not depend on the grid around it: not on its
-    # place in a chunk, the chunk count, the other points or NaN holes
+    # place in a chunk or a slab, the chunk count, the other points or NaN
+    # holes
     g = GaussianParams(d=0.7, x0=30.0 if sector == "single_wall" else 6.0, p0=0.8)
     traj = SmoothPeriodicWall(L0=60.0, q=0.1, omega=1.0)
     ex = expansion_coefficients(g, traj, C, sector=sector)

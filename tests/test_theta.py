@@ -309,14 +309,14 @@ def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
     # 5e-15.
     monkeypatch.setattr(theta_module, "_LD", np.float64)
     monkeypatch.setattr(theta_module, "_PI_LD", np.float64(math.pi))
-    # and no part of the reduction stays extended: every pass sees w in
-    # complex128 and e0 in float64
+    # and no part of the reduction stays extended: every pass sees w and e0
+    # in complex128
     dtypes = set()
     to_cell = theta_module._to_cell
 
-    def recording(kind, kr, ki, w, er, ei, quasi=True):
-        dtypes.update(np.asarray(a).dtype for a in (w, er, ei))
-        return to_cell(kind, kr, ki, w, er, ei, quasi)
+    def recording(kind, kr, ki, w, e0, quasi=True):
+        dtypes.update(np.asarray(a).dtype for a in (w, e0))
+        return to_cell(kind, kr, ki, w, e0, quasi)
 
     monkeypatch.setattr(theta_module, "_to_cell", recording)
     worst = 0.0
@@ -328,7 +328,7 @@ def test_extended_precision_is_what_holds_the_near_axis_accuracy(monkeypatch):
             ref = mp_theta(kind, z, kappa, dps=60)
             worst = max(worst, abs(theta(kind, z, kappa) - ref) / max(1.0, abs(ref)))
     assert 5e-15 < worst <= 5e-13
-    assert dtypes == {np.dtype(np.complex128), np.dtype(np.float64)}
+    assert dtypes == {np.dtype(np.complex128)}
 
 
 #: near-axis kappas that take 1, 2, 3 and 4 S-steps
@@ -337,18 +337,18 @@ S_STEP_KAPPAS = {1: 0.02 + 1e-3j, 2: 0.033 + 1e-3j, 3: 0.069 + 1e-3j, 4: 0.179 +
 
 @pytest.mark.parametrize("steps", sorted(S_STEP_KAPPAS))
 def test_masked_shifts_couple_no_points(steps, monkeypatch):
-    # the reduction shifts only the points that leave their cell; one array
-    # in which some points move and others do not must give each entry the
-    # value of its own one-point call, and the mpmath value
+    # the quasi shift touches only the points whose j is nonzero (the period
+    # shift runs over the whole array); one array in which some points move
+    # and others do not must give each entry the value of its own one-point
+    # call, and the mpmath value
     kappa = S_STEP_KAPPAS[steps]
     passes = []
     to_cell = theta_module._to_cell
 
-    def recording(kind, kr, ki, w, er, ei, quasi=True):
+    def recording(kind, kr, ki, w, e0, quasi=True):
         before = w.copy()
-        out = to_cell(kind, kr, ki, w, er, ei, quasi)
-        passes.append((out[0].real != before.real, out[0].imag != before.imag))
-        return out
+        to_cell(kind, kr, ki, w, e0, quasi)
+        passes.append((w.real != before.real, w.imag != before.imag))
 
     monkeypatch.setattr(theta_module, "_to_cell", recording)
     rng = np.random.default_rng(500 + steps)
@@ -475,7 +475,7 @@ def test_engine_cost_does_not_grow_with_the_term_count(monkeypatch):
     for kind in (2, 3, 4):
         counts = []
         # one term at 20i, four at 0.45 + 0.9i; Im z = pi Im kappa takes a
-        # quasi-period step, so that e0 is an array at both
+        # quasi-period step at both
         for kappa in (20j, 0.45 + 0.9j):
             calls.append([])
             theta(kind, x + 1j * math.pi * kappa.imag, kappa)
