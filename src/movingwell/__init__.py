@@ -6,6 +6,8 @@ mode-sum evolution, adiabatic/geometric phase analysis and an independent
 Crank-Nicolson oracle for validation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     BasisIndex,
     basis_solution,
@@ -70,60 +72,10 @@ from .propagator import (
 )
 from .theta import jacobi_transform, theta, truncation_bound
 
-__all__ = [
-    "BasisIndex",
-    "ComparisonReport",
-    "ConfigError",
-    "ConvergenceError",
-    "DomainError",
-    "FrameMap",
-    "GaussianParams",
-    "LinearWall",
-    "LocalizationWarning",
-    "PhaseDecomposition",
-    "PhysicalConstants",
-    "ReversingLinearWall",
-    "ScaledWall",
-    "ScenarioConfig",
-    "SmoothPeriodicWall",
-    "SolverSpec",
-    "SpectralExpansion",
-    "StepSizeWarning",
-    "TruncationWarning",
-    "WallTrajectory",
-    "WaveFunctionGrid",
-    "basis_solution",
-    "build_constants",
-    "build_gaussian",
-    "build_trajectory",
-    "contraction_coefficients",
-    "dynamical_phase",
-    "energy_expectation",
-    "evolve_fixed_frame",
-    "evolve_sum",
-    "evolve_theta_general",
-    "evolve_unconfined_approx",
-    "expansion_coefficients",
-    "fig_mode_phases",
-    "from_fixed_frame",
-    "geometric_phase",
-    "initial_gaussian",
-    "instantaneous_eigenstate",
-    "instantaneous_energy",
-    "jacobi_transform",
-    "locality_compare",
-    "parse_config",
-    "phase_decomposition",
-    "reversal_mismatch_ratio",
-    "schrodinger_residual",
-    "theta",
-    "theta_nome",
-    "to_fixed_frame",
-    "total_phase",
-    "transformed_basis_solution",
-    "truncation_bound",
-    "unconfined_tdlo_propagate",
-    "wall_action_integral",
-]
+#: every public name bound above; the submodules the imports bind are left out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "1.0.0"

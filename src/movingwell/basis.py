@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, PhysicalConstants, WallTrajectory
+from .core import ConvergenceError, DomainError, PhysicalConstants, WallTrajectory, _unit
 
 #: a family of modes: labels n >= first, nu = step n + shift, sin or cos
 _Family = namedtuple("_Family", "sector first step shift sine")
@@ -200,7 +200,7 @@ def _mode_sum(coeffs, constants: PhysicalConstants, L: float, v: float, tau: flo
     def unit(nu):
         """e^{i nu theta} on the padded points."""
         if nu not in units:
-            units[nu] = np.exp(1j * (math.pi * nu / L) * xp)
+            units[nu] = _unit((math.pi * nu / L) * xp)
         return units[nu]
 
     total = np.zeros(xp.shape, dtype=complex)
@@ -212,7 +212,7 @@ def _mode_sum(coeffs, constants: PhysicalConstants, L: float, v: float, tau: flo
             part = rows.imag if family.sine else rows.real
             total.real += part[0]
             total.imag += part[1]
-    out = math.sqrt(2.0 / L) * np.exp(1j * _chirp_rate(constants, L, v) * x**2) * total[: x.size]
+    out = math.sqrt(2.0 / L) * _unit(_chirp_rate(constants, L, v) * x**2) * total[: x.size]
     return np.where(_in_box(x, L, sector), out, 0.0)
 
 
@@ -228,7 +228,7 @@ def _block_amplitudes(families, constants: PhysicalConstants, tau: float) -> np.
     amps = np.zeros((len(families), blocks * _BABY), dtype=complex)
     for (family, c), row, m in zip(families, amps, terms):
         nu = family.step * np.arange(family.first, family.first + m) + family.shift
-        row[:m] = c[family.first : family.first + m] * np.exp(-1j * _clock_phase(nu, constants, tau))
+        row[:m] = c[family.first : family.first + m] * _unit(-_clock_phase(nu, constants, tau))
     parts = np.stack([amps.real, amps.imag], axis=1)
     return parts.reshape(2 * len(families), blocks, _BABY).transpose(1, 0, 2)
 
@@ -282,7 +282,7 @@ def _single_mode(idx: BasisIndex, constants: PhysicalConstants, L: float, v: flo
     clock tau); zero outside the box."""
     xa, scalar = _as_array(x)
     rate, phase, _, trig = _mode_parts(idx, constants, L, v, tau, xa)
-    out = math.sqrt(2.0 / L) * np.exp(1j * (rate * xa**2 - phase)) * trig
+    out = math.sqrt(2.0 / L) * _unit(rate * xa**2 - phase) * trig
     out = np.where(_in_box(xa, L, _box_of(idx)), out, 0.0)
     return complex(out[0]) if scalar else out
 
@@ -355,7 +355,7 @@ def _solution_and_second_derivative(idx, traj, constants, t, xa):
     """psi and its analytic d^2/dx^2 on the open interior (no domain mask)."""
     L, v, tau = _leg(traj, t)
     alpha, phase_t, k, trig = _mode_parts(idx, constants, L, v, tau, xa)
-    pre = math.sqrt(2.0 / L) * np.exp(1j * (alpha * xa**2 - phase_t))
+    pre = math.sqrt(2.0 / L) * _unit(alpha * xa**2 - phase_t)
     if idx.is_sine:
         cross = +4j * alpha * k * xa * np.cos(k * xa)
     else:
@@ -443,5 +443,5 @@ def reversal_mismatch_ratio(
     if np.any(np.abs(trig) < 1e-9):
         raise DomainError("mode has a node at a requested x; the ratio is 0/0 there")
     # the contraction family's chirp is the conjugate of the expansion one's
-    out = np.exp(1j * (2.0 * rate * xa**2 - phase_h))
+    out = _unit(2.0 * rate * xa**2 - phase_h)
     return complex(out[0]) if scalar else out

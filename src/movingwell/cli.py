@@ -183,6 +183,23 @@ def _solver_spec(cfg: ScenarioConfig, dt: float, L0: float | None = None) -> Sol
                   x_max=cfg.get_float("solver.x_max", 40.0))
 
 
+#: narrowest packet the Crank-Nicolson commands take, in cells of their
+#: grid.  On oracle.cfg (t = 2, 8,000 steps) at 1,024 and 4,096 points a
+#: packet below two cells misses the closed form by 0.77 to 1.54 in
+#: relative L2, one of two cells by 0.25 and 0.78, and the shipped d = 1 by
+#: 4.9e-4 and 3.1e-5: below two cells the solve is lost at any tolerance
+MIN_PACKET_CELLS = 2
+
+
+def _resolved(gauss, span: float, n: int, span_keys: str) -> None:
+    """Refuse, before the solve, a packet narrower than MIN_PACKET_CELLS
+    cells of a grid of n cells over ``span``, whose keys ``span_keys`` name."""
+    floor = MIN_PACKET_CELLS * span / n
+    _require(gauss.d >= floor, "gaussian.d",
+             f"must span at least {MIN_PACKET_CELLS} cells of the solver grid, "
+             f"{MIN_PACKET_CELLS} {span_keys} / solver.n_points = {floor:.3g}, got {gauss.d:g}")
+
+
 def _rel_l2(psi, ref, x) -> float:
     """||psi - ref|| / ||ref|| in L2 over the grid x, by the trapezoid rule."""
     num, den = (float(np.trapezoid(np.abs(f) ** 2, x)) for f in (psi - ref, ref))
@@ -456,6 +473,7 @@ def cmd_fig2(cfg: ScenarioConfig, seed: int):
     _require(T > 0, "time.t", "must be positive")
     n_steps = cfg.get_int("solver.n_steps", 62832, 1)
     spec = _solver_spec(cfg, T / n_steps)
+    _resolved(gauss, spec.x_max - spec.x_min, spec.n_points, "(solver.x_max - solver.x_min)")
     box = {"x_min": "solver.x_min", "x_max": "solver.x_max"}
     unconf = _keyed(unconfined_tdlo_propagate, box, gauss, traj, spec, T, constants)
     x = unconf.positions
@@ -479,6 +497,7 @@ def cmd_oracle_compare(cfg: ScenarioConfig, seed: int):
     fmap = FrameMap(traj=traj)
     L0 = fmap.L0
     spec = _solver_spec(cfg, t / n_steps, L0)
+    _resolved(gauss, L0, spec.n_points, "trajectory.L0")
     y = np.linspace(-L0 / 2, L0 / 2, spec.n_points + 1)
     start = WaveFunctionGrid(
         positions=y, values=initial_gaussian(gauss, constants, y), time=0.0

@@ -66,6 +66,15 @@ def _warn(message: str, category: type[Warning]) -> None:
     warnings.warn(message, category, stacklevel=level)
 
 
+def _unit(angle):
+    """e^{i angle} for real angle, as cos(angle) + i sin(angle), each
+    written straight into its half of one complex array."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):

@@ -100,6 +100,7 @@ from .core import (
     TruncationWarning,
     WallTrajectory,
     ComparisonReport,
+    _unit,
     _warn,
 )
 from .theta import theta
@@ -717,7 +718,7 @@ def contraction_coefficients(
     # trig with their clock at zero; the conjugate chirp and the
     # trapezoid weights go into the projected samples once
     rate = _chirp_rate(constants, L_h, -v_h)
-    g = (L_h / n) * math.sqrt(2.0 / L_h) * np.exp(-1j * rate * xg**2) * pre
+    g = (L_h / n) * math.sqrt(2.0 / L_h) * _unit(-rate * xg**2) * pre
     g[[0, -1]] *= 0.5
     # on x_j = lo + j L_h/N, lo = -q L_h/2 (q = 1 in the symmetric box, 0
     # for the single wall), the trig argument is pi nu j/N - q pi nu/2, so

@@ -583,6 +583,49 @@ class TestHostileConfigs:
         assert line.startswith("config error: ")
         assert all(key in line for key in named or changes)
 
+    @pytest.mark.parametrize("name, changes", [
+        ("oracle", {"gaussian.d": "1e-4"}),
+        ("oracle", {"gaussian.d": "1e-4", "gaussian.x0": "0.01"}),
+        ("fig2", {"gaussian.d": "1e-4"}),
+    ], ids=["oracle", "oracle-beside-the-wall", "fig2"])
+    def test_a_packet_narrower_than_the_cn_cell_is_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, name, changes):
+        # on the shipped 4,096 points oracle-compare solved d = 1e-4, 1/244
+        # of a cell, to the end and exited 3 with rel_l2 = 9.925; at
+        # x0 = 0.01 it exited 2 with an initial state "identically zero",
+        # naming neither the cell nor solver.n_points
+        def solves(*args, **kwargs):
+            raise AssertionError("solved a packet its grid cannot hold")
+
+        for solver in ("evolve_fixed_frame", "unconfined_tdlo_propagate"):
+            monkeypatch.setattr(cli, solver, solves)
+        raw = parse_config(CONFIGS / f"{name}.cfg") | changes
+        cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in raw.items()))
+        assert cli.main([SHIPPED[name], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: gaussian.d must span at least 2 cells")
+        assert "solver.n_points" in line
+
+    def test_the_cn_cell_gate_takes_its_edge(self, tmp_path, capsys, monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def solves(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(cli, "evolve_fixed_frame", solves)
+        edge = cli.MIN_PACKET_CELLS * 100.0 / 4096
+        for d, passes in ((edge, True), (math.nextafter(edge, 0.0), False)):
+            raw = parse_config(CONFIGS / "oracle.cfg") | {"gaussian.d": repr(d)}
+            cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in raw.items()))
+            argv = ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "out")]
+            if passes:
+                with pytest.raises(Solved):
+                    cli.main(argv)
+            else:
+                assert cli.main(argv) == 2
+                assert "gaussian.d must span" in capsys.readouterr().err
+
 
 class TestLocality:
     def test_boost_the_closed_form_cannot_carry_gives_no_verdict(self, tmp_path, capsys):

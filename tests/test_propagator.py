@@ -823,7 +823,7 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
     # neither the pre-turn mode sum nor the projection onto the contraction
     # family evaluates a transcendental function on the grid once per mode:
     # the sum takes its units e^{i pi nu x / L_h} for nu = 1, 2 and the
-    # chirp, the projection its conjugate chirp
+    # chirp, the projection its conjugate chirp, each as one cos and one sin
     traj = ReversingLinearWall(L0=100.0, q=2.0, T=4.0)
     grid_points = propagator._PROJECTION_POINTS
     calls = []
@@ -839,7 +839,7 @@ def test_reexpansion_projection_does_not_loop_over_modes(monkeypatch):
     start = expansion_coefficients(G1, traj, C)
     con = contraction_coefficients(start, traj, C)
     assert con.n_max > 10
-    assert calls == ["exp"] * 4
+    assert calls == ["cos", "sin"] * 4
 
 
 def test_reexpansion_reads_no_bin_past_the_grid():

@@ -51,3 +51,37 @@ def test_options_count_the_defaults_a_caller_may_leave_out(tmp_path):
     # f: b, c; D: y and m's k; P: m's k and j, not its class attribute w
     (_, (_, _, _, options), _) = run_counter(tmp_path)
     assert int(options) == 6
+
+
+def test_theta_seeds_reports_the_range():
+    # the in-process theta-check sweep, on two seeds, one of them a seed
+    # whose reference used to miss the tolerance
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "theta_seeds.py"), "--start", "1445",
+         "--stop", "1447"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    (line,) = run.stdout.splitlines()
+    fields = dict(item.split("=") for item in line.replace(" at ", " ").split())
+    assert fields["seeds"] == "2" and fields["failed"] == "0"
+    assert float(fields["worst_max_rel_err"]) < 1e-12
+    assert fields["seed"] in ("1445", "1446")
+
+
+def test_theta_seeds_prints_each_failing_seed(tmp_path):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("theta.samples=20\ntolerances.theta_tol=1e-18\n")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "theta_seeds.py"), "--start", "0", "--stop", "2",
+         "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    *failing, summary = run.stdout.splitlines()
+    assert [line.split()[0] for line in failing] == ["seed=0", "seed=1"]
+    assert summary.startswith("seeds=2 failed=2 ")
