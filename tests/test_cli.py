@@ -556,10 +556,15 @@ class TestHostileConfigs:
          ["gaussian.x0", "gaussian.d", "trajectory.L0", "edge-to-peak ratio is 1.", "limit 1e-08"]),
         ("basis", {"trajectory.omega": "1e150"},
          ["trajectory.q", "trajectory.omega", "basis.t", "|L'| dt = 8.", "4 grid cells, 0.4"]),
+        ("oracle", {"gaussian.d": "1e-4"}, ["gaussian.d", "2 trajectory.L0 / solver.n_points"]),
+        ("oracle", {"gaussian.d": "1e-4", "gaussian.x0": "0.01"},
+         ["gaussian.d", "2 trajectory.L0 / solver.n_points"]),
+        ("fig2", {"gaussian.d": "1e-4"},
+         ["gaussian.d", "2 (solver.x_max - solver.x_min) / solver.n_points"]),
     ], ids=["turn-box", "widths-in-box", "fig1-q-underflow", "mass-width-underflow",
             "locality-default-grid", "locality-grid-keys", "evolve-leak", "evolve-leak-wide",
             "cycle-leak", "cycle-leak-wide", "evolve-box-overflow", "oracle-walls",
-            "basis-probe-step"])
+            "basis-probe-step", "oracle-narrow", "oracle-narrow-at-the-wall", "fig2-narrow"])
     def test_products_and_underflows_name_their_keys(self, tmp_path, capsys, name, changes,
                                                      named):
         # the box at the turn (about 5e299, whose square overflowed), L0 / d
@@ -574,7 +579,12 @@ class TestHostileConfigs:
         # And two library gates that gave no key: a packet 2.9e-7 of whose
         # norm lies past the walls passes the leak gate but not the fixed
         # frame's, whose walls hold a state only where it vanishes, and a
-        # wall that outruns the residual probe's 2e-3 step.
+        # wall that outruns the residual probe's 2e-3 step.  And a packet
+        # narrower than two cells of the CN grid: on the shipped 4,096
+        # points oracle-compare solved d = 1e-4 to the end and exited 3
+        # with rel_l2 = 9.925, and at x0 = 0.01 it exited 2 with an
+        # initial state "identically zero", naming neither the cell nor
+        # solver.n_points.
         # The line names the keys of the product: all the changed ones
         # unless ``named`` lists what it must hold
         code, err = _run_in_process(tmp_path, capsys, name, changes)
@@ -583,30 +593,9 @@ class TestHostileConfigs:
         assert line.startswith("config error: ")
         assert all(key in line for key in named or changes)
 
-    @pytest.mark.parametrize("name, changes", [
-        ("oracle", {"gaussian.d": "1e-4"}),
-        ("oracle", {"gaussian.d": "1e-4", "gaussian.x0": "0.01"}),
-        ("fig2", {"gaussian.d": "1e-4"}),
-    ], ids=["oracle", "oracle-beside-the-wall", "fig2"])
-    def test_a_packet_narrower_than_the_cn_cell_is_refused_before_the_solve(
-            self, tmp_path, capsys, monkeypatch, name, changes):
-        # on the shipped 4,096 points oracle-compare solved d = 1e-4, 1/244
-        # of a cell, to the end and exited 3 with rel_l2 = 9.925; at
-        # x0 = 0.01 it exited 2 with an initial state "identically zero",
-        # naming neither the cell nor solver.n_points
-        def solves(*args, **kwargs):
-            raise AssertionError("solved a packet its grid cannot hold")
-
-        for solver in ("evolve_fixed_frame", "unconfined_tdlo_propagate"):
-            monkeypatch.setattr(cli, solver, solves)
-        raw = parse_config(CONFIGS / f"{name}.cfg") | changes
-        cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in raw.items()))
-        assert cli.main([SHIPPED[name], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error: gaussian.d must span at least 2 cells")
-        assert "solver.n_points" in line
-
     def test_the_cn_cell_gate_takes_its_edge(self, tmp_path, capsys, monkeypatch):
+        # on the shipped 4,096 points: two cells reach the solve, and a
+        # packet a rounding narrower is refused before it
         class Solved(Exception):
             pass
 
