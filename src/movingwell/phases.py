@@ -26,12 +26,15 @@ integrand Re psi* H psi is real: with |psi| = sqrt(2/L) |trig| the chirp
 phase cancels and the imaginary parts of psi'' drop out.  On the box,
 x = (L/2)(u + sigma) with u in [-1, 1] (sigma = 0 for the symmetric box, 1
 for the single wall), so k x = pi nu (u + sigma)/2 does not depend on t and
-the (time x space) Gauss-Legendre sum factors: two space moments per mode,
-then one term per time node.  The nodes come from Newton's method on the
-Legendre recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652
-(2013)), and all modes share one pass of the wall per time resolution.
-The quadrature picks its own resolution: it doubles both node counts
-until two successive sums agree to 1e-9 relative.
+the (time x space) quadrature sum factors: two space moments per mode,
+then one term per time node.  Both sums are Clenshaw-Curtis rules, whose
+nodes are closed-form and whose weights take one FFT (Waldvogel, BIT
+Numer. Math. 46, 195 (2006)); on these analytic integrands they converge
+about as fast as Gauss-Legendre (Trefethen, SIAM Rev. 50, 67 (2008)).  All
+modes share one pass of the wall per time resolution, and a wall that
+turns inside the window is summed on each leg.  The quadrature picks its
+own resolution: it doubles both orders until two successive sums agree
+to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -73,69 +76,38 @@ class PhaseDecomposition:
 
 
 #: ``dynamical_phase`` doubles its resolution up to 2 MAX_NODES space and
-#: MAX_NODES time nodes; a call that reaches the ceiling takes about 2.5 s on
-#: 2 cores, most of it building the 16,384 nodes, and the cost grows as the
-#: square of the count
+#: MAX_NODES time nodes; a call that reaches the ceiling takes 0.09-0.16 s on
+#: 2 cores, most of it reading the wall at its 16,000 time nodes, and the
+#: cost grows in proportion to the count
 MAX_NODES = 8192
-
-#: Newton steps allowed per node set; from Tricomi's guesses three suffice
-#: up to 2 MAX_NODES nodes
-_NEWTON_STEPS = 10
-
-
-def _legendre_pair(n: int, y):
-    """P_n and P_{n-1} at x = 1 - y by the three-term recurrence, run in y so
-    that nodes near x = 1 keep their digits."""
-    p0, p1 = np.ones_like(y), 1.0 - y
-    for j in range(1, n):
-        p0, p1 = p1, (2 * j + 1) / (j + 1) * (p1 - y * p1) - j / (j + 1) * p0
-    return p1, p0
 
 
 @lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
-
-    Newton's method in y = 1 - x on P_n(1 - y), started from Tricomi's
-    guesses, for the nodes with x >= 0; the others follow by symmetry.  With
-    1 - x^2 = y (2 - y) and P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), each step
-    is P_n y (2 - y) / (n (x P_n - P_{n-1})), and the weights
-    2 / ((1 - x^2) P_n'^2) are 2 y (2 - y) / (n (x P_n - P_{n-1}))^2 at the
-    converged nodes.  Raises ConvergenceError rather than return nodes that
-    have not converged.
-    """
-    theta = math.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
-    # 1 - (1 - (n - 1) / (8 n^3)) cos(theta), without the cancellation
-    y = 2.0 * np.sin(0.5 * theta) ** 2 + (n - 1) / (8.0 * n**3) * np.cos(theta)
-    for _ in range(_NEWTON_STEPS):
-        pn, pm = _legendre_pair(n, y)
-        step = pn * y * (2.0 - y) / (n * (pn - y * pn - pm))
-        y = y - step
-        # convergence is quadratic: after a relative step below 1e-9 the
-        # error left is at rounding, whose floor nears 2e-11 at 2 MAX_NODES
-        if np.max(np.abs(step) / y) < 1e-9:
-            break
-    else:
-        raise ConvergenceError(f"Gauss-Legendre nodes of order {n} did not converge")
-    pn, pm = _legendre_pair(n, y)
-    w = 2.0 * y * (2.0 - y) / (n * (pn - y * pn - pm)) ** 2
-    # exact by Sterbenz's lemma for x <= 1/2
-    x = 1.0 - y
-    if n % 2:
-        x[-1] = 0.0
-    return np.concatenate([-x, x[::-1][n % 2:]]), np.concatenate([w, w[::-1][n % 2:]])
+def _cc_rule(n: int):
+    """Clenshaw-Curtis rule of order n >= 2 on [-1, 1]: the n + 1 nodes
+    -cos(pi k / n), ascending and exactly symmetric, and their weights from
+    one inverse FFT of length n (Waldvogel, BIT Numer. Math. 46, 195 (2006))."""
+    odd = np.arange(1.0, n, 2.0)
+    v = np.concatenate([2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n - len(odd))])
+    g = np.full(n, -1.0)
+    g[len(odd)] += n
+    g[n - len(odd)] += n
+    w = np.fft.ifft(-v[:-1] - v[:0:-1] + g / (n * n - 1 + n % 2)).real
+    w = np.append(w, w[0])
+    return np.sin(0.5 * math.pi * np.arange(-n, n + 1, 2) / n), 0.5 * (w + w[::-1])
 
 
 def _cycle_time(traj: WallTrajectory, T: float | None, what: str = "") -> float:
-    """T, or the trajectory's period when T is None; it must be positive.
-    A quantity named by ``what`` is defined only when the wall closes a
-    cycle over [0, T]."""
+    """T, or the trajectory's period when T is None; it must be positive and
+    in the wall's window.  A quantity named by ``what`` is defined only when
+    the wall closes a cycle over [0, T]."""
     if T is None:
         T = traj.period
         if T is None:
             raise DomainError("trajectory has no period; pass T explicitly")
     if T <= 0:
         raise DomainError("T must be positive")
+    traj._check(T)
     if what and not traj.is_cyclic(T):
         raise DomainError(f"trajectory is not cyclic over [0, {T}]; {what} undefined")
     return T
@@ -176,16 +148,22 @@ def energy_expectation(
 
 @lru_cache(maxsize=8)
 def _time_rows(traj: WallTrajectory, T: float, nt: int):
-    """The wall at the nt Gauss-Legendre nodes of [0, T], one pass shared by
-    every mode: (time weights, L, L', Omega^2)."""
-    base, w = _gl_nodes(nt)
-    L, v, _, _, w2 = np.array([traj.kinematics(t) for t in 0.5 * T * (base + 1.0)]).T
-    return 0.5 * T * w, L, v, w2
+    """The wall at the Clenshaw-Curtis nodes of order nt on [0, T], one pass
+    shared by every mode: (time weights, L, L', Omega^2).  A wall that turns
+    inside (0, T) gets the rule on each leg, so that no sum runs across the
+    kink; the node at the turn reads the contraction leg, which gives the
+    expansion leg's <H> there as well, since L, L'^2 and Omega^2 are
+    continuous through the turn."""
+    base, w = _cc_rule(nt)
+    legs = [(0.0, traj.turn), (traj.turn, T)] if 0.0 < traj.turn < T else [(0.0, T)]
+    times = np.concatenate([a + 0.5 * (b - a) * (base + 1.0) for a, b in legs])
+    L, v, _, _, w2 = np.array([traj.kinematics(t) for t in times]).T
+    return np.concatenate([0.5 * (b - a) * w for a, b in legs]), L, v, w2
 
 
 def _h_rows(idx: BasisIndex, constants: PhysicalConstants, L, v, w2, nx: int):
     """<H> of mode idx, one row per (box size L, wall speed v, Omega^2 w2), as
-    the nx-node Gauss-Legendre sum over the box of
+    the Clenshaw-Curtis sum of order nx over the box of
 
         Re psi* H psi = (2/L) trig^2 [(hbar^2/2m) k^2 + B x^2],
         B = (hbar^2/2m) 4 alpha^2 + (m/2) Omega^2.
@@ -195,7 +173,7 @@ def _h_rows(idx: BasisIndex, constants: PhysicalConstants, L, v, w2, nx: int):
     M2 = sum w trig^2 (u + sigma)^2 do not depend on the row, and with the
     chirp rate alpha = m L' / (2 hbar L), B (L/2)^2 = (m/8)(L'^2 + Omega^2 L^2).
     """
-    u, w_x = _gl_nodes(nx)
+    u, w_x = _cc_rule(nx)
     s = u + sum(_box_interval(1.0, _box_of(idx)))
     trig2 = (np.sin if idx.is_sine else np.cos)(0.5 * math.pi * idx.nu * s) ** 2
     m0, m2 = w_x @ trig2, w_x @ (trig2 * s**2)
@@ -205,7 +183,7 @@ def _h_rows(idx: BasisIndex, constants: PhysicalConstants, L, v, w2, nx: int):
 
 def _delta_at(idx: BasisIndex, traj: WallTrajectory, constants: PhysicalConstants,
               T: float, nt: int, nx: int) -> float:
-    """delta from the Gauss-Legendre sum at nt time and nx space nodes."""
+    """delta from the Clenshaw-Curtis sum of order nt in time and nx in space."""
     w_t, L, v, w2 = _time_rows(traj, T, nt)
     return -float(np.dot(w_t, _h_rows(idx, constants, L, v, w2, nx))) / constants.hbar
 
@@ -218,18 +196,19 @@ def dynamical_phase(
 ) -> float:
     """delta = -(1/hbar) integral_0^T <H(t)> dt by nested quadrature.
 
-    Gauss-Legendre in both time and space over the integrand Re psi* H psi =
+    Clenshaw-Curtis in both time and space over the integrand Re psi* H psi =
     (2/L) trig^2 [(hbar^2/2m)(k^2 + 4 alpha^2 x^2) + (m/2) Omega^2 x^2].  The
     sum over the (time x space) grid is separable: two space moments per
     mode and one term per time node, O(time nodes + space nodes) per mode.
-    The nodes come from Newton's method on the Legendre recurrence, built
-    once per order, and the wall is read once per time resolution.  The
-    resolution sets itself: the sum starts at 256 time and 512 space nodes
-    and doubles both until two successive resolutions agree to 1e-9
-    relative, then returns the finer one.  ConvergenceError is raised when
-    agreement would take more than 2 MAX_NODES space nodes.  An impulsive
-    velocity reversal (kink in L') contributes only through the smooth
-    pieces on either side.
+    The rule of order n has the n + 1 nodes -cos(pi k / n) and weights from
+    one FFT, built once per order, and the wall is read once per time
+    resolution.  The resolution sets itself: the sum starts at orders 256
+    in time and 512 in space and doubles both until two successive
+    resolutions agree to 1e-9 relative, then returns the finer one.
+    ConvergenceError is raised when agreement would take an order above
+    2 MAX_NODES in space.  An impulsive velocity reversal (kink in L')
+    contributes only through the smooth pieces on either side: when the
+    wall turns inside (0, T) the time sum runs over each leg on its own.
     """
     T = _cycle_time(traj, T)
     nt, nx = 256, 512
@@ -255,7 +234,6 @@ def wall_action_integral(traj: WallTrajectory, T: float | None = None) -> float:
     rescaled walls (a factor k^2), by adaptive quadrature otherwise.
     """
     T = _cycle_time(traj, T)
-    traj._check(T)
     return traj.wall_action(T)
 
 

@@ -1127,8 +1127,8 @@ def test_import_path_leaves_scipy_unloaded():
 
 
 def test_phase_command_leaves_scipy_and_numpy_polynomial_unloaded(tmp_path):
-    # the phase quadrature takes its Gauss-Legendre nodes from its own
-    # Newton iteration, not from numpy.polynomial
+    # the phase quadrature builds its Clenshaw-Curtis rule from closed-form
+    # nodes and one numpy.fft call, not from numpy.polynomial or scipy
     probe = (
         "import sys; from movingwell import cli; "
         f"code = cli.main(['phase', '--config', 'configs/phase.cfg', '--out', {str(tmp_path)!r}]); "

@@ -242,6 +242,20 @@ def test_dynamical_phase_keeps_the_single_check_where_it_passes():
     assert agreed == 75
 
 
+@pytest.mark.parametrize("nu", [1, 7, 20])
+def test_dynamical_phase_sums_each_leg_of_a_turning_wall(nu):
+    # L has a kink at the turn; summed on each leg, the first doubling
+    # agrees, and delta is the per-leg closed form: L is linear on a leg, so
+    # integral dt / L^2 over it is (b - a) / (L(a) L(b))
+    wall, T, idx = ReversingLinearWall(L0=40.0, q=1.0, T=20.0), 20.0, _level_index(nu)
+    coarse, fine = (phases._delta_at(idx, wall, C, T, nt, 2 * nt) for nt in (256, 512))
+    assert abs(coarse - fine) <= 1e-9 * abs(fine)
+    assert dynamical_phase(idx, wall, C, T) == fine
+    level = (math.pi * nu * C.hbar) ** 2 / (2.0 * C.mass) * T / (wall.L0 * wall.half_length)
+    motion = C.mass / 24.0 * (1.0 - 6.0 / (math.pi * nu) ** 2) * wall.q**2 * T
+    assert fine == pytest.approx(-(level + motion) / C.hbar, rel=1e-12, abs=0.0)
+
+
 def _h_reference(idx, traj, t, x):
     """Re psi* H psi from the analytic psi'' in complex arithmetic."""
     psi, psi_xx = _solution_and_second_derivative(idx, traj, C, t, x)
@@ -250,16 +264,21 @@ def _h_reference(idx, traj, t, x):
 
 
 def _per_node_delta(idx, traj, T, time_nodes, space_nodes):
-    """``phases._delta_at``, one <H> quadrature per time node."""
-    base_t, w_t = phases._gl_nodes(time_nodes)
-    base_x, w_x = phases._gl_nodes(space_nodes)
-    vals = []
-    for t in 0.5 * T * (base_t + 1.0):
-        lo, hi = _box_interval(traj.length(t), _box_of(idx))
-        scale = 0.5 * (hi - lo)
-        x = scale * base_x + 0.5 * (hi + lo)
-        vals.append(scale * float(np.sum(w_x * _h_reference(idx, traj, t, x))))
-    return -0.5 * T * float(np.sum(w_t * np.array(vals))) / C.hbar
+    """``phases._delta_at``, one <H> quadrature per time node, the time rule
+    applied on each leg of a wall that turns inside (0, T)."""
+    base_t, w_t = phases._cc_rule(time_nodes)
+    base_x, w_x = phases._cc_rule(space_nodes)
+    legs = [(0.0, traj.turn), (traj.turn, T)] if 0.0 < traj.turn < T else [(0.0, T)]
+    total = 0.0
+    for a, b in legs:
+        vals = []
+        for t in a + 0.5 * (b - a) * (base_t + 1.0):
+            lo, hi = _box_interval(traj.length(t), _box_of(idx))
+            scale = 0.5 * (hi - lo)
+            x = scale * base_x + 0.5 * (hi + lo)
+            vals.append(scale * float(np.sum(w_x * _h_reference(idx, traj, t, x))))
+        total += 0.5 * (b - a) * float(np.sum(w_t * np.array(vals)))
+    return -total / C.hbar
 
 
 REV_WALL = ReversingLinearWall(L0=20.0, q=1.5, T=4.0)
@@ -278,9 +297,9 @@ REV_WALL = ReversingLinearWall(L0=20.0, q=1.5, T=4.0)
 )
 def test_h_rows_are_the_box_sum_of_re_psi_h_psi(idx, traj, times):
     # the factored row, two space moments per mode, against the same
-    # Gauss-Legendre sum of Re psi* H psi from the complex solution
+    # Clenshaw-Curtis sum of Re psi* H psi from the complex solution
     nx = 257
-    u, w_x = phases._gl_nodes(nx)
+    u, w_x = phases._cc_rule(nx)
     L, v, w2 = (np.array([f(t) for t in times])
                 for f in (traj.length, traj.velocity, traj.omega_squared))
     rows = phases._h_rows(idx, C, L, v, w2, nx)
@@ -331,7 +350,8 @@ def test_dynamical_phase_makes_no_per_node_solution_calls(monkeypatch):
 
 def test_modes_share_one_trajectory_pass_per_resolution():
     # the 11 modes of the shipped phase scenario read the wall at the
-    # 256 + 512 time nodes of the checked run once in all, not once per mode
+    # 257 + 513 time nodes of the checked run (orders 256 and 512) once in
+    # all, not once per mode
     cfg = ScenarioConfig(parse_config(CONFIGS / "phase.cfg"))
     calls = []
 
@@ -348,7 +368,7 @@ def test_modes_share_one_trajectory_pass_per_resolution():
     phases._time_rows.cache_clear()
     for n in range(cfg.get_int("phase.n_max") + 1):
         dynamical_phase(_level_index(n + 1), wall, C)
-    assert len(calls) <= 768
+    assert len(calls) <= 770
 
 
 def test_dynamical_phase_validation():
@@ -361,50 +381,49 @@ def test_dynamical_phase_validation():
 EPS = np.finfo(float).eps
 
 
-def _reference_node(n, x0):
-    """The Gauss-Legendre node of order n next to x0 and its weight, to 40
-    digits, by Newton on the three-term recurrence in mpmath."""
-
-    def legendre(x):
-        p0, p1 = mp.mpf(1), x
-        for j in range(1, n):
-            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-        return p1, n * (x * p1 - p0) / (x * x - 1)
-
+def _cc_weight(n, k):
+    """Clenshaw-Curtis weight k of order n to 40 digits, by the cosine sum
+    (c_k / n)(1 - sum_{j=1}^{n/2} b_j cos(2 pi j k / n) / (4 j^2 - 1)), with
+    b_j = 1 at j = n/2 and 2 below it, c_k = 1 at the ends and 2 inside."""
     with mp.workdps(40):
-        x = mp.findroot(lambda s: legendre(s)[0], mp.mpf(float(x0)), solver="newton",
-                        df=lambda s: legendre(s)[1])
-        dp = legendre(x)[1]
-        return x, 2 / ((1 - x * x) * dp**2)
+        tail = mp.fsum(mp.mpf(1 if 2 * j == n else 2) / (4 * j * j - 1) * mp.cospi(mp.mpf(2 * j * k) / n)
+                       for j in range(1, n // 2 + 1))
+        return mp.mpf(1 if k in (0, n) else 2) / n * (1 - tail)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024])
-def test_gl_nodes_against_40_digits(n):
-    x, w = phases._gl_nodes(n)
-    _, w_numpy = np.polynomial.legendre.leggauss(n)
-    assert x.shape == w.shape == (n,)
-    assert np.all(np.diff(x) > 0)
+@pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024, 16384])
+def test_cc_rule_is_symmetric_and_positive(n):
+    x, w = phases._cc_rule(n)
+    assert x.shape == w.shape == (n + 1,)
+    assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x + np.cos(np.pi * np.arange(n + 1) / n))) <= 2 * EPS
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    # measured: at most 5 eps (n = 1,024)
-    assert abs(float(np.sum(w)) - 2.0) <= 8 * EPS
-    # the innermost node with x >= 0 and the eight outermost, where the
-    # weights lose the most digits
-    for i in sorted({n // 2, *range(max(n // 2, n - 8), n)}):
-        x_ref, w_ref = _reference_node(n, x[i])
-        # measured: at most 8.5e-17 over every node of these orders
-        assert abs(float(x[i] - x_ref)) <= 1.2e-16, i
-        err = abs(float((w[i] - w_ref) / w_ref))
-        err_numpy = abs(float((w_numpy[i] - w_ref) / w_ref))
-        # measured: at most 9.3e-13 (n = 1,024), where numpy's
-        # companion-matrix weights are off by up to 1.2e-9
-        assert err <= max(err_numpy, 4 * EPS), (i, err, err_numpy)
-        assert err <= 2e-12, (i, err)
+    assert np.all(w > 0)
+    # measured: at most 2 eps
+    assert abs(float(np.sum(w)) - 2.0) <= 4 * EPS
 
 
-def test_gl_nodes_raise_rather_than_return_unconverged(monkeypatch):
-    monkeypatch.setattr(phases, "_NEWTON_STEPS", 2)
-    with pytest.raises(ConvergenceError, match="order 64 did not converge"):
-        phases._gl_nodes.__wrapped__(64)
+@pytest.mark.parametrize("n", [2, 3, 8, 256, 1024])
+def test_cc_rule_integrates_even_monomials_to_its_order(n):
+    x, w = phases._cc_rule(n)
+    for j in range(0, n + 1, 2):
+        err = abs(float(w @ x**j) * (j + 1) / 2.0 - 1.0)
+        # x**j itself rounds by up to j/2 ulps near the ends, where these
+        # monomials weigh most; measured: 5.5 eps at n = 256, 14 at 1,024
+        assert err <= (4.0 + j / 32.0) * EPS, j
+
+
+@pytest.mark.parametrize("n", [2, 8, 256, 1024, 16384])
+def test_cc_weights_against_40_digits(n):
+    _, w = phases._cc_rule(n)
+    # every weight to the middle at the small orders (the rest by symmetry),
+    # else the four outermost, where the weights are smallest, n/3 and the middle
+    for k in range(n // 2 + 1) if n <= 8 else (0, 1, 2, 3, n // 3, n // 2):
+        ref = _cc_weight(n, k)
+        # measured: at most 1.04 eps of the largest weight, which is at most
+        # 2.3e-13 relative at the two end weights
+        assert abs(float(w[k] - ref)) <= 2 * EPS * w.max(), k
+        assert abs(float((w[k] - ref) / ref)) <= 1e-12, k
 
 
 def test_fig_mode_phases_dataset():

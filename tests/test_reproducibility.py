@@ -10,6 +10,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,18 @@ def test_light_configs_run_silently(name, tmp_path):
     assert "warning:" not in err.getvalue()
     assert code == 0
     assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_basis_check_csv_does_not_follow_the_blas_thread_count(threads, tmp_path):
+    """basis-check's Gram sums avoid threaded BLAS, whose rounding follows
+    how the product is split among threads: a fresh process at one and at
+    two OpenBLAS threads writes the recorded bytes."""
+    recorded = json.loads(FIXTURE.read_text())
+    argv = [sys.executable, "-m", "movingwell.cli", "basis-check", "--config",
+            str(CONFIGS / "basis.cfg"), "--out", str(tmp_path), "--seed", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=REPO,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "basis_check.csv").read_bytes()).hexdigest()
+    assert digest == recorded["files"]["basis/basis_check.csv"]
